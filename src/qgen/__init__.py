@@ -101,84 +101,3 @@ from .textstats import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Answer",
-    "BackendError",
-    "BackendRejected",
-    "BackendTimeout",
-    "BackendUnavailable",
-    "BadFloat",
-    "BaselineQuestion",
-    "BoxStats",
-    "Chunk",
-    "ConfigError",
-    "ContextRecord",
-    "DimensionMismatch",
-    "DuplicateToken",
-    "EmbeddingTable",
-    "EmptyInput",
-    "EmptyRecords",
-    "EvalRun",
-    "GeneratedQuestion",
-    "GenerationConfig",
-    "Histogram",
-    "HttpBackend",
-    "InvalidChunkParams",
-    "KeywordFrequency",
-    "MalformedJson",
-    "MissingCell",
-    "MockBackend",
-    "NoQuestionsFound",
-    "OpenAICompletionsBackend",
-    "PROMPT_IDS",
-    "ParsedQuestions",
-    "PipelineError",
-    "PromptContextResult",
-    "PromptSummary",
-    "PromptTemplate",
-    "QgenError",
-    "ReversedExample",
-    "RunConfig",
-    "RunInfo",
-    "SampleTooLarge",
-    "SchemaError",
-    "ScoreRecord",
-    "SentenceVector",
-    "SpanError",
-    "SquadDataset",
-    "assemble_run",
-    "build_max_series",
-    "bundled_stopwords",
-    "chunk_context",
-    "cosine_similarity",
-    "count_matches",
-    "default_templates",
-    "emit_dataset_figures",
-    "emit_figures",
-    "frequent_words",
-    "generate",
-    "histogram_to_csv",
-    "keywords_to_csv",
-    "load_config",
-    "load_run",
-    "load_squad",
-    "load_stopwords",
-    "load_vectors",
-    "load_vectors_path",
-    "parse_questions",
-    "parse_squad",
-    "prompt_max",
-    "question_length_histogram",
-    "render_prompt",
-    "reverse_dataset",
-    "run_pipeline",
-    "sample_contexts",
-    "score_cell",
-    "score_question",
-    "sentence_vector",
-    "summarize",
-    "summarize_prompt",
-    "to_squad_json",
-    "tokenize",
-]

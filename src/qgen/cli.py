@@ -19,6 +19,7 @@ from pathlib import Path
 from .corpus import load_squad
 from .errors import BackendError, ConfigError, PipelineError, QgenError
 from .pipeline import (
+    BACKEND_KINDS,
     RunConfig,
     emit_dataset_figures,
     emit_figures,
@@ -47,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="JSON config file")
     run.add_argument("--seed", type=int, help="override the sampling seed")
     run.add_argument(
-        "--backend", choices=("mock", "http"), help="override the backend kind"
+        "--backend", choices=BACKEND_KINDS, help="override the backend kind"
     )
     run.add_argument("--threshold", type=float, help="override the match threshold")
     run.add_argument(

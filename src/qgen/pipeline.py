@@ -56,11 +56,13 @@ from .scoring import (
     RunInfo,
     ScoreRecord,
     assemble_run,
+    prompt_max,
     score_cell,
 )
 from .similarity import load_vectors_path
 from .textstats import (
     bundled_stopwords,
+    csv_quote,
     frequent_words,
     histogram_to_csv,
     keywords_to_csv,
@@ -70,7 +72,7 @@ from .textstats import (
 ENV_URL = "QGEN_BACKEND_URL"
 ENV_TOKEN = "QGEN_BACKEND_TOKEN"
 
-_BACKEND_KINDS = ("mock", "http", "openai")
+BACKEND_KINDS = ("mock", "http", "openai")
 
 
 @dataclass(frozen=True)
@@ -95,9 +97,9 @@ class RunConfig:
     top_keywords: int = 20
 
     def validate(self) -> None:
-        if self.backend not in _BACKEND_KINDS:
+        if self.backend not in BACKEND_KINDS:
             raise ConfigError(
-                f"backend must be one of {_BACKEND_KINDS}, got {self.backend!r}"
+                f"backend must be one of {BACKEND_KINDS}, got {self.backend!r}"
             )
         if self.backend != "mock" and not self.backend_url:
             raise ConfigError(f"backend {self.backend!r} requires backend_url")
@@ -132,7 +134,6 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = frozenset(RunConfig.__dataclass_fields__)
-_REQUIRED_FIELDS = ("dataset", "vectors", "out")
 _PATH_FIELDS = ("dataset", "vectors", "out")
 
 
@@ -157,7 +158,7 @@ def load_config(path: str | Path, env: dict | None = None) -> RunConfig:
     unknown = sorted(set(doc) - _CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    missing = [k for k in _REQUIRED_FIELDS if k not in doc]
+    missing = [k for k in _PATH_FIELDS if k not in doc]
     if missing:
         raise ConfigError(f"config missing required keys: {', '.join(missing)}")
     for key in _PATH_FIELDS:
@@ -343,12 +344,6 @@ def scores_to_jsonl(cells: list[PromptContextResult]) -> str:
     return out.getvalue()
 
 
-def _csv_quote(text: str) -> str:
-    if any(ch in text for ch in ',"\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -361,53 +356,16 @@ def table2_csv(cells: list[PromptContextResult]) -> str:
         for rec in cell.records:
             out.write(
                 f"{cell.context_id},{cell.prompt_id},"
-                f"{_csv_quote(rec.generated.text)},"
+                f"{csv_quote(rec.generated.text)},"
                 f"{_fmt(rec.question_max)},{_fmt(cell.prompt_max)}\n"
             )
     return out.getvalue()
 
 
-def _summary_to_json(s: PromptSummary) -> dict:
-    return {
-        "prompt_id": s.prompt_id,
-        "n_questions": s.n_questions,
-        "mean": s.mean,
-        "median": s.median,
-        "q1": s.q1,
-        "q3": s.q3,
-        "whisker_lo": s.whisker_lo,
-        "whisker_hi": s.whisker_hi,
-        "outliers": list(s.outliers),
-        "match_count": s.match_count,
-    }
-
-
-def _summary_from_json(doc: dict) -> PromptSummary:
-    return PromptSummary(
-        prompt_id=doc["prompt_id"],
-        n_questions=doc["n_questions"],
-        mean=doc["mean"],
-        median=doc["median"],
-        q1=doc["q1"],
-        q3=doc["q3"],
-        whisker_lo=doc["whisker_lo"],
-        whisker_hi=doc["whisker_hi"],
-        outliers=tuple(doc["outliers"]),
-        match_count=doc["match_count"],
-    )
-
-
 def run_to_json(run: EvalRun, shortfalls: list[dict]) -> str:
     doc = {
-        "info": {
-            "seed": run.info.seed,
-            "threshold": run.info.threshold,
-            "sample_size": run.info.sample_size,
-            "backend": run.info.backend,
-            "vector_digest": run.info.vector_digest,
-            "rng_algorithm": run.info.rng_algorithm,
-        },
-        "summaries": {pid: _summary_to_json(s) for pid, s in run.summaries.items()},
+        "info": vars(run.info),
+        "summaries": {pid: vars(s) for pid, s in run.summaries.items()},
         "max_series": {
             pid: [[cid, value] for cid, value in series]
             for pid, series in run.max_series.items()
@@ -453,6 +411,10 @@ def persist_run(
         "backend_retries": sum(c.retries for c in calls),
         "backend_latency_s": round(sum(c.latency_s for c in calls), 6),
     }
+    _write_manifest(out_dir, manifest)
+
+
+def _write_manifest(out_dir: Path, manifest: dict) -> None:
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
         encoding="utf-8",
@@ -482,10 +444,7 @@ def _write_failure_manifest(
         "finished_at": _utcnow(),
         "cells": cells_done,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    _write_manifest(out_dir, manifest)
 
 
 def load_shortfalls(out_dir: str | Path) -> list[dict]:
@@ -514,21 +473,16 @@ def load_run(out_dir: str | Path) -> EvalRun:
                 context_id=cid,
                 prompt_id=pid,
                 records=tuple(recs),
-                prompt_max=max(r.question_max for r in recs),
+                prompt_max=prompt_max(recs),
             )
         )
-    info = RunInfo(
-        seed=doc["info"]["seed"],
-        threshold=doc["info"]["threshold"],
-        sample_size=doc["info"]["sample_size"],
-        backend=doc["info"]["backend"],
-        vector_digest=doc["info"]["vector_digest"],
-        rng_algorithm=doc["info"].get("rng_algorithm", ""),
-    )
     return EvalRun(
-        info=info,
+        info=RunInfo(**doc["info"]),
         results=cells,
-        summaries={pid: _summary_from_json(s) for pid, s in doc["summaries"].items()},
+        summaries={
+            pid: PromptSummary(**{**s, "outliers": tuple(s["outliers"])})
+            for pid, s in doc["summaries"].items()
+        },
         max_series={
             pid: [(cid, value) for cid, value in series]
             for pid, series in doc["max_series"].items()
@@ -547,7 +501,7 @@ def fig6_csv(run: EvalRun) -> str:
         outliers = ";".join(_fmt(v) for v in s.outliers)
         out.write(
             f"{pid},{_fmt(s.mean)},{_fmt(s.median)},{_fmt(s.q1)},{_fmt(s.q3)},"
-            f"{_fmt(s.whisker_lo)},{_fmt(s.whisker_hi)},{_csv_quote(outliers)}\n"
+            f"{_fmt(s.whisker_lo)},{_fmt(s.whisker_hi)},{csv_quote(outliers)}\n"
         )
     return out.getvalue()
 
@@ -578,39 +532,34 @@ def emit_figures(run: EvalRun, out: str | Path, top_keywords: int = 20) -> list[
     Figure 1/2 series here are over the run's generated questions; the
     dataset-level variants come from emit_dataset_figures instead.
     """
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     questions = [rec.generated.text for rec in run.records()]
-    hist = question_length_histogram(questions)
-    keywords = frequent_words(questions, bundled_stopwords(), top_k=top_keywords)
-    files = {
-        "fig1_lengths.csv": histogram_to_csv(hist),
-        "fig2_keywords.csv": keywords_to_csv(keywords),
-        "fig6_boxplot.csv": fig6_csv(run),
-        "fig7_matches.csv": fig7_csv(run),
-        "fig8_max_series.csv": fig8_csv(run),
-    }
-    written = []
-    for name, text in files.items():
-        target = out_dir / name
-        target.write_text(text, encoding="utf-8")
-        written.append(target)
-    return written
+    files = _question_figures(questions, top_keywords)
+    files["fig6_boxplot.csv"] = fig6_csv(run)
+    files["fig7_matches.csv"] = fig7_csv(run)
+    files["fig8_max_series.csv"] = fig8_csv(run)
+    return _write_files(out, files)
 
 
 def emit_dataset_figures(
     dataset: SquadDataset, out: str | Path, top_keywords: int = 20
 ) -> list[Path]:
     """Write fig1/fig2 series over the dataset's baseline questions."""
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    questions = dataset.questions()
+    return _write_files(out, _question_figures(dataset.questions(), top_keywords))
+
+
+def _question_figures(questions: list[str], top_keywords: int) -> dict[str, str]:
+    """Figure 1 (length histogram) and figure 2 (keywords) over the questions."""
     hist = question_length_histogram(questions)
     keywords = frequent_words(questions, bundled_stopwords(), top_k=top_keywords)
-    files = {
+    return {
         "fig1_lengths.csv": histogram_to_csv(hist),
         "fig2_keywords.csv": keywords_to_csv(keywords),
     }
+
+
+def _write_files(out: str | Path, files: dict[str, str]) -> list[Path]:
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for name, text in files.items():
         target = out_dir / name

@@ -159,8 +159,6 @@ class MockBackend:
     linguistic quality.
     """
 
-    last_retries = 0
-
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
 
@@ -191,55 +189,13 @@ class MockBackend:
 
 # -- HTTP backends -----------------------------------------------------------
 
-def _retrying_post(
-    session: requests.Session,
-    url: str,
-    payload: dict,
-    headers: dict,
-    timeout_s: float,
-    attempts: int,
-    backoff_base_s: float,
-    sleep: Callable[[float], None],
-) -> tuple[requests.Response, int]:
-    """POST with bounded retries on transport errors and 5xx.
-
-    Returns the successful response and the number of retries consumed.
-    4xx responses raise immediately; exhausted retries raise
-    BackendTimeout for timeouts and BackendUnavailable otherwise.
-    """
-    last_exc: Exception | None = None
-    timed_out = False
-    for attempt in range(attempts):
-        if attempt > 0:
-            sleep(backoff_base_s * (2 ** (attempt - 1)))
-        try:
-            resp = session.post(url, json=payload, headers=headers, timeout=timeout_s)
-        except requests.Timeout as exc:
-            last_exc = exc
-            timed_out = True
-            continue
-        except requests.RequestException as exc:
-            last_exc = exc
-            timed_out = False
-            continue
-        if 400 <= resp.status_code < 500:
-            raise BackendRejected(f"HTTP {resp.status_code}: {resp.text[:200]}")
-        if resp.status_code >= 500:
-            last_exc = BackendUnavailable(f"HTTP {resp.status_code}")
-            timed_out = False
-            continue
-        return resp, attempt
-    if timed_out:
-        raise BackendTimeout(
-            f"no answer from {url} within {timeout_s}s after {attempts} attempts"
-        ) from last_exc
-    raise BackendUnavailable(
-        f"{url} unavailable after {attempts} attempts: {last_exc}"
-    ) from last_exc
-
-
 class HttpBackend:
-    """Minimal wire contract: POST {prompt, temperature, max_tokens} -> {text}."""
+    """Minimal wire contract: POST {prompt, temperature, max_tokens} -> {text}.
+
+    Transport errors and 5xx are retried with exponential backoff; 4xx
+    raises BackendRejected at once. Subclasses adapt the wire format
+    through ``_payload`` and ``_extract``.
+    """
 
     def __init__(
         self,
@@ -267,25 +223,52 @@ class HttpBackend:
             headers["Authorization"] = f"Bearer {self.token}"
         return headers
 
-    def complete(self, request: BackendRequest) -> str:
-        payload = {
+    def _payload(self, request: BackendRequest) -> dict:
+        return {
             "prompt": request.prompt,
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
+
+    def complete(self, request: BackendRequest) -> str:
+        """POST the request with bounded retries and return the completion.
+
+        Sets ``last_retries`` to the retries the successful call used.
+        Exhausted retries raise BackendTimeout for timeouts and
+        BackendUnavailable otherwise.
+        """
+        payload = self._payload(request)
+        headers = self._headers()
+        last_exc: Exception | None = None
+        timed_out = False
         with requests.Session() as session:
-            resp, retries = _retrying_post(
-                session,
-                self.url,
-                payload,
-                self._headers(),
-                self.timeout_s,
-                self.attempts,
-                self.backoff_base_s,
-                self.sleep,
-            )
-        self.last_retries = retries
-        return self._extract(resp)
+            for attempt in range(self.attempts):
+                if attempt > 0:
+                    self.sleep(self.backoff_base_s * (2 ** (attempt - 1)))
+                try:
+                    resp = session.post(
+                        self.url, json=payload, headers=headers, timeout=self.timeout_s
+                    )
+                except requests.RequestException as exc:
+                    last_exc = exc
+                    timed_out = isinstance(exc, requests.Timeout)
+                    continue
+                if 400 <= resp.status_code < 500:
+                    raise BackendRejected(f"HTTP {resp.status_code}: {resp.text[:200]}")
+                if resp.status_code >= 500:
+                    last_exc = BackendUnavailable(f"HTTP {resp.status_code}")
+                    timed_out = False
+                    continue
+                self.last_retries = attempt
+                return self._extract(resp)
+        if timed_out:
+            raise BackendTimeout(
+                f"no answer from {self.url} within {self.timeout_s}s "
+                f"after {self.attempts} attempts"
+            ) from last_exc
+        raise BackendUnavailable(
+            f"{self.url} unavailable after {self.attempts} attempts: {last_exc}"
+        ) from last_exc
 
     def _extract(self, resp: requests.Response) -> str:
         try:
@@ -312,26 +295,13 @@ class OpenAICompletionsBackend(HttpBackend):
     def identity(self) -> dict:
         return {"kind": "openai", "url": self.url, "model": self.model}
 
-    def complete(self, request: BackendRequest) -> str:
-        payload = {
-            "prompt": request.prompt,
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
-        }
+    def _payload(self, request: BackendRequest) -> dict:
+        payload = super()._payload(request)
         if self.model:
             payload["model"] = self.model
-        with requests.Session() as session:
-            resp, retries = _retrying_post(
-                session,
-                self.url,
-                payload,
-                self._headers(),
-                self.timeout_s,
-                self.attempts,
-                self.backoff_base_s,
-                self.sleep,
-            )
-        self.last_retries = retries
+        return payload
+
+    def _extract(self, resp: requests.Response) -> str:
         try:
             body = resp.json()
             text = body["choices"][0]["text"]

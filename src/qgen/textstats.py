@@ -116,7 +116,7 @@ def histogram_to_csv(hist: Histogram) -> str:
     for i, count in enumerate(hist.counts):
         lo = hist.bin_edges[i]
         hi = hist.bin_edges[i + 1]
-        out.write(f"{_fmt(lo)},{_fmt(hi)},{count}\n")
+        out.write(f"{lo},{hi},{count}\n")
     return out.getvalue()
 
 
@@ -124,11 +124,12 @@ def keywords_to_csv(kw: KeywordFrequency) -> str:
     out = io.StringIO()
     out.write("token,count\n")
     for token, count in kw.entries:
-        escaped = token.replace('"', '""')
-        cell = f'"{escaped}"' if ("," in token or '"' in token) else token
-        out.write(f"{cell},{count}\n")
+        out.write(f"{csv_quote(token)},{count}\n")
     return out.getvalue()
 
 
-def _fmt(x: float) -> str:
-    return str(int(x)) if float(x).is_integer() else repr(float(x))
+def csv_quote(text: str) -> str:
+    """RFC 4180 field: quoted, with doubled quotes, when it holds , " or newline."""
+    if any(ch in text for ch in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text

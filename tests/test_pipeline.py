@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qgen.cli import main
+from qgen.cli import build_parser, main
 from qgen.errors import ConfigError, PipelineError
 from qgen.rng import ALGORITHM
 from qgen.pipeline import (
@@ -359,6 +359,13 @@ def test_cli_run_overrides(tmp_path, mini_squad_path, demo_vectors_path, capsys)
     assert manifest["config"]["sample_size"] == 3
     assert manifest["config"]["threshold"] == 0.5
     assert manifest["cells"] == 12
+
+
+def test_cli_run_accepts_every_backend_kind():
+    args = build_parser().parse_args(
+        ["run", "--config", "c.json", "--backend", "openai"]
+    )
+    assert args.backend == "openai"
 
 
 def test_cli_exit_config_error(tmp_path, capsys):

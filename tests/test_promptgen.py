@@ -252,10 +252,22 @@ def test_http_no_token_no_auth_header():
     assert "Authorization" not in state["captured"][0]["headers"]
 
 
-def test_http_retries_5xx_then_succeeds():
+# both wire formats share one retry loop; each gets a reply its _extract accepts
+BACKEND_REPLIES = pytest.mark.parametrize(
+    "backend_cls, reply",
+    [
+        (HttpBackend, {"text": "1. Why?"}),
+        (OpenAICompletionsBackend, {"choices": [{"text": "1. Why?"}]}),
+    ],
+    ids=["http", "openai"],
+)
+
+
+@BACKEND_REPLIES
+def test_http_retries_5xx_then_succeeds(backend_cls, reply):
     sleeps: list[float] = []
-    with scripted_server([503, 503, "ok"]) as (url, state):
-        backend = HttpBackend(url, sleep=sleeps.append)
+    with scripted_server([503, 503, "ok"], reply=reply) as (url, state):
+        backend = backend_cls(url, sleep=sleeps.append)
         text = backend.complete(REQ)
     assert text == "1. Why?"
     assert backend.last_retries == 2
@@ -263,10 +275,11 @@ def test_http_retries_5xx_then_succeeds():
     assert sleeps == [1.0, 2.0]
 
 
-def test_http_gives_up_after_three_5xx():
+@BACKEND_REPLIES
+def test_http_gives_up_after_three_5xx(backend_cls, reply):
     sleeps: list[float] = []
-    with scripted_server([503, 503, 503]) as (url, state):
-        backend = HttpBackend(url, sleep=sleeps.append)
+    with scripted_server([503, 503, 503], reply=reply) as (url, state):
+        backend = backend_cls(url, sleep=sleeps.append)
         with pytest.raises(BackendUnavailable):
             backend.complete(REQ)
     assert len(state["captured"]) == 3
@@ -332,6 +345,17 @@ def test_openai_adapter_reads_choices():
     assert body["model"] == "m-1"
     assert body["prompt"] == REQ.prompt
     assert backend.identity() == {"kind": "openai", "url": url, "model": "m-1"}
+
+
+def test_openai_adapter_without_model_sends_base_fields():
+    reply = {"choices": [{"text": "1. What?"}]}
+    with scripted_server(["ok"], reply=reply) as (url, state):
+        OpenAICompletionsBackend(url, model=None, sleep=lambda s: None).complete(REQ)
+    assert state["captured"][0]["body"] == {
+        "prompt": "Generate 5 questions.",
+        "temperature": 0.5,
+        "max_tokens": 128,
+    }
 
 
 def test_openai_adapter_rejects_missing_choices():
