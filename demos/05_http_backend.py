@@ -12,8 +12,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from qgen import GenerationConfig, HttpBackend, MockBackend, default_templates, generate, render_prompt
-from qgen.promptgen import BackendRequest
+from qgen import BackendRequest, HttpBackend, MockBackend, default_templates, generate, render_prompt
 
 MOCK = MockBackend(seed=11)
 
@@ -53,14 +52,17 @@ url = f"http://127.0.0.1:{server.server_address[1]}/complete"
 print(f"contract server listening on {url}")
 
 template = default_templates("A")[0]
-prompt = render_prompt(
-    template,
-    "The River Kess flows for 210 kilometres through the Ostmark valley.",
+request = BackendRequest(
+    prompt=render_prompt(
+        template,
+        "The River Kess flows for 210 kilometres through the Ostmark valley.",
+    ),
+    temperature=0.5,
+    max_tokens=256,
 )
-cfg = GenerationConfig(temperature=0.5, questions_per_prompt=5, seed=11)
 
-over_wire = generate(HttpBackend(url), prompt, cfg).text
-direct = MOCK.complete(BackendRequest(prompt=prompt, temperature=0.5, max_tokens=256))
+over_wire = generate(HttpBackend(url), request)
+direct = MOCK.complete(request)
 print()
 print(over_wire)
 print()
@@ -70,7 +72,7 @@ print(f"wire output equals direct mock output: {over_wire == direct}")
 # failures fit inside the default three attempts.
 ContractHandler.fail_budget = 2
 backend = HttpBackend(url, backoff_base_s=0.01)
-retried = generate(backend, prompt, cfg).text
+retried = generate(backend, request)
 print(f"after two 503s: got same completion={retried == direct}, "
       f"retries used={backend.last_retries}")
 

@@ -52,8 +52,8 @@ from .pipeline import (
 )
 from .promptgen import (
     PROMPT_IDS,
+    BackendRequest,
     GeneratedQuestion,
-    GenerationConfig,
     HttpBackend,
     MockBackend,
     OpenAICompletionsBackend,

@@ -274,25 +274,8 @@ def chunk_context(text: str, max_len: int, doc_stride: int) -> list[Chunk]:
 
 
 def reversed_to_jsonl(examples: Iterable[ReversedExample]) -> str:
-    lines = [
-        json.dumps(
-            {
-                "context": ex.context,
-                "input_answer": ex.input_answer,
-                "target_question": ex.target_question,
-            },
-            ensure_ascii=False,
-        )
-        for ex in examples
-    ]
-    return "".join(line + "\n" for line in lines)
+    return "".join(json.dumps(vars(ex), ensure_ascii=False) + "\n" for ex in examples)
 
 
 def chunks_to_jsonl(chunks: Iterable[Chunk]) -> str:
-    lines = [
-        json.dumps(
-            {"start": c.start, "end": c.end, "text": c.text}, ensure_ascii=False
-        )
-        for c in chunks
-    ]
-    return "".join(line + "\n" for line in lines)
+    return "".join(json.dumps(vars(c), ensure_ascii=False) + "\n" for c in chunks)

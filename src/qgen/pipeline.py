@@ -33,13 +33,13 @@ from pathlib import Path
 from string import Template
 
 from .corpus import SquadDataset, load_squad, sample_contexts
-from .errors import ConfigError, PipelineError
+from .errors import ConfigError, MalformedJson, PipelineError, SchemaError
 from .promptgen import (
     PROMPT_IDS,
     Backend,
+    BackendRequest,
     CallRecord,
     GeneratedQuestion,
-    GenerationConfig,
     HttpBackend,
     MockBackend,
     OpenAICompletionsBackend,
@@ -52,7 +52,6 @@ from .rng import ALGORITHM as RNG_ALGORITHM
 from .scoring import (
     EvalRun,
     PromptContextResult,
-    PromptSummary,
     RunInfo,
     ScoreRecord,
     assemble_run,
@@ -245,15 +244,17 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
         vector_digest=vector_digest,
         rng_algorithm=RNG_ALGORITHM,
     )
-    gen_cfg = GenerationConfig(
-        temperature=cfg.temperature,
-        questions_per_prompt=cfg.questions_per_prompt,
-        max_output_tokens=cfg.max_output_tokens,
-        seed=cfg.seed,
-    )
     baselines = {r.context_id: r.baselines for r in sampled}
     jobs = [
-        (record.context_id, template.id, render_prompt(template, record.text))
+        (
+            record.context_id,
+            template.id,
+            BackendRequest(
+                prompt=render_prompt(template, record.text),
+                temperature=cfg.temperature,
+                max_tokens=cfg.max_output_tokens,
+            ),
+        )
         for record in sampled
         for template in default_templates(cfg.prompts)
     ]
@@ -265,8 +266,8 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
     try:
         with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
             futures = {
-                pool.submit(generate, backend, prompt, gen_cfg, call_log): (cid, pid)
-                for cid, pid, prompt in jobs
+                pool.submit(generate, backend, request, call_log): (cid, pid)
+                for cid, pid, request in jobs
             }
             pending = set(futures)
             while pending:
@@ -276,7 +277,7 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
                 for future in sorted(done, key=lambda f: f.exception() is not None):
                     cid, pid = futures[future]
                     stage = "generate"
-                    raw = future.result().text
+                    raw = future.result()
                     stage = "score"
                     parsed = parse_questions(raw, cfg.questions_per_prompt)
                     if parsed.shortfall:
@@ -292,12 +293,11 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
                         score_cell(cid, pid, list(parsed.texts), baselines[cid], table)
                     )
         stage = "aggregate"
-        shortfalls.sort(key=lambda s: (s["context_id"], s["prompt_id"]))
-        run = assemble_run(info, cells, cfg.threshold)
+        run = assemble_run(info, cells, cfg.threshold, shortfalls)
         stage = "persist"
-        persist_run(run, cfg, out_dir, started, shortfalls, call_log)
+        persist_run(run, cfg, out_dir, started, call_log)
         emit_figures(run, out_dir, top_keywords=cfg.top_keywords)
-        write_report(run, out_dir, shortfalls)
+        write_report(run, out_dir)
     except Exception as exc:
         _persist_partial(out_dir, cells)
         _write_failure_manifest(
@@ -362,7 +362,7 @@ def table2_csv(cells: list[PromptContextResult]) -> str:
     return out.getvalue()
 
 
-def run_to_json(run: EvalRun, shortfalls: list[dict]) -> str:
+def run_to_json(run: EvalRun) -> str:
     doc = {
         "info": vars(run.info),
         "summaries": {pid: vars(s) for pid, s in run.summaries.items()},
@@ -375,7 +375,7 @@ def run_to_json(run: EvalRun, shortfalls: list[dict]) -> str:
             for pid, series in run.max_series.items()
         },
         "zero_vector_count": run.zero_vector_count,
-        "shortfalls": shortfalls,
+        "shortfalls": run.shortfalls,
     }
     return _json_dumps(doc) + "\n"
 
@@ -385,14 +385,13 @@ def persist_run(
     cfg: RunConfig,
     out_dir: Path,
     started: str,
-    shortfalls: list[dict],
     call_log: list[CallRecord] | None = None,
 ) -> None:
     (out_dir / "scores.jsonl").write_text(
         scores_to_jsonl(run.results), encoding="utf-8"
     )
     (out_dir / "table2.csv").write_text(table2_csv(run.results), encoding="utf-8")
-    (out_dir / "run.json").write_text(run_to_json(run, shortfalls), encoding="utf-8")
+    (out_dir / "run.json").write_text(run_to_json(run), encoding="utf-8")
     calls = call_log or []
     manifest = {
         "status": "complete",
@@ -406,7 +405,7 @@ def persist_run(
         "cells": len(run.results),
         "questions": sum(len(c.records) for c in run.results),
         "zero_vector_count": run.zero_vector_count,
-        "shortfall_count": len(shortfalls),
+        "shortfall_count": len(run.shortfalls),
         "backend_calls": len(calls),
         "backend_retries": sum(c.retries for c in calls),
         "backend_latency_s": round(sum(c.latency_s for c in calls), 6),
@@ -447,48 +446,46 @@ def _write_failure_manifest(
     _write_manifest(out_dir, manifest)
 
 
-def load_shortfalls(out_dir: str | Path) -> list[dict]:
-    doc = json.loads((Path(out_dir) / "run.json").read_text(encoding="utf-8"))
-    return doc.get("shortfalls", [])
-
-
 def load_run(out_dir: str | Path) -> EvalRun:
-    """Rebuild an EvalRun from a persisted run directory."""
+    """Rebuild an EvalRun from a persisted run directory.
+
+    Only the run info and shortfalls are read from run.json; summaries,
+    max series and the zero-vector count are recomputed from
+    scores.jsonl by assemble_run, so a loaded run always agrees with its
+    scores. A missing file or field raises SchemaError and invalid JSON
+    raises MalformedJson, each naming the file.
+    """
     out = Path(out_dir)
-    doc = json.loads((out / "run.json").read_text(encoding="utf-8"))
-    records = [
-        _record_from_json(json.loads(line))
-        for line in (out / "scores.jsonl").read_text(encoding="utf-8").splitlines()
-        if line
-    ]
+    path = out / "run.json"  # the file being read, named in errors
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        info, shortfalls = RunInfo(**doc["info"]), doc["shortfalls"]
+        path = out / "scores.jsonl"
+        records = [
+            _record_from_json(json.loads(line))
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if line
+        ]
+    except FileNotFoundError as exc:
+        raise SchemaError(str(path), "file not found") from exc
+    except json.JSONDecodeError as exc:
+        raise MalformedJson(f"{path}: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(str(path), f"missing or malformed field: {exc}") from exc
     by_cell: dict[tuple[int, str], list[ScoreRecord]] = {}
     for rec in records:
         key = (rec.generated.context_id, rec.generated.prompt_id)
         by_cell.setdefault(key, []).append(rec)
-    cells = []
-    for (cid, pid) in sorted(by_cell):
-        recs = sorted(by_cell[(cid, pid)], key=lambda r: r.generated.index)
-        cells.append(
-            PromptContextResult(
-                context_id=cid,
-                prompt_id=pid,
-                records=tuple(recs),
-                prompt_max=prompt_max(recs),
-            )
+    cells = [
+        PromptContextResult(
+            context_id=cid,
+            prompt_id=pid,
+            records=tuple(sorted(recs, key=lambda r: r.generated.index)),
+            prompt_max=prompt_max(recs),
         )
-    return EvalRun(
-        info=RunInfo(**doc["info"]),
-        results=cells,
-        summaries={
-            pid: PromptSummary(**{**s, "outliers": tuple(s["outliers"])})
-            for pid, s in doc["summaries"].items()
-        },
-        max_series={
-            pid: [(cid, value) for cid, value in series]
-            for pid, series in doc["max_series"].items()
-        },
-        zero_vector_count=doc["zero_vector_count"],
-    )
+        for (cid, pid), recs in by_cell.items()
+    ]
+    return assemble_run(info, cells, info.threshold, shortfalls)
 
 
 # -- figures -------------------------------------------------------------------
@@ -579,7 +576,7 @@ def _report_template() -> Template:
     return Template(text)
 
 
-def write_report(run: EvalRun, out: str | Path, shortfalls: list[dict]) -> Path:
+def write_report(run: EvalRun, out: str | Path) -> Path:
     out_dir = Path(out)
     rows = []
     for pid in sorted(run.summaries):
@@ -589,9 +586,9 @@ def write_report(run: EvalRun, out: str | Path, shortfalls: list[dict]) -> Path:
             f"| {s.match_count} |"
         )
     shortfall_note = ""
-    if shortfalls:
+    if run.shortfalls:
         shortfall_note = (
-            f"\n{len(shortfalls)} prompt cell(s) yielded fewer than the "
+            f"\n{len(run.shortfalls)} prompt cell(s) yielded fewer than the "
             "configured questions per prompt; per-prompt totals above "
             "reflect the questions actually parsed.\n"
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Protocol
@@ -55,20 +56,6 @@ def default_templates(ids: str = "ABCD") -> list[PromptTemplate]:
 
 
 @dataclass(frozen=True)
-class GenerationConfig:
-    temperature: float = 0.5
-    questions_per_prompt: int = 5
-    max_output_tokens: int = 256
-    seed: int = 0  # consumed by the mock backend only
-
-    def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.questions_per_prompt < 1:
-            raise ValueError("questions_per_prompt must be >= 1")
-
-
-@dataclass(frozen=True)
 class GeneratedQuestion:
     context_id: int
     prompt_id: str
@@ -81,11 +68,6 @@ class BackendRequest:
     prompt: str
     temperature: float
     max_tokens: int
-
-
-@dataclass(frozen=True)
-class BackendResponse:
-    text: str
 
 
 @dataclass
@@ -109,27 +91,20 @@ class Backend(Protocol):
 
 def generate(
     backend: Backend,
-    prompt: str,
-    cfg: GenerationConfig,
+    request: BackendRequest,
     call_log: list[CallRecord] | None = None,
-) -> BackendResponse:
-    """Send one prompt and return the raw completion text.
+) -> str:
+    """Send one request and return the raw completion text.
 
     Latency and the backend's retry count for the call are appended to
     ``call_log`` when one is supplied.
     """
     started = time.monotonic()
-    text = backend.complete(
-        BackendRequest(
-            prompt=prompt,
-            temperature=cfg.temperature,
-            max_tokens=cfg.max_output_tokens,
-        )
-    )
+    text = backend.complete(request)
     if call_log is not None:
         retries = getattr(backend, "last_retries", 0)
         call_log.append(CallRecord(latency_s=time.monotonic() - started, retries=retries))
-    return BackendResponse(text=text)
+    return text
 
 
 # -- mock backend ------------------------------------------------------------
@@ -212,7 +187,12 @@ class HttpBackend:
         self.attempts = attempts
         self.backoff_base_s = backoff_base_s
         self.sleep = sleep
-        self.last_retries = 0
+        self._local = threading.local()
+
+    @property
+    def last_retries(self) -> int:
+        """Retries used by the calling thread's last successful ``complete``."""
+        return getattr(self._local, "retries", 0)
 
     def identity(self) -> dict:
         return {"kind": "http", "url": self.url}
@@ -233,7 +213,8 @@ class HttpBackend:
     def complete(self, request: BackendRequest) -> str:
         """POST the request with bounded retries and return the completion.
 
-        Sets ``last_retries`` to the retries the successful call used.
+        Records the retries the successful call used, per thread, for
+        ``last_retries``.
         Exhausted retries raise BackendTimeout for timeouts and
         BackendUnavailable otherwise.
         """
@@ -259,7 +240,7 @@ class HttpBackend:
                     last_exc = BackendUnavailable(f"HTTP {resp.status_code}")
                     timed_out = False
                     continue
-                self.last_retries = attempt
+                self._local.retries = attempt
                 return self._extract(resp)
         if timed_out:
             raise BackendTimeout(

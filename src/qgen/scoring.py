@@ -12,7 +12,8 @@ whiskers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,13 +92,18 @@ class RunInfo:
 
 @dataclass
 class EvalRun:
-    """All scoring outputs for one run, in deterministic order."""
+    """All scoring outputs for one run, in deterministic order.
+
+    ``shortfalls`` lists the cells that parsed fewer questions than
+    requested, as {context_id, prompt_id, got, expected} dicts.
+    """
 
     info: RunInfo
     results: list[PromptContextResult]
     summaries: dict[str, PromptSummary]
     max_series: dict[str, list[tuple[int, float]]]
     zero_vector_count: int
+    shortfalls: list[dict] = field(default_factory=list)
 
     def records(self) -> list[ScoreRecord]:
         return [rec for cell in self.results for rec in cell.records]
@@ -270,8 +276,9 @@ def assemble_run(
     info: RunInfo,
     results: list[PromptContextResult],
     threshold: float,
+    shortfalls: Iterable[dict] = (),
 ) -> EvalRun:
-    """Order results deterministically and attach summaries and series."""
+    """Order results and shortfalls deterministically; attach summaries and series."""
     ordered = sorted(results, key=lambda c: (c.context_id, c.prompt_id))
     prompt_ids = sorted({c.prompt_id for c in ordered})
     summaries = {
@@ -286,4 +293,5 @@ def assemble_run(
         summaries=summaries,
         max_series=build_max_series(ordered),
         zero_vector_count=zero_count,
+        shortfalls=sorted(shortfalls, key=lambda s: (s["context_id"], s["prompt_id"])),
     )

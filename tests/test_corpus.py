@@ -353,11 +353,19 @@ def test_reversed_jsonl_round_trip(mini_squad_path):
     parsed = [json.loads(line) for line in lines]
     assert parsed[0]["target_question"] == examples[0].target_question
     assert parsed[0]["input_answer"] == examples[0].input_answer
+    first = examples[0]
+    assert lines[0] == (
+        f'{{"context": {json.dumps(first.context, ensure_ascii=False)}, '
+        f'"input_answer": {json.dumps(first.input_answer, ensure_ascii=False)}, '
+        f'"target_question": {json.dumps(first.target_question, ensure_ascii=False)}}}'
+    )
 
 
 def test_chunks_jsonl_round_trip():
     chunks = chunk_context("a b c d e f g h", 3, 1)
-    parsed = [json.loads(line) for line in chunks_to_jsonl(chunks).splitlines()]
+    lines = chunks_to_jsonl(chunks).splitlines()
+    assert lines[0] == '{"start": 0, "end": 5, "text": "a b c"}'
+    parsed = [json.loads(line) for line in lines]
     assert [(p["start"], p["end"], p["text"]) for p in parsed] == [
         (c.start, c.end, c.text) for c in chunks
     ]

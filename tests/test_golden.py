@@ -1,4 +1,4 @@
-"""The committed golden run in demos/out/full_run/ and reading older run files."""
+"""The committed golden run in demos/out/full_run/ and reading run files back."""
 
 from __future__ import annotations
 
@@ -6,6 +6,9 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
+
+from qgen.cli import main
 from qgen.pipeline import RunConfig, load_run, run_pipeline
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -58,3 +61,23 @@ def test_load_run_without_rng_algorithm(tmp_path):
     run = load_run(run_dir)
     assert run.info.rng_algorithm == ""
     assert run.info.seed == 7
+
+
+@pytest.mark.parametrize(
+    "run_json, message",
+    [
+        ('{"info": {}}', "run.json: missing or malformed field"),
+        ("{not json", "run.json: "),
+        (None, "run.json: file not found"),
+    ],
+    ids=["missing-keys", "invalid-json", "missing-file"],
+)
+def test_report_on_bad_run_json_exits_with_data_error(tmp_path, capsys, run_json, message):
+    run_dir = tmp_path / "run"
+    shutil.copytree(GOLDEN, run_dir)
+    if run_json is None:
+        (run_dir / "run.json").unlink()
+    else:
+        (run_dir / "run.json").write_text(run_json, encoding="utf-8")
+    assert main(["report", "--run", str(run_dir)]) == 2
+    assert message in capsys.readouterr().err

@@ -19,7 +19,6 @@ from qgen.pipeline import (
     fig8_csv,
     load_config,
     load_run,
-    load_shortfalls,
     run_pipeline,
 )
 
@@ -133,6 +132,10 @@ def test_validate_rejects_bad_values(config_path):
         replace(cfg, prompts="AAB"),
         replace(cfg, prompts=""),
         replace(cfg, max_in_flight=0),
+        replace(cfg, temperature=-0.1),
+        replace(cfg, questions_per_prompt=0),
+        replace(cfg, max_output_tokens=0),
+        replace(cfg, top_keywords=0),
         replace(cfg, dataset="/nonexistent/data.json"),
     ):
         with pytest.raises(ConfigError):
@@ -228,7 +231,34 @@ def test_load_run_round_trip(config_path):
     cfg = load_config(config_path, env={})
     run = run_pipeline(cfg)
     assert load_run(cfg.out) == run
-    assert load_shortfalls(cfg.out) == []
+    assert run.shortfalls == []
+
+
+def test_shortfall_run_end_to_end(tmp_path, mini_squad_path, demo_vectors_path):
+    # the mock answers "Generate 5" with five questions, so asking for six
+    # leaves every cell short
+    path = write_config(
+        tmp_path, mini_squad_path, demo_vectors_path, questions_per_prompt=6
+    )
+    cfg = load_config(path, env={})
+    run = run_pipeline(cfg)
+    out = Path(cfg.out)
+    context_ids = sorted({cell.context_id for cell in run.results})
+    expected = [
+        {"context_id": cid, "prompt_id": pid, "got": 5, "expected": 6}
+        for cid in context_ids
+        for pid in "ABCD"
+    ]
+    assert json.loads((out / "run.json").read_text())["shortfalls"] == expected
+    assert run.shortfalls == expected
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["shortfall_count"] == 8
+    report = (out / "report.md").read_bytes()
+    assert b"8 prompt cell(s) yielded fewer than the configured" in report
+    assert load_run(out) == run
+    (out / "report.md").unlink()
+    assert main(["report", "--run", str(out)]) == 0
+    assert (out / "report.md").read_bytes() == report
 
 
 def test_prompt_subset_runs(tmp_path, mini_squad_path, demo_vectors_path):

@@ -6,6 +6,7 @@ import json
 import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -21,7 +22,6 @@ from qgen.promptgen import (
     PROMPT_IDS,
     BackendRequest,
     CallRecord,
-    GenerationConfig,
     HttpBackend,
     MockBackend,
     OpenAICompletionsBackend,
@@ -72,19 +72,6 @@ def test_render_prompt_example():
 def test_render_prompt_rejects_empty_context():
     with pytest.raises(ValueError):
         render_prompt(default_templates("A")[0], "")
-
-
-def test_generation_config_validation():
-    cfg = GenerationConfig()
-    assert (cfg.temperature, cfg.questions_per_prompt, cfg.max_output_tokens) == (
-        0.5,
-        5,
-        256,
-    )
-    with pytest.raises(ValueError):
-        GenerationConfig(temperature=-0.1)
-    with pytest.raises(ValueError):
-        GenerationConfig(questions_per_prompt=0)
 
 
 # -- mock backend -------------------------------------------------------------------
@@ -162,8 +149,9 @@ def test_mock_identity():
 def test_generate_records_call_log():
     log: list[CallRecord] = []
     backend = MockBackend(seed=2)
-    resp = generate(backend, mock_prompt(), GenerationConfig(), call_log=log)
-    assert resp.text
+    req = BackendRequest(prompt=mock_prompt(), temperature=0.5, max_tokens=256)
+    text = generate(backend, req, call_log=log)
+    assert text
     assert len(log) == 1
     assert log[0].latency_s >= 0.0
     assert log[0].retries == 0
@@ -329,10 +317,50 @@ def test_http_identity_and_call_log():
         backend = HttpBackend(url, sleep=lambda s: None)
         assert backend.identity() == {"kind": "http", "url": url}
         log: list[CallRecord] = []
-        generate(backend, "Generate 5 questions.\nText: x\nQuestions:",
-                 GenerationConfig(max_output_tokens=128), call_log=log)
+        generate(backend, REQ, call_log=log)
         assert log[0].retries == 1
         assert log[0].latency_s >= 0.0
+
+
+def test_http_last_retries_is_per_thread():
+    seen: list[int] = []
+
+    def call(backend):
+        backend.complete(REQ)
+        seen.append(backend.last_retries)
+
+    with scripted_server([503, 503, "ok"]) as (url, _):
+        backend = HttpBackend(url, sleep=lambda s: None)
+        worker = threading.Thread(target=call, args=(backend,))
+        worker.start()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert seen == [2]
+    assert backend.last_retries == 0
+
+
+def test_generate_counts_retries_per_call_under_concurrency():
+    script = [503, "ok", 503, 503, "ok", 503, "ok", 503, 503]
+    served_503 = script.count(503)
+    barrier = threading.Barrier(8, timeout=10)
+
+    class HeldBackend(HttpBackend):
+        # each call waits here after its last attempt until all eight have
+        # finished theirs: the widest window for a shared retry count
+        def _extract(self, resp):
+            barrier.wait()
+            return super()._extract(resp)
+
+    log: list[CallRecord] = []
+    with scripted_server(script) as (url, state):
+        # enough attempts that no call gives up, however the 503s interleave
+        backend = HeldBackend(url, attempts=served_503 + 1, backoff_base_s=0.001)
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            texts = list(pool.map(lambda _: generate(backend, REQ, log), range(8)))
+    assert texts == ["1. Why?"] * 8
+    assert len(state["captured"]) == 8 + served_503
+    assert len(log) == 8
+    assert sum(rec.retries for rec in log) == served_503
 
 
 def test_openai_adapter_reads_choices():
