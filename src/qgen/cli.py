@@ -25,6 +25,7 @@ from .pipeline import (
     emit_figures,
     load_config,
     load_run,
+    load_top_keywords,
     run_pipeline,
     write_report,
 )
@@ -130,7 +131,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not run_dir.is_dir():
         raise ConfigError(f"run directory not found: {run_dir}")
     run = load_run(run_dir)
-    emit_figures(run, run_dir)
+    emit_figures(run, run_dir, load_top_keywords(run_dir))
     write_report(run, run_dir)
     print(f"re-emitted figures and report in {run_dir}")
     return EXIT_OK

@@ -2,8 +2,7 @@
 
 A run parses the dataset, samples contexts, renders the prompt variants,
 collects completions with bounded concurrency, parses and scores the
-questions as completions arrive, and persists everything into one output
-directory:
+questions, and persists everything into one output directory:
 
 - ``manifest.json``  config snapshot, vector digest, backend identity,
   timestamps, status (the only file containing wall-clock values)
@@ -15,8 +14,10 @@ directory:
 
 Aside from manifest timestamps, every artifact is a pure function of the
 config, so rerunning with the mock backend and the same seed reproduces
-the directory byte for byte. On an abort mid-run, completed cells are
-persisted next to a manifest with status "failed".
+the directory byte for byte. A failed run leaves only ``scores.jsonl``,
+holding the cells scored before the abort, and a manifest with status
+"failed"; it removes the other artifacts an earlier run left in the
+directory.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ import io
 import json
 import os
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import asdict, dataclass, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
 from string import Template
+from typing import get_args, get_type_hints
 
 from .corpus import SquadDataset, load_squad, sample_contexts
 from .errors import ConfigError, MalformedJson, PipelineError, SchemaError
@@ -96,6 +99,10 @@ class RunConfig:
     top_keywords: int = 20
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not any(_has_type(value, kind) for kind in _CONFIG_TYPES[f.name]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.backend not in BACKEND_KINDS:
             raise ConfigError(
                 f"backend must be one of {BACKEND_KINDS}, got {self.backend!r}"
@@ -132,7 +139,18 @@ class RunConfig:
                 raise ConfigError(f"{label} file not found: {path}")
 
 
+def _has_type(value, kind: type) -> bool:
+    """isinstance for JSON values: a bool is no int, and an int is a float too."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 _CONFIG_FIELDS = frozenset(RunConfig.__dataclass_fields__)
+# each field's accepted types, e.g. (int,) or (str, NoneType)
+_CONFIG_TYPES = {
+    name: get_args(hint) or (hint,) for name, hint in get_type_hints(RunConfig).items()
+}
 _PATH_FIELDS = ("dataset", "vectors", "out")
 
 
@@ -210,19 +228,38 @@ def _public_config(cfg: RunConfig) -> dict:
     return doc
 
 
+# artifacts of a complete run that a failed run removes, so no stale copy
+# from an earlier run sits next to the failed manifest
+_COMPLETE_RUN_ONLY = (
+    "table2.csv",
+    "run.json",
+    "report.md",
+    "fig1_lengths.csv",
+    "fig2_keywords.csv",
+    "fig6_boxplot.csv",
+    "fig7_matches.csv",
+    "fig8_max_series.csv",
+)
+
+
 def run_pipeline(cfg: RunConfig) -> EvalRun:
     """Execute a full run and persist all artifacts under cfg.out.
 
-    Completions are scored as they arrive; the final assembly re-sorts by
-    (context_id, prompt_id), so outputs do not depend on completion
-    order. On an abort mid-run, completed cells are written to
-    scores.jsonl next to a manifest with status "failed" naming the stage
-    and cause, and the error is re-raised wrapped in PipelineError.
+    Completions are scored once every call has returned or one has
+    failed; the final assembly re-sorts by (context_id, prompt_id), so
+    outputs do not depend on completion order. The first failed backend
+    call cancels the calls not yet started. On any abort, the cells
+    scored so far are written to scores.jsonl next to a manifest with
+    status "failed" naming the stage and cause, and the error is
+    re-raised wrapped in PipelineError.
     """
     cfg.validate()
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = _utcnow()
+    cells: list[PromptContextResult] = []
+    shortfalls: list[dict] = []
+    call_log: list[CallRecord] = []
 
     stage = "load"
     try:
@@ -231,39 +268,31 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
         vector_digest = _sha256_file(cfg.vectors)
         stage = "sample"
         sampled = sample_contexts(dataset, cfg.sample_size, cfg.seed)
-    except Exception as exc:
-        _write_failure_manifest(out_dir, cfg, started, stage, exc, cells_done=0)
-        raise PipelineError(stage, exc, cells_done=0) from exc
 
-    backend = make_backend(cfg)
-    info = RunInfo(
-        seed=cfg.seed,
-        threshold=cfg.threshold,
-        sample_size=cfg.sample_size,
-        backend=backend.identity(),
-        vector_digest=vector_digest,
-        rng_algorithm=RNG_ALGORITHM,
-    )
-    baselines = {r.context_id: r.baselines for r in sampled}
-    jobs = [
-        (
-            record.context_id,
-            template.id,
-            BackendRequest(
-                prompt=render_prompt(template, record.text),
-                temperature=cfg.temperature,
-                max_tokens=cfg.max_output_tokens,
-            ),
+        stage = "generate"
+        backend = make_backend(cfg)
+        info = RunInfo(
+            seed=cfg.seed,
+            threshold=cfg.threshold,
+            sample_size=cfg.sample_size,
+            backend=backend.identity(),
+            vector_digest=vector_digest,
+            rng_algorithm=RNG_ALGORITHM,
         )
-        for record in sampled
-        for template in default_templates(cfg.prompts)
-    ]
-
-    cells: list[PromptContextResult] = []
-    shortfalls: list[dict] = []
-    call_log: list[CallRecord] = []
-    stage = "generate"
-    try:
+        baselines = {r.context_id: r.baselines for r in sampled}
+        jobs = [
+            (
+                record.context_id,
+                template.id,
+                BackendRequest(
+                    prompt=render_prompt(template, record.text),
+                    temperature=cfg.temperature,
+                    max_tokens=cfg.max_output_tokens,
+                ),
+            )
+            for record in sampled
+            for template in default_templates(cfg.prompts)
+        ]
         with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
             futures = {
                 pool.submit(generate, backend, request, call_log): (cid, pid)
@@ -273,8 +302,13 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
             while pending:
                 done, pending = wait(pending, return_when=FIRST_EXCEPTION)
                 # score completed cells before surfacing any failure so
-                # partial persistence salvages everything that finished
-                for future in sorted(done, key=lambda f: f.exception() is not None):
+                # the failure path salvages everything that finished
+                done = sorted(done, key=lambda f: f.exception() is not None)
+                if done[-1].exception() is not None:
+                    # queued calls never start; calls in flight finish, so
+                    # the failed manifest counts them
+                    pool.shutdown(cancel_futures=True)
+                for future in done:
                     cid, pid = futures[future]
                     stage = "generate"
                     raw = future.result()
@@ -299,9 +333,16 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
         emit_figures(run, out_dir, top_keywords=cfg.top_keywords)
         write_report(run, out_dir)
     except Exception as exc:
-        _persist_partial(out_dir, cells)
-        _write_failure_manifest(
-            out_dir, cfg, started, stage, exc, cells_done=len(cells)
+        for name in _COMPLETE_RUN_ONLY:
+            (out_dir / name).unlink(missing_ok=True)
+        cells.sort(key=lambda c: (c.context_id, c.prompt_id))
+        _write_files(out_dir, {"scores.jsonl": scores_to_jsonl(cells)})
+        _write_manifest(
+            out_dir, cfg, started, call_log,
+            status="failed",
+            stage=stage,
+            error=f"{type(exc).__name__}: {exc}",
+            cells=len(cells),
         )
         raise PipelineError(stage, exc, cells_done=len(cells)) from exc
     return run
@@ -321,7 +362,21 @@ def _record_to_json(rec: ScoreRecord) -> dict:
     }
 
 
+# scores.jsonl field types that load_run checks before scoring computes with them
+_RECORD_TYPES = {
+    "context_id": int,
+    "prompt_id": str,
+    "index": int,
+    "question": str,
+    "question_max": float,
+    "zero_vector_flag": bool,
+}
+
+
 def _record_from_json(doc: dict) -> ScoreRecord:
+    for key, kind in _RECORD_TYPES.items():
+        if not _has_type(doc[key], kind):
+            raise TypeError(f"{key!r} must be {kind.__name__}, got {doc[key]!r}")
     return ScoreRecord(
         generated=GeneratedQuestion(
             context_id=doc["context_id"],
@@ -387,63 +442,57 @@ def persist_run(
     started: str,
     call_log: list[CallRecord] | None = None,
 ) -> None:
-    (out_dir / "scores.jsonl").write_text(
-        scores_to_jsonl(run.results), encoding="utf-8"
+    _write_files(
+        out_dir,
+        {
+            "scores.jsonl": scores_to_jsonl(run.results),
+            "table2.csv": table2_csv(run.results),
+            "run.json": run_to_json(run),
+        },
     )
-    (out_dir / "table2.csv").write_text(table2_csv(run.results), encoding="utf-8")
-    (out_dir / "run.json").write_text(run_to_json(run), encoding="utf-8")
-    calls = call_log or []
-    manifest = {
-        "status": "complete",
-        "config": _public_config(cfg),
-        "seed": cfg.seed,
-        "rng_algorithm": run.info.rng_algorithm,
-        "vector_digest": run.info.vector_digest,
-        "backend": run.info.backend,
-        "started_at": started,
-        "finished_at": _utcnow(),
-        "cells": len(run.results),
-        "questions": sum(len(c.records) for c in run.results),
-        "zero_vector_count": run.zero_vector_count,
-        "shortfall_count": len(run.shortfalls),
-        "backend_calls": len(calls),
-        "backend_retries": sum(c.retries for c in calls),
-        "backend_latency_s": round(sum(c.latency_s for c in calls), 6),
-    }
-    _write_manifest(out_dir, manifest)
-
-
-def _write_manifest(out_dir: Path, manifest: dict) -> None:
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
+    _write_manifest(
+        out_dir, cfg, started, call_log or [],
+        status="complete",
+        rng_algorithm=run.info.rng_algorithm,
+        vector_digest=run.info.vector_digest,
+        backend=run.info.backend,
+        cells=len(run.results),
+        questions=sum(len(c.records) for c in run.results),
+        zero_vector_count=run.zero_vector_count,
+        shortfall_count=len(run.shortfalls),
     )
 
 
-def _persist_partial(out_dir: Path, cells: list[PromptContextResult]) -> None:
-    ordered = sorted(cells, key=lambda c: (c.context_id, c.prompt_id))
-    (out_dir / "scores.jsonl").write_text(scores_to_jsonl(ordered), encoding="utf-8")
-
-
-def _write_failure_manifest(
-    out_dir: Path,
-    cfg: RunConfig,
-    started: str,
-    stage: str,
-    exc: Exception,
-    cells_done: int,
+def _write_manifest(
+    out_dir: Path, cfg: RunConfig, started: str, call_log: list[CallRecord], **fields
 ) -> None:
+    """Write manifest.json: the config, timestamps and call totals, plus fields."""
     manifest = {
-        "status": "failed",
-        "stage": stage,
-        "error": f"{type(exc).__name__}: {exc}",
         "config": _public_config(cfg),
         "seed": cfg.seed,
         "started_at": started,
         "finished_at": _utcnow(),
-        "cells": cells_done,
+        "backend_calls": len(call_log),
+        "backend_retries": sum(c.retries for c in call_log),
+        "backend_latency_s": round(sum(c.latency_s for c in call_log), 6),
+        **fields,
     }
-    _write_manifest(out_dir, manifest)
+    text = json.dumps(manifest, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    _write_files(out_dir, {"manifest.json": text})
+
+
+@contextmanager
+def _reading(path: Path):
+    """Raise a missing file, invalid JSON or a missing or mistyped field
+    met while reading path as SchemaError or MalformedJson naming the file."""
+    try:
+        yield path
+    except FileNotFoundError as exc:
+        raise SchemaError(str(path), "file not found") from exc
+    except json.JSONDecodeError as exc:
+        raise MalformedJson(f"{path}: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(str(path), f"missing or malformed field: {exc}") from exc
 
 
 def load_run(out_dir: str | Path) -> EvalRun:
@@ -452,26 +501,19 @@ def load_run(out_dir: str | Path) -> EvalRun:
     Only the run info and shortfalls are read from run.json; summaries,
     max series and the zero-vector count are recomputed from
     scores.jsonl by assemble_run, so a loaded run always agrees with its
-    scores. A missing file or field raises SchemaError and invalid JSON
-    raises MalformedJson, each naming the file.
+    scores. A missing file or a missing or mistyped field raises
+    SchemaError and invalid JSON raises MalformedJson, each naming the file.
     """
     out = Path(out_dir)
-    path = out / "run.json"  # the file being read, named in errors
-    try:
+    with _reading(out / "run.json") as path:
         doc = json.loads(path.read_text(encoding="utf-8"))
         info, shortfalls = RunInfo(**doc["info"]), doc["shortfalls"]
-        path = out / "scores.jsonl"
+    with _reading(out / "scores.jsonl") as path:
         records = [
             _record_from_json(json.loads(line))
             for line in path.read_text(encoding="utf-8").splitlines()
             if line
         ]
-    except FileNotFoundError as exc:
-        raise SchemaError(str(path), "file not found") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedJson(f"{path}: {exc}") from exc
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(str(path), f"missing or malformed field: {exc}") from exc
     by_cell: dict[tuple[int, str], list[ScoreRecord]] = {}
     for rec in records:
         key = (rec.generated.context_id, rec.generated.prompt_id)
@@ -486,6 +528,15 @@ def load_run(out_dir: str | Path) -> EvalRun:
         for (cid, pid), recs in by_cell.items()
     ]
     return assemble_run(info, cells, info.threshold, shortfalls)
+
+
+def load_top_keywords(out_dir: str | Path) -> int:
+    """The top_keywords setting a persisted run was made with, from its manifest."""
+    with _reading(Path(out_dir) / "manifest.json") as path:
+        value = json.loads(path.read_text(encoding="utf-8"))["config"]["top_keywords"]
+        if not _has_type(value, int) or value < 1:
+            raise TypeError(f"top_keywords must be an int >= 1, got {value!r}")
+    return value
 
 
 # -- figures -------------------------------------------------------------------
@@ -523,7 +574,7 @@ def fig8_csv(run: EvalRun) -> str:
     return out.getvalue()
 
 
-def emit_figures(run: EvalRun, out: str | Path, top_keywords: int = 20) -> list[Path]:
+def emit_figures(run: EvalRun, out: str | Path, top_keywords: int) -> list[Path]:
     """Write the five figure-data CSVs for a completed run.
 
     Figure 1/2 series here are over the run's generated questions; the
@@ -538,7 +589,7 @@ def emit_figures(run: EvalRun, out: str | Path, top_keywords: int = 20) -> list[
 
 
 def emit_dataset_figures(
-    dataset: SquadDataset, out: str | Path, top_keywords: int = 20
+    dataset: SquadDataset, out: str | Path, top_keywords: int = RunConfig.top_keywords
 ) -> list[Path]:
     """Write fig1/fig2 series over the dataset's baseline questions."""
     return _write_files(out, _question_figures(dataset.questions(), top_keywords))
@@ -577,7 +628,6 @@ def _report_template() -> Template:
 
 
 def write_report(run: EvalRun, out: str | Path) -> Path:
-    out_dir = Path(out)
     rows = []
     for pid in sorted(run.summaries):
         s = run.summaries[pid]
@@ -602,6 +652,4 @@ def write_report(run: EvalRun, out: str | Path) -> Path:
         zero_vector_count=str(run.zero_vector_count),
         shortfall_note=shortfall_note,
     )
-    target = out_dir / "report.md"
-    target.write_text(body, encoding="utf-8")
-    return target
+    return _write_files(out, {"report.md": body})[0]

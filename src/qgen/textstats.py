@@ -1,11 +1,11 @@
 """Dataset exploration figures: question-length histogram and keyword counts.
 
 Question length is counted in whitespace tokens. Outliers are excluded
-with Tukey fences (quartiles +/- 1.5 IQR, quartiles by linear
-interpolation) and reported in ``excluded_outliers`` so the totals always
-reconcile. Keyword counts are lowercased, punctuation-stripped tokens with
-stopwords removed. Both outputs serialize to small CSV tables for external
-plotting; no images are rendered here.
+with the Tukey fences of ``scoring.summarize`` and reported in
+``excluded_outliers`` so the totals always reconcile. Keyword counts are
+lowercased, punctuation-stripped tokens with stopwords removed. Both
+outputs serialize to small CSV tables for external plotting; no images
+are rendered here.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Collection, Iterable
 
-import numpy as np
-
 from .errors import EmptyInput
+from .scoring import summarize
 from .similarity import tokenize
 
 LENGTH_UNIT = "whitespace tokens"
@@ -49,24 +48,21 @@ def question_length_histogram(questions: list[str], bin_width: int = 1) -> Histo
         raise ValueError("bin_width must be at least 1")
     if not questions:
         raise EmptyInput("no questions to histogram")
-    lengths = np.array([len(q.split()) for q in questions], dtype=np.float64)
-    q1, q3 = np.percentile(lengths, [25, 75])
-    iqr = q3 - q1
-    lo_fence = q1 - 1.5 * iqr
-    hi_fence = q3 + 1.5 * iqr
-    keep = lengths[(lengths >= lo_fence) & (lengths <= hi_fence)]
-    excluded = len(lengths) - len(keep)
-    lo = int(keep.min())
-    hi = int(keep.max())
+    lengths = [len(q.split()) for q in questions]
+    # the whiskers are the extreme lengths inside the Tukey fences
+    stats = summarize(lengths)
+    lo = int(stats.whisker_lo)
+    hi = int(stats.whisker_hi)
     n_bins = max(1, math.ceil((hi - lo + 1) / bin_width))
     edges = [lo + i * bin_width for i in range(n_bins + 1)]
     counts = [0] * n_bins
-    for value in keep:
-        counts[int(value - lo) // bin_width] += 1
+    for value in lengths:
+        if lo <= value <= hi:
+            counts[(value - lo) // bin_width] += 1
     return Histogram(
-        bin_edges=tuple(int(e) for e in edges),
+        bin_edges=tuple(edges),
         counts=tuple(counts),
-        excluded_outliers=int(excluded),
+        excluded_outliers=len(stats.outliers),
     )
 
 

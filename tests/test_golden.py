@@ -63,21 +63,39 @@ def test_load_run_without_rng_algorithm(tmp_path):
     assert run.info.seed == 7
 
 
-@pytest.mark.parametrize(
-    "run_json, message",
-    [
-        ('{"info": {}}', "run.json: missing or malformed field"),
-        ("{not json", "run.json: "),
-        (None, "run.json: file not found"),
-    ],
-    ids=["missing-keys", "invalid-json", "missing-file"],
+MISTYPED_SCORE = (
+    '{"context_id":0,"index":0,"per_baseline":[],"prompt_id":"A",'
+    '"question":"Q?","question_max":"high","zero_vector_flag":false}\n'
 )
-def test_report_on_bad_run_json_exits_with_data_error(tmp_path, capsys, run_json, message):
+
+
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("run.json", '{"info": {}}', "run.json: missing or malformed field"),
+        ("run.json", "{not json", "run.json: "),
+        ("run.json", None, "run.json: file not found"),
+        ("scores.jsonl", MISTYPED_SCORE, "scores.jsonl: missing or malformed field"),
+        ("manifest.json", None, "manifest.json: file not found"),
+        ("manifest.json", '{"config": {"top_keywords": "5"}}', "manifest.json: "),
+    ],
+    ids=[
+        "missing-keys",
+        "invalid-json",
+        "missing-file",
+        "mistyped-score",
+        "missing-manifest",
+        "mistyped-top-keywords",
+    ],
+)
+def test_report_on_bad_run_json_exits_with_data_error(
+    tmp_path, capsys, name, content, message
+):
     run_dir = tmp_path / "run"
     shutil.copytree(GOLDEN, run_dir)
-    if run_json is None:
-        (run_dir / "run.json").unlink()
+    if content is None:
+        (run_dir / name).unlink()
     else:
-        (run_dir / "run.json").write_text(run_json, encoding="utf-8")
+        (run_dir / name).write_text(content, encoding="utf-8")
     assert main(["report", "--run", str(run_dir)]) == 2
     assert message in capsys.readouterr().err

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import json
 import shutil
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
+from qgen import pipeline
 from qgen.cli import build_parser, main
-from qgen.errors import ConfigError, PipelineError
+from qgen.errors import BackendRejected, ConfigError, PipelineError
+from qgen.promptgen import MockBackend
 from qgen.rng import ALGORITHM
 from qgen.pipeline import (
     ENV_TOKEN,
@@ -137,6 +141,11 @@ def test_validate_rejects_bad_values(config_path):
         replace(cfg, max_output_tokens=0),
         replace(cfg, top_keywords=0),
         replace(cfg, dataset="/nonexistent/data.json"),
+        # wrong types are rejected before any range check
+        replace(cfg, seed="7"),
+        replace(cfg, threshold="0.7"),
+        replace(cfg, max_in_flight="2"),
+        replace(cfg, sample_size=2.5),
     ):
         with pytest.raises(ConfigError):
             bad.validate()
@@ -348,6 +357,81 @@ def test_total_backend_failure_no_cells(tmp_path, mini_squad_path, demo_vectors_
     assert manifest["cells"] == 0
 
 
+class FailFirstBackend(MockBackend):
+    """Rejects its first call; every later call takes about 50 ms."""
+
+    def __init__(self) -> None:
+        super().__init__(seed=0)
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def complete(self, request):
+        with self.lock:
+            self.calls += 1
+            first = self.calls == 1
+        if first:
+            raise BackendRejected("rejected")
+        time.sleep(0.05)
+        return super().complete(request)
+
+
+def test_first_backend_failure_stops_queued_calls(
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch
+):
+    backend = FailFirstBackend()
+    monkeypatch.setattr(pipeline, "make_backend", lambda cfg: backend)
+    # 6 contexts x 4 prompts = 24 calls
+    path = write_config(
+        tmp_path, mini_squad_path, demo_vectors_path, sample_size=6, max_in_flight=2
+    )
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(load_config(path, env={}))
+    assert err.value.stage == "generate"
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    # the failed call, the one in flight beside it, and at most one more
+    # started before the queue was cancelled
+    assert manifest["backend_calls"] <= 2 + 1
+    assert backend.calls <= 2 + 1
+
+
+@pytest.mark.parametrize("failing_stage", ["load", "generate"])
+def test_failed_rerun_leaves_only_its_own_files(
+    tmp_path, mini_squad_path, demo_vectors_path, failing_stage
+):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, mini_squad_path, demo_vectors_path)
+    run_pipeline(load_config(path, env={}))
+    (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+    if failing_stage == "load":
+        bad = tmp_path / "bad.json"
+        bad.write_text("{broken", encoding="utf-8")
+        path = write_config(tmp_path, bad, demo_vectors_path)
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(load_config(path, env={}))
+        cells = 0
+    else:
+        # one cell completes, then the backend rejects the next call
+        with scripted_server(["ok", 400], reply={"text": FIVE_QUESTIONS}) as (url, _):
+            path = http_config(tmp_path, mini_squad_path, demo_vectors_path, url)
+            with pytest.raises(PipelineError) as err:
+                run_pipeline(load_config(path, env={}))
+        cells = 1
+    assert err.value.stage == failing_stage
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json",
+        "notes.txt",
+        "scores.jsonl",
+    ]
+    rows = [json.loads(line) for line in (out / "scores.jsonl").read_text().splitlines()]
+    assert len(rows) == 5 * cells
+    assert all(row["question"] in FIVE_QUESTIONS for row in rows)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["cells"] == cells
+    # a call the worker starts before the queue is cancelled still counts
+    assert cells <= manifest["backend_calls"] <= cells + 1
+
+
 def test_data_error_writes_failure_manifest(tmp_path, demo_vectors_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken", encoding="utf-8")
@@ -403,6 +487,14 @@ def test_cli_exit_config_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_exit_config_error_on_mistyped_value(
+    tmp_path, mini_squad_path, demo_vectors_path, capsys
+):
+    path = write_config(tmp_path, mini_squad_path, demo_vectors_path, seed="7")
+    assert main(["run", "--config", str(path)]) == 1
+    assert "seed must be int" in capsys.readouterr().err
+
+
 def test_cli_exit_data_error(tmp_path, demo_vectors_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken", encoding="utf-8")
@@ -437,7 +529,13 @@ def test_cli_stats_data_error(tmp_path, capsys):
     assert main(["stats", "--dataset", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_cli_report_reemits_byte_identical(config_path, capsys):
+@pytest.mark.parametrize(
+    "overrides", [{}, {"top_keywords": 5}], ids=["default", "top_keywords-5"]
+)
+def test_cli_report_reemits_byte_identical(
+    tmp_path, mini_squad_path, demo_vectors_path, capsys, overrides
+):
+    config_path = write_config(tmp_path, mini_squad_path, demo_vectors_path, **overrides)
     assert main(["run", "--config", str(config_path)]) == 0
     cfg = load_config(config_path, env={})
     out = Path(cfg.out)
