@@ -25,7 +25,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
+import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
@@ -140,9 +142,12 @@ class RunConfig:
 
 
 def _has_type(value, kind: type) -> bool:
-    """isinstance for JSON values: a bool is no int, and an int is a float too."""
+    """isinstance for JSON values: a bool is no int, an int is a float too,
+    and a float is finite (JSON has no NaN or Infinity)."""
     if isinstance(value, bool):
         return kind is bool
+    if isinstance(value, float):
+        return kind is float and math.isfinite(value)
     return isinstance(value, (int, float) if kind is float else kind)
 
 
@@ -247,13 +252,16 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
 
     Completions are scored once every call has returned or one has
     failed; the final assembly re-sorts by (context_id, prompt_id), so
-    outputs do not depend on completion order. The first failed backend
-    call cancels the calls not yet started. On any abort, the cells
-    scored so far are written to scores.jsonl next to a manifest with
-    status "failed" naming the stage and cause, and the error is
-    re-raised wrapped in PipelineError.
+    outputs do not depend on completion order. After the first failed
+    backend call no further call is sent; calls in flight finish. On any
+    abort, the cells scored so far are written to scores.jsonl next to a
+    manifest with status "failed" naming the stage and cause, and the
+    error is re-raised wrapped in PipelineError. An invalid config or
+    backend URL raises ConfigError before any input is read or file
+    written.
     """
     cfg.validate()
+    backend = make_backend(cfg)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = _utcnow()
@@ -270,7 +278,6 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
         sampled = sample_contexts(dataset, cfg.sample_size, cfg.seed)
 
         stage = "generate"
-        backend = make_backend(cfg)
         info = RunInfo(
             seed=cfg.seed,
             threshold=cfg.threshold,
@@ -293,25 +300,33 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
             for record in sampled
             for template in default_templates(cfg.prompts)
         ]
+        # set by the first failed call; a worker checks it before each
+        # call, so none is sent after a failure, however soon the worker
+        # picks up its next job
+        stop = threading.Event()
+
+        def call(request: BackendRequest) -> str | None:
+            if stop.is_set():
+                return None
+            try:
+                return generate(backend, request, call_log)
+            except Exception:
+                stop.set()
+                raise
+
         with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
-            futures = {
-                pool.submit(generate, backend, request, call_log): (cid, pid)
-                for cid, pid, request in jobs
-            }
+            futures = {pool.submit(call, request): (cid, pid) for cid, pid, request in jobs}
             pending = set(futures)
             while pending:
                 done, pending = wait(pending, return_when=FIRST_EXCEPTION)
                 # score completed cells before surfacing any failure so
                 # the failure path salvages everything that finished
-                done = sorted(done, key=lambda f: f.exception() is not None)
-                if done[-1].exception() is not None:
-                    # queued calls never start; calls in flight finish, so
-                    # the failed manifest counts them
-                    pool.shutdown(cancel_futures=True)
-                for future in done:
+                for future in sorted(done, key=lambda f: f.exception() is not None):
                     cid, pid = futures[future]
                     stage = "generate"
                     raw = future.result()
+                    if raw is None:  # skipped after a failed call
+                        continue
                     stage = "score"
                     parsed = parse_questions(raw, cfg.questions_per_prompt)
                     if parsed.shortfall:
@@ -606,12 +621,24 @@ def _question_figures(questions: list[str], top_keywords: int) -> dict[str, str]
 
 
 def _write_files(out: str | Path, files: dict[str, str]) -> list[Path]:
+    """Write each file whole or not at all.
+
+    The text goes to a temporary name in the same directory and is then
+    renamed onto the target, so an interrupted write leaves the previous
+    file, not a torn one.
+    """
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for name, text in files.items():
         target = out_dir / name
-        target.write_text(text, encoding="utf-8")
+        tmp = out_dir / f".{name}.tmp"
+        try:
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         written.append(target)
     return written
 

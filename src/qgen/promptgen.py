@@ -12,18 +12,22 @@ offline.
 from __future__ import annotations
 
 import hashlib
+import http.client
+import json
 import re
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
 from typing import Callable, Protocol
-
-import requests
 
 from .errors import (
     BackendRejected,
     BackendTimeout,
     BackendUnavailable,
+    ConfigError,
     NoQuestionsFound,
 )
 from .rng import Xoshiro256
@@ -96,15 +100,16 @@ def generate(
 ) -> str:
     """Send one request and return the raw completion text.
 
-    Latency and the backend's retry count for the call are appended to
-    ``call_log`` when one is supplied.
+    Latency and the backend's retry count for the call, returned or
+    raised, are appended to ``call_log`` when one is supplied.
     """
     started = time.monotonic()
-    text = backend.complete(request)
-    if call_log is not None:
-        retries = getattr(backend, "last_retries", 0)
-        call_log.append(CallRecord(latency_s=time.monotonic() - started, retries=retries))
-    return text
+    try:
+        return backend.complete(request)
+    finally:
+        if call_log is not None:
+            retries = getattr(backend, "last_retries", 0)
+            call_log.append(CallRecord(latency_s=time.monotonic() - started, retries=retries))
 
 
 # -- mock backend ------------------------------------------------------------
@@ -167,9 +172,10 @@ class MockBackend:
 class HttpBackend:
     """Minimal wire contract: POST {prompt, temperature, max_tokens} -> {text}.
 
-    Transport errors and 5xx are retried with exponential backoff; 4xx
-    raises BackendRejected at once. Subclasses adapt the wire format
-    through ``_payload`` and ``_extract``.
+    Only http and https URLs with a host are accepted. Transport errors
+    and 5xx are retried with exponential backoff; any other non-2xx
+    answer raises BackendRejected at once. Subclasses adapt the wire
+    format through ``_payload`` and ``_extract``.
     """
 
     def __init__(
@@ -181,6 +187,10 @@ class HttpBackend:
         backoff_base_s: float = 1.0,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
+        # urlopen would also read file:, ftp: and data: URLs; no host, no server
+        parts = urllib.parse.urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ConfigError(f"backend URL must be http(s)://host/..., got {url!r}")
         self.url = url
         self.token = token
         self.timeout_s = timeout_s
@@ -191,7 +201,7 @@ class HttpBackend:
 
     @property
     def last_retries(self) -> int:
-        """Retries used by the calling thread's last successful ``complete``."""
+        """Retries used by the calling thread's last call, returned or raised."""
         return getattr(self._local, "retries", 0)
 
     def identity(self) -> dict:
@@ -213,35 +223,39 @@ class HttpBackend:
     def complete(self, request: BackendRequest) -> str:
         """POST the request with bounded retries and return the completion.
 
-        Records the retries the successful call used, per thread, for
-        ``last_retries``.
-        Exhausted retries raise BackendTimeout for timeouts and
-        BackendUnavailable otherwise.
+        Each attempt opens a new connection. The retries used so far are
+        recorded per thread for ``last_retries``. Exhausted retries raise
+        BackendTimeout for timeouts and BackendUnavailable otherwise.
         """
-        payload = self._payload(request)
-        headers = self._headers()
+        data = json.dumps(self._payload(request), allow_nan=False).encode("utf-8")
+        req = urllib.request.Request(self.url, data, self._headers(), method="POST")
         last_exc: Exception | None = None
         timed_out = False
-        with requests.Session() as session:
-            for attempt in range(self.attempts):
-                if attempt > 0:
-                    self.sleep(self.backoff_base_s * (2 ** (attempt - 1)))
+        for attempt in range(self.attempts):
+            self._local.retries = attempt
+            if attempt > 0:
+                self.sleep(self.backoff_base_s * (2 ** (attempt - 1)))
+            try:
                 try:
-                    resp = session.post(
-                        self.url, json=payload, headers=headers, timeout=self.timeout_s
-                    )
-                except requests.RequestException as exc:
-                    last_exc = exc
-                    timed_out = isinstance(exc, requests.Timeout)
-                    continue
-                if 400 <= resp.status_code < 500:
-                    raise BackendRejected(f"HTTP {resp.status_code}: {resp.text[:200]}")
-                if resp.status_code >= 500:
-                    last_exc = BackendUnavailable(f"HTTP {resp.status_code}")
-                    timed_out = False
-                    continue
-                self._local.retries = attempt
-                return self._extract(resp)
+                    resp = urllib.request.urlopen(req, timeout=self.timeout_s)
+                except urllib.error.HTTPError as exc:
+                    resp = exc  # a non-2xx answer, still a response with a body
+                with resp:
+                    status, body = resp.status, resp.read()
+            except (OSError, http.client.HTTPException) as exc:
+                last_exc = exc
+                # urllib wraps a connect timeout in URLError, not a read timeout
+                timed_out = isinstance(exc, TimeoutError) or isinstance(
+                    getattr(exc, "reason", None), TimeoutError
+                )
+                continue
+            if status >= 500:
+                last_exc = BackendUnavailable(f"HTTP {status}")
+                timed_out = False
+                continue
+            if status >= 300:
+                raise BackendRejected(f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}")
+            return self._extract(body)
         if timed_out:
             raise BackendTimeout(
                 f"no answer from {self.url} within {self.timeout_s}s "
@@ -251,10 +265,9 @@ class HttpBackend:
             f"{self.url} unavailable after {self.attempts} attempts: {last_exc}"
         ) from last_exc
 
-    def _extract(self, resp: requests.Response) -> str:
+    def _extract(self, body: bytes) -> str:
         try:
-            body = resp.json()
-            text = body["text"]
+            text = json.loads(body)["text"]
         except (ValueError, KeyError, TypeError) as exc:
             raise BackendRejected(f"response body lacks 'text': {exc}") from exc
         if not isinstance(text, str):
@@ -282,10 +295,9 @@ class OpenAICompletionsBackend(HttpBackend):
             payload["model"] = self.model
         return payload
 
-    def _extract(self, resp: requests.Response) -> str:
+    def _extract(self, body: bytes) -> str:
         try:
-            body = resp.json()
-            text = body["choices"][0]["text"]
+            text = json.loads(body)["choices"][0]["text"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendRejected(f"response body lacks choices[0].text: {exc}") from exc
         if not isinstance(text, str):

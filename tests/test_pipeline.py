@@ -13,7 +13,7 @@ import pytest
 from qgen import pipeline
 from qgen.cli import build_parser, main
 from qgen.errors import BackendRejected, ConfigError, PipelineError
-from qgen.promptgen import MockBackend
+from qgen.promptgen import HttpBackend, MockBackend
 from qgen.rng import ALGORITHM
 from qgen.pipeline import (
     ENV_TOKEN,
@@ -137,6 +137,8 @@ def test_validate_rejects_bad_values(config_path):
         replace(cfg, prompts=""),
         replace(cfg, max_in_flight=0),
         replace(cfg, temperature=-0.1),
+        replace(cfg, temperature=float("nan")),
+        replace(cfg, temperature=float("inf")),
         replace(cfg, questions_per_prompt=0),
         replace(cfg, max_output_tokens=0),
         replace(cfg, top_keywords=0),
@@ -163,19 +165,11 @@ def test_run_pipeline_shapes_and_artifacts(config_path, tmp_path):
     for summary in run.summaries.values():
         assert summary.n_questions == 10
     out = Path(cfg.out)
-    for name in (
-        "scores.jsonl",
-        "table2.csv",
-        "run.json",
+    assert {p.name for p in out.iterdir()} == {
         "manifest.json",
-        "fig1_lengths.csv",
-        "fig2_keywords.csv",
-        "fig6_boxplot.csv",
-        "fig7_matches.csv",
-        "fig8_max_series.csv",
-        "report.md",
-    ):
-        assert (out / name).is_file(), name
+        "scores.jsonl",
+        *pipeline._COMPLETE_RUN_ONLY,
+    }
     assert len((out / "scores.jsonl").read_text().splitlines()) == 40
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "complete"
@@ -388,10 +382,25 @@ def test_first_backend_failure_stops_queued_calls(
         run_pipeline(load_config(path, env={}))
     assert err.value.stage == "generate"
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    # the failed call, the one in flight beside it, and at most one more
-    # started before the queue was cancelled
-    assert manifest["backend_calls"] <= 2 + 1
-    assert backend.calls <= 2 + 1
+    # the failed call and at most the one in flight beside it
+    assert manifest["backend_calls"] == backend.calls <= 2
+
+
+def test_failed_call_counted_in_manifest_totals(
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch
+):
+    # the second call is answered 503 three times and gives up
+    script = ["ok", 503, 503, 503]
+    with scripted_server(script, reply={"text": FIVE_QUESTIONS}) as (url, state):
+        monkeypatch.setattr(
+            pipeline, "make_backend", lambda cfg: HttpBackend(url, sleep=lambda s: None)
+        )
+        path = http_config(tmp_path, mini_squad_path, demo_vectors_path, url)
+        with pytest.raises(PipelineError):
+            run_pipeline(load_config(path, env={}))
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["backend_retries"] == 2
+    assert manifest["backend_calls"] + manifest["backend_retries"] == len(state["captured"])
 
 
 @pytest.mark.parametrize("failing_stage", ["load", "generate"])
@@ -408,14 +417,14 @@ def test_failed_rerun_leaves_only_its_own_files(
         path = write_config(tmp_path, bad, demo_vectors_path)
         with pytest.raises(PipelineError) as err:
             run_pipeline(load_config(path, env={}))
-        cells = 0
+        cells, sent = 0, 0
     else:
         # one cell completes, then the backend rejects the next call
-        with scripted_server(["ok", 400], reply={"text": FIVE_QUESTIONS}) as (url, _):
+        with scripted_server(["ok", 400], reply={"text": FIVE_QUESTIONS}) as (url, state):
             path = http_config(tmp_path, mini_squad_path, demo_vectors_path, url)
             with pytest.raises(PipelineError) as err:
                 run_pipeline(load_config(path, env={}))
-        cells = 1
+        cells, sent = 1, len(state["captured"])
     assert err.value.stage == failing_stage
     assert sorted(p.name for p in out.iterdir()) == [
         "manifest.json",
@@ -428,8 +437,23 @@ def test_failed_rerun_leaves_only_its_own_files(
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert manifest["cells"] == cells
-    # a call the worker starts before the queue is cancelled still counts
-    assert cells <= manifest["backend_calls"] <= cells + 1
+    # the rejected call counts too
+    assert manifest["backend_calls"] + manifest["backend_retries"] == sent
+
+
+def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch):
+    pipeline._write_files(tmp_path, {"table2.csv": "old,row\n"})
+    real_write_text = Path.write_text
+
+    def torn_write_text(self, text, *args, **kwargs):
+        real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", torn_write_text)
+    with pytest.raises(OSError):
+        pipeline._write_files(tmp_path, {"table2.csv": "new,row\n" * 100})
+    assert (tmp_path / "table2.csv").read_text() == "old,row\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table2.csv"]
 
 
 def test_data_error_writes_failure_manifest(tmp_path, demo_vectors_path):
@@ -493,6 +517,23 @@ def test_cli_exit_config_error_on_mistyped_value(
     path = write_config(tmp_path, mini_squad_path, demo_vectors_path, seed="7")
     assert main(["run", "--config", str(path)]) == 1
     assert "seed must be int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"temperature": float("nan")}, "temperature must be float"),
+        ({"backend": "http", "backend_url": "file:///tmp/reply.json"}, "http(s)://"),
+    ],
+    ids=["nan-temperature", "file-url"],
+)
+def test_cli_exit_config_error_before_reading_input(
+    tmp_path, mini_squad_path, demo_vectors_path, capsys, overrides, message
+):
+    path = write_config(tmp_path, mini_squad_path, demo_vectors_path, **overrides)
+    assert main(["run", "--config", str(path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_exit_data_error(tmp_path, demo_vectors_path, capsys):

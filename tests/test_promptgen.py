@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,7 @@ from qgen.errors import (
     BackendRejected,
     BackendTimeout,
     BackendUnavailable,
+    ConfigError,
     NoQuestionsFound,
 )
 from qgen.promptgen import (
@@ -161,7 +166,8 @@ def test_generate_records_call_log():
 
 @contextmanager
 def scripted_server(script: list, reply: dict | str | None = None):
-    """Serve scripted statuses; "ok" entries reply 200 with ``reply`` JSON."""
+    """Serve scripted statuses; "ok" entries reply 200 with ``reply`` JSON,
+    "sleep" answers late and "drop" closes the connection without a reply."""
     state = {"captured": [], "script": list(script)}
     ok_body = reply if reply is not None else {"text": "1. Why?"}
 
@@ -187,6 +193,8 @@ def scripted_server(script: list, reply: dict | str | None = None):
                 self.send_header("Content-Length", str(len(data)))
                 self.end_headers()
                 self.wfile.write(data)
+            elif step == "drop":
+                self.close_connection = True
             elif step == "sleep":
                 time.sleep(0.75)
                 try:
@@ -301,6 +309,53 @@ def test_http_connection_refused_unavailable():
     )
     with pytest.raises(BackendUnavailable):
         backend.complete(REQ)
+
+
+def test_http_dropped_connection_retried_then_unavailable():
+    sleeps: list[float] = []
+    with scripted_server(["drop", "drop", "drop"]) as (url, state):
+        backend = HttpBackend(url, sleep=sleeps.append)
+        with pytest.raises(BackendUnavailable):
+            backend.complete(REQ)
+    assert len(state["captured"]) == 3
+    assert sleeps == [1.0, 2.0]
+    assert backend.last_retries == 2
+
+
+@pytest.mark.parametrize(
+    "url",
+    [
+        "file:///tmp/reply.json",
+        "ftp://127.0.0.1/complete",
+        "data:,1.%20Why%3F",
+        "http:///complete",
+        "127.0.0.1:8080/complete",
+    ],
+)
+@pytest.mark.parametrize("backend_cls", [HttpBackend, OpenAICompletionsBackend])
+def test_http_backend_accepts_only_http_urls(backend_cls, url):
+    with pytest.raises(ConfigError):
+        backend_cls(url)
+
+
+def test_import_loads_no_third_party_package_but_numpy():
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import qgen\n"
+        "loaded = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(loaded - set(sys.stdlib_module_names) - {'qgen'})))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["numpy"]
 
 
 def test_http_malformed_body_rejected():
