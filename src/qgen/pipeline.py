@@ -388,10 +388,18 @@ _RECORD_TYPES = {
 }
 
 
-def _record_from_json(doc: dict) -> ScoreRecord:
-    for key, kind in _RECORD_TYPES.items():
+# run.json info field types, checked the same way
+_INFO_TYPES = get_type_hints(RunInfo)
+
+
+def _check_types(doc: dict, types: dict[str, type]) -> None:
+    for key, kind in types.items():
         if not _has_type(doc[key], kind):
             raise TypeError(f"{key!r} must be {kind.__name__}, got {doc[key]!r}")
+
+
+def _record_from_json(doc: dict) -> ScoreRecord:
+    _check_types(doc, _RECORD_TYPES)
     return ScoreRecord(
         generated=GeneratedQuestion(
             context_id=doc["context_id"],
@@ -523,6 +531,7 @@ def load_run(out_dir: str | Path) -> EvalRun:
     with _reading(out / "run.json") as path:
         doc = json.loads(path.read_text(encoding="utf-8"))
         info, shortfalls = RunInfo(**doc["info"]), doc["shortfalls"]
+        _check_types(vars(info), _INFO_TYPES)
     with _reading(out / "scores.jsonl") as path:
         records = [
             _record_from_json(json.loads(line))

@@ -69,6 +69,12 @@ MISTYPED_SCORE = (
 )
 
 
+def golden_run_json(**info) -> str:
+    doc = json.loads((GOLDEN / "run.json").read_text(encoding="utf-8"))
+    doc["info"].update(info)
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "name, content, message",
     [
@@ -76,6 +82,7 @@ MISTYPED_SCORE = (
         ("run.json", "{not json", "run.json: "),
         ("run.json", None, "run.json: file not found"),
         ("scores.jsonl", MISTYPED_SCORE, "scores.jsonl: missing or malformed field"),
+        ("run.json", golden_run_json(threshold="high"), "run.json: missing or malformed field"),
         ("manifest.json", None, "manifest.json: file not found"),
         ("manifest.json", '{"config": {"top_keywords": "5"}}', "manifest.json: "),
     ],
@@ -84,6 +91,7 @@ MISTYPED_SCORE = (
         "invalid-json",
         "missing-file",
         "mistyped-score",
+        "mistyped-info",
         "missing-manifest",
         "mistyped-top-keywords",
     ],

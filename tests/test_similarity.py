@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from qgen import similarity
 from qgen.errors import BadFloat, DimensionMismatch, DuplicateToken
 from qgen.similarity import (
     EmbeddingTable,
@@ -33,7 +34,7 @@ def test_load_minimal_table():
     assert table.dim == 2
     assert len(table) == 2
     assert "cat" in table and "fox" not in table
-    np.testing.assert_array_equal(table.entries["cat"], [1.0, 0.0])
+    np.testing.assert_array_equal(table.matrix[table.index["cat"]], [1.0, 0.0])
 
 
 def test_load_skips_word2vec_header():
@@ -63,7 +64,7 @@ def test_load_duplicate_token():
 def test_load_lowercases_tokens():
     table = load_vectors("Paris 1.0 2.0\n")
     assert "paris" in table
-    assert "Paris" not in table.entries
+    assert "Paris" not in table.index
 
 
 def test_load_ignores_blank_lines_and_empty_input():
@@ -77,6 +78,77 @@ def test_load_vectors_path(demo_vectors_path):
     table = load_vectors_path(demo_vectors_path)
     assert table.dim == 50
     assert len(table) > 100
+
+
+def load_outcome(load) -> tuple:
+    """What a load gives, comparable across paths: (dim, tokens in order,
+    matrix bytes) on success, (error class, message) on failure."""
+    try:
+        table = load()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return table.dim, list(table.index), table.matrix.tobytes()
+
+
+# (file bytes, None for a successful load or (error class, text in message))
+LOADER_CASES = {
+    "word2vec-header": (b"2 3\ncat 1 2 3\ndog 4 5 6\n", None),
+    "header-like-first-row": (b"2 3\n22 1\n", None),
+    "blank-lines": (b"\ncat 1.0\n\n\ndog 2.0\n", None),
+    "crlf": (b"cat 1 2\r\ndog 3 4\r\n", None),
+    "tab": (b"cat\t1 2\ndog 3\t4\n", None),
+    "double-space": (b"cat  1 2\ndog 3  4\n", None),
+    "trailing-space": (b"cat 1 2 \ndog 3 4 \n", None),
+    "leading-space": (b"cat 1 2\n 3 4\n", (DimensionMismatch, "line 2")),
+    "lowercase-duplicate": (b"Cat 1 2\ncat 3 4\n", (DuplicateToken, "line 2")),
+    "underscore-digits": (b"cat 1_000 2\ndog 3 4\n", None),
+    "fullwidth-digit": ("cat \uff11 2\ndog 3 4\n".encode(), None),
+    "inf-nan": (b"cat inf -nan\ndog -inf -0.0\n", None),
+    "non-ascii-tokens": ("caf\u00e9 1 2\n\u0130stanbul 3 4\n".encode(), None),
+    "nbsp-token": ("7\u00a01 2\ndog 3\n".encode(), (DimensionMismatch, "line 2")),
+    "nel-token": ("7\u00851 2\ndog 3\n".encode(), (DimensionMismatch, "line 2")),
+    "short-row": (b"cat 1 2\ndog 3\n", (DimensionMismatch, "line 2")),
+    "long-row": (b"cat 1 2\ndog 3 4 5\n", (DimensionMismatch, "line 2")),
+    "bad-float-last-line": (b"cat 1 2\ndog 3 4\nfox 5 oops\n", (BadFloat, "line 3")),
+    "empty": (b"", None),
+}
+
+
+@pytest.mark.parametrize("content, error", LOADER_CASES.values(), ids=LOADER_CASES)
+def test_path_loader_agrees_with_line_parser(tmp_path, content, error):
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(content)
+
+    def line_parser():
+        with open(path, "r", encoding="utf-8") as fh:
+            return load_vectors(fh)
+
+    got = load_outcome(lambda: load_vectors_path(path))
+    assert got == load_outcome(line_parser)
+    if error is None:
+        assert isinstance(got[0], int)
+    else:
+        assert got[0] is error[0] and error[1] in got[1]
+
+
+def test_regular_file_skips_line_parser(monkeypatch, tmp_path, demo_vectors_path):
+    def line_parser(source):
+        raise AssertionError("per-line parser reached")
+
+    monkeypatch.setattr(similarity, "load_vectors", line_parser)
+    table = load_vectors_path(demo_vectors_path)
+    assert table.dim == 50 and table.matrix.shape == (len(table), 50)
+    with pytest.raises(ValueError):
+        table.matrix[0, 0] = 1.0
+
+    text = demo_vectors_path.read_text(encoding="utf-8")
+    header = tmp_path / "header.txt"
+    header.write_text(f"{len(table)} 50\n{text}", encoding="utf-8")
+    assert load_vectors_path(header).matrix.tobytes() == table.matrix.tobytes()
+    tabbed = tmp_path / "tabbed.txt"
+    tabbed.write_text(text.replace(" ", "\t", 1), encoding="utf-8")
+    with pytest.raises(AssertionError, match="per-line parser reached"):
+        load_vectors_path(tabbed)
 
 
 # -- tokenization ----------------------------------------------------------------
@@ -251,3 +323,37 @@ def test_mean_pool_brute_force_oracle():
         sum(words[t][d] for t in tokens) / len(tokens) for d in range(4)
     ]
     np.testing.assert_allclose(sv.values, manual, atol=1e-15)
+
+
+def loop_mean_pool(tokens: list[str], table: EmbeddingTable) -> tuple[bytes, int, int]:
+    """Reference mean-pool: add each known token's row left to right."""
+    acc = np.zeros(table.dim, dtype=np.float64)
+    covered = 0
+    for tok in tokens:
+        row = table.index.get(tok)
+        if row is not None:
+            acc = acc + table.matrix[row]
+            covered += 1
+    if covered > 0:
+        acc = acc / covered
+    return acc.tobytes(), covered, len(tokens)
+
+
+@pytest.mark.parametrize("dim", [2, 50])
+def test_gathered_mean_pool_matches_loop_bit_for_bit(dim):
+    rng = np.random.default_rng(29)
+    words = [f"w{i}" for i in range(200)]
+    # magnitudes spread over six decades, so any change in the order of
+    # the additions shows in the last bits
+    rows = rng.normal(size=(len(words), dim)) * 10.0 ** rng.uniform(-3, 3, (len(words), 1))
+    table = load_vectors(
+        "\n".join(f"{w} " + " ".join(repr(v) for v in row) for w, row in zip(words, rows.tolist()))
+    )
+    vocab = words + ["oov1", "oov2"]
+    cases = [[], ["oov1"], ["oov1", "oov2"], ["w0"], ["w0"] * 12]
+    for _ in range(3000):
+        picks = rng.integers(0, len(vocab), size=int(rng.integers(1, 40)))
+        cases.append([vocab[i] for i in picks])
+    for tokens in cases:
+        sv = sentence_vector(tokens, table)
+        assert (sv.values.tobytes(), sv.covered, sv.total) == loop_mean_pool(tokens, table)
