@@ -76,7 +76,6 @@ from .scoring import (
     count_matches,
     prompt_max,
     score_cell,
-    score_question,
     summarize,
     summarize_prompt,
 )

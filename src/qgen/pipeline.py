@@ -383,6 +383,7 @@ _RECORD_TYPES = {
     "prompt_id": str,
     "index": int,
     "question": str,
+    "per_baseline": list,
     "question_max": float,
     "zero_vector_flag": bool,
 }
@@ -398,6 +399,17 @@ def _check_types(doc: dict, types: dict[str, type]) -> None:
             raise TypeError(f"{key!r} must be {kind.__name__}, got {doc[key]!r}")
 
 
+def _baseline_score(pair) -> tuple[str, float]:
+    if not (
+        isinstance(pair, list)
+        and len(pair) == 2
+        and _has_type(pair[0], str)
+        and _has_type(pair[1], float)
+    ):
+        raise TypeError(f"'per_baseline' entries must be [id, score], got {pair!r}")
+    return pair[0], pair[1]
+
+
 def _record_from_json(doc: dict) -> ScoreRecord:
     _check_types(doc, _RECORD_TYPES)
     return ScoreRecord(
@@ -407,7 +419,7 @@ def _record_from_json(doc: dict) -> ScoreRecord:
             index=doc["index"],
             text=doc["question"],
         ),
-        per_baseline=tuple((bid, score) for bid, score in doc["per_baseline"]),
+        per_baseline=tuple(map(_baseline_score, doc["per_baseline"])),
         question_max=doc["question_max"],
         zero_vector_flag=doc["zero_vector_flag"],
     )
@@ -532,6 +544,8 @@ def load_run(out_dir: str | Path) -> EvalRun:
         doc = json.loads(path.read_text(encoding="utf-8"))
         info, shortfalls = RunInfo(**doc["info"]), doc["shortfalls"]
         _check_types(vars(info), _INFO_TYPES)
+        if not 0.0 <= info.threshold <= 1.0:
+            raise TypeError(f"'threshold' must be in [0, 1], got {info.threshold!r}")
     with _reading(out / "scores.jsonl") as path:
         records = [
             _record_from_json(json.loads(line))

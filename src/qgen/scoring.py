@@ -1,9 +1,11 @@
 """Similarity scoring of generated questions against baselines.
 
-Each generated question is compared with every baseline question of its
-context; the maximum of those cosine similarities is the question's score
-(``question_max``). Per (context, prompt) cell, ``prompt_max`` is the
-maximum over its questions. A question "matches" when its question_max
+A (context, prompt) cell is scored by one function, :func:`score_cell`.
+It builds the sentence vector of each baseline question of the context
+and of each generated question once, then compares every question with
+every baseline; the maximum of those cosine similarities is the
+question's score (``question_max``), and ``prompt_max`` is the maximum
+over the cell's questions. A question "matches" when its question_max
 strictly exceeds the threshold, and per-prompt distributions of
 question_max are summarized with linear-interpolation quartiles and Tukey
 whiskers.
@@ -11,7 +13,6 @@ whiskers.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -109,41 +110,6 @@ class EvalRun:
         return [rec for cell in self.results for rec in cell.records]
 
 
-def score_question(
-    generated: GeneratedQuestion,
-    baselines,
-    table: EmbeddingTable,
-) -> ScoreRecord:
-    """Score one question against every baseline, in baseline order.
-
-    ``baselines`` is the context's BaselineQuestion sequence. The zero
-    vector flag is set when either side of any comparison had no in-
-    vocabulary tokens; those comparisons contribute 0.0.
-    """
-    if not baselines:
-        raise EmptyRecords(
-            f"context {generated.context_id} has no baseline questions"
-        )
-    qvec = sentence_vector(generated.text, table)
-    per_baseline: list[tuple[str, float]] = []
-    zero_flag = qvec.is_zero
-    best = -math.inf
-    for baseline in baselines:
-        bvec = sentence_vector(baseline.question, table)
-        if bvec.is_zero:
-            zero_flag = True
-        sim = cosine_similarity(qvec, bvec)
-        per_baseline.append((baseline.id, sim))
-        if sim > best:
-            best = sim
-    return ScoreRecord(
-        generated=generated,
-        per_baseline=tuple(per_baseline),
-        question_max=best,
-        zero_vector_flag=zero_flag,
-    )
-
-
 def score_cell(
     context_id: int,
     prompt_id: str,
@@ -151,22 +117,39 @@ def score_cell(
     baselines,
     table: EmbeddingTable,
 ) -> PromptContextResult:
-    """Score a cell's question texts and fold in the prompt max."""
-    records = tuple(
-        score_question(
-            GeneratedQuestion(
-                context_id=context_id, prompt_id=prompt_id, index=i, text=text
-            ),
-            baselines,
-            table,
+    """Score a cell's question texts against its context's baselines.
+
+    ``baselines`` is the context's BaselineQuestion sequence. Each
+    baseline's sentence vector and each question's is built once. A
+    question's ``per_baseline`` holds its cosines in baseline order and
+    its ``question_max`` is their maximum. The zero vector flag is set when
+    the question's vector or any baseline's had no in-vocabulary tokens;
+    those comparisons contribute 0.0.
+    """
+    if not baselines:
+        raise EmptyRecords(f"context {context_id} has no baseline questions")
+    ids = [b.id for b in baselines]
+    bvecs = [sentence_vector(b.question, table) for b in baselines]
+    any_zero_baseline = any(bvec.is_zero for bvec in bvecs)
+    records = []
+    for i, text in enumerate(questions):
+        qvec = sentence_vector(text, table)
+        sims = [cosine_similarity(qvec, bvec) for bvec in bvecs]
+        records.append(
+            ScoreRecord(
+                generated=GeneratedQuestion(
+                    context_id=context_id, prompt_id=prompt_id, index=i, text=text
+                ),
+                per_baseline=tuple(zip(ids, sims)),
+                question_max=max(sims),
+                zero_vector_flag=qvec.is_zero or any_zero_baseline,
+            )
         )
-        for i, text in enumerate(questions)
-    )
     return PromptContextResult(
         context_id=context_id,
         prompt_id=prompt_id,
-        records=records,
-        prompt_max=prompt_max(list(records)),
+        records=tuple(records),
+        prompt_max=prompt_max(records),
     )
 
 
@@ -174,11 +157,7 @@ def prompt_max(records: list[ScoreRecord]) -> float:
     """Maximum question_max across the records."""
     if not records:
         raise EmptyRecords("prompt_max of zero records is undefined")
-    best = records[0].question_max
-    for rec in records[1:]:
-        if rec.question_max > best:
-            best = rec.question_max
-    return best
+    return max(r.question_max for r in records)
 
 
 def count_matches(records: list[ScoreRecord], threshold: float) -> int:

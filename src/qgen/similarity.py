@@ -11,14 +11,15 @@ An :class:`EmbeddingTable` is a vocabulary index (token -> row) into one
 read-only ``(rows, dim)`` float64 matrix. :func:`load_vectors_path` reads
 a regular file (``token v1 ... vd`` with single spaces, ``\\n`` line ends,
 no blank lines, printable UTF-8 tokens unique after lowercasing, an
-optional word2vec header) with one streamed ``np.loadtxt`` call. Any other
-file goes whole to the per-line parser :func:`load_vectors`, so every
-file loads to the same table, and fails with the same error class,
+optional word2vec header on line 1) with one streamed ``np.loadtxt`` call.
+Any other file goes whole to the per-line parser :func:`load_vectors`, so
+every file loads to the same table, and fails with the same error class,
 message and line number, whichever path reads it.
 """
 
 from __future__ import annotations
 
+import io
 import unicodedata
 from array import array
 from dataclasses import dataclass
@@ -72,12 +73,14 @@ def _parse_header(line: str) -> bool:
 def load_vectors(source: str | IO | Iterable[str]) -> EmbeddingTable:
     """Load a GloVe-style text vector file: ``token v1 v2 ... vd`` per line.
 
-    The dimension is inferred from the first vector line. A leading
-    word2vec-style ``count dim`` header (two bare integers) is skipped.
-    Tokens are lowercased on load. Blank lines are ignored.
+    The dimension is inferred from the first vector line. A word2vec-style
+    ``count dim`` header (two bare integers) is skipped when it is line 1.
+    Tokens are lowercased on load. Blank lines are ignored. A string is
+    split into lines at ``\\n``, ``\\r\\n`` and ``\\r`` only, as a file
+    opened in text mode is.
     """
     if isinstance(source, str):
-        lines: Iterable[str] = source.splitlines()
+        lines: Iterable[str] = io.StringIO(source, newline=None)
     else:
         lines = source
     index: dict[str, int] = {}
@@ -87,7 +90,7 @@ def load_vectors(source: str | IO | Iterable[str]) -> EmbeddingTable:
         line = raw.strip("\n").strip("\r")
         if not line.strip():
             continue
-        if dim is None and not index and _parse_header(line):
+        if lineno == 1 and _parse_header(line):
             continue
         parts = line.split()
         token = parts[0].lower()
@@ -122,13 +125,12 @@ def _load_regular(path) -> EmbeddingTable | None:
     dim = -1
     header = 0
     with open(path, "rb") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if b"\r" in line:
                 return None
             try:
-                # load_vectors skips every header-like line before the first row
-                if not index and _parse_header(line.decode("utf-8")):
-                    header += 1
+                if lineno == 1 and _parse_header(line.decode("utf-8")):
+                    header = 1
                     continue
                 token = line.partition(b" ")[0].decode("utf-8")
             except UnicodeDecodeError:

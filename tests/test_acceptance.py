@@ -27,7 +27,7 @@ from qgen.scoring import (
     ScoreRecord,
     count_matches,
     prompt_max,
-    score_question,
+    score_cell,
     summarize,
 )
 from qgen.similarity import (
@@ -187,11 +187,7 @@ def test_criterion_4():
             FakeBaseline(f"b{i}", " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 6))))
             for i in range(rng.randint(1, 5))
         ]
-        rec = score_question(
-            GeneratedQuestion(context_id=0, prompt_id="A", index=0, text=qtext),
-            baselines,
-            table,
-        )
+        rec = score_cell(0, "A", [qtext], baselines, table).records[0]
         qvec = sentence_vector(qtext, table)
         naive = [
             cosine_similarity(qvec, sentence_vector(b.question, table))

@@ -63,10 +63,18 @@ def test_load_run_without_rng_algorithm(tmp_path):
     assert run.info.seed == 7
 
 
-MISTYPED_SCORE = (
-    '{"context_id":0,"index":0,"per_baseline":[],"prompt_id":"A",'
-    '"question":"Q?","question_max":"high","zero_vector_flag":false}\n'
-)
+def score_line(**fields) -> str:
+    doc = {
+        "context_id": 0,
+        "index": 0,
+        "per_baseline": [],
+        "prompt_id": "A",
+        "question": "Q?",
+        "question_max": 0.5,
+        "zero_vector_flag": False,
+    }
+    doc.update(fields)
+    return json.dumps(doc) + "\n"
 
 
 def golden_run_json(**info) -> str:
@@ -81,8 +89,10 @@ def golden_run_json(**info) -> str:
         ("run.json", '{"info": {}}', "run.json: missing or malformed field"),
         ("run.json", "{not json", "run.json: "),
         ("run.json", None, "run.json: file not found"),
-        ("scores.jsonl", MISTYPED_SCORE, "scores.jsonl: missing or malformed field"),
+        ("scores.jsonl", score_line(question_max="high"), "scores.jsonl: missing or malformed field"),
         ("run.json", golden_run_json(threshold="high"), "run.json: missing or malformed field"),
+        ("run.json", golden_run_json(threshold=1.5), "run.json: missing or malformed field"),
+        ("scores.jsonl", score_line(per_baseline="abc"), "scores.jsonl: missing or malformed field"),
         ("manifest.json", None, "manifest.json: file not found"),
         ("manifest.json", '{"config": {"top_keywords": "5"}}', "manifest.json: "),
     ],
@@ -92,6 +102,8 @@ def golden_run_json(**info) -> str:
         "missing-file",
         "mistyped-score",
         "mistyped-info",
+        "threshold-out-of-range",
+        "per-baseline-not-pairs",
         "missing-manifest",
         "mistyped-top-keywords",
     ],

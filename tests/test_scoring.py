@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from qgen import scoring
 from qgen.corpus import Answer, BaselineQuestion
 from qgen.errors import EmptyInput, EmptyRecords, MissingCell
 from qgen.promptgen import GeneratedQuestion
@@ -21,7 +22,6 @@ from qgen.scoring import (
     count_matches,
     prompt_max,
     score_cell,
-    score_question,
     summarize,
     summarize_prompt,
 )
@@ -78,72 +78,12 @@ def cell_with_maxes(context_id: int, prompt_id: str, values: list[float]):
     )
 
 
-# -- score_question ------------------------------------------------------------
-
-def test_score_question_self_similarity_is_one():
-    rec = score_question(
-        gq("what is the capital"),
-        [baseline("b0", "what is the capital")],
-        TABLE,
-    )
-    assert rec.question_max == pytest.approx(1.0, abs=1e-9)
-    assert not rec.zero_vector_flag
-
-
-def test_score_question_per_baseline_order_and_max():
-    baselines = [
-        baseline("b0", "who built the river"),
-        baseline("b1", "what is the capital"),
-        baseline("b2", "the long river"),
-    ]
-    rec = score_question(gq("what is the city"), baselines, TABLE)
-    assert [qid for qid, _ in rec.per_baseline] == ["b0", "b1", "b2"]
-    assert rec.question_max == max(v for _, v in rec.per_baseline)
-
-
-def test_score_question_matches_brute_force():
-    rng = random.Random(31)
-    vocab = list(WORDS)
-    for _ in range(50):
-        qtext = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 6)))
-        baselines = [
-            baseline(f"b{i}", " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 6))))
-            for i in range(rng.randint(1, 4))
-        ]
-        rec = score_question(gq(qtext), baselines, TABLE)
-        qvec = sentence_vector(qtext, TABLE)
-        expected = [
-            cosine_similarity(qvec, sentence_vector(b.question, TABLE))
-            for b in baselines
-        ]
-        assert [v for _, v in rec.per_baseline] == expected
-        assert rec.question_max == max(expected)
-
-
-def test_score_question_zero_vector_from_generated_side():
-    rec = score_question(gq("zz yy"), [baseline("b0", "what is the capital")], TABLE)
-    assert rec.zero_vector_flag
-    assert rec.question_max == 0.0
-    assert rec.per_baseline == (("b0", 0.0),)
-
-
-def test_score_question_zero_vector_from_baseline_side():
-    rec = score_question(
-        gq("what is the capital"),
-        [baseline("b0", "zz yy"), baseline("b1", "what is the capital")],
-        TABLE,
-    )
-    assert rec.zero_vector_flag
-    assert rec.per_baseline[0][1] == 0.0
-    assert rec.question_max == pytest.approx(1.0, abs=1e-9)
-
-
-def test_score_question_empty_baselines():
-    with pytest.raises(EmptyRecords):
-        score_question(gq("what is"), [], TABLE)
-
-
 # -- score_cell -----------------------------------------------------------------
+
+def score_one(text: str, baselines) -> ScoreRecord:
+    """The record of a one-question cell."""
+    return score_cell(0, "A", [text], baselines, TABLE).records[0]
+
 
 def test_score_cell_indexes_and_prompt_max():
     cell = score_cell(
@@ -158,6 +98,88 @@ def test_score_cell_indexes_and_prompt_max():
     assert [r.generated.index for r in cell.records] == [0, 1, 2]
     assert all(r.generated.prompt_id == "B" for r in cell.records)
     assert cell.prompt_max == max(r.question_max for r in cell.records)
+
+
+def test_score_cell_self_similarity_is_one():
+    rec = score_one("what is the capital", [baseline("b0", "what is the capital")])
+    assert rec.question_max == pytest.approx(1.0, abs=1e-9)
+    assert not rec.zero_vector_flag
+
+
+def test_score_cell_per_baseline_order_and_max():
+    baselines = [
+        baseline("b0", "who built the river"),
+        baseline("b1", "what is the capital"),
+        baseline("b2", "the long river"),
+    ]
+    rec = score_one("what is the city", baselines)
+    assert [qid for qid, _ in rec.per_baseline] == ["b0", "b1", "b2"]
+    assert rec.question_max == max(v for _, v in rec.per_baseline)
+
+
+def test_score_cell_matches_brute_force():
+    rng = random.Random(31)
+    vocab = list(WORDS)
+
+    def sentence():
+        return " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 6)))
+
+    for _ in range(50):
+        questions = [sentence() for _ in range(rng.randint(1, 5))]
+        baselines = [baseline(f"b{i}", sentence()) for i in range(rng.randint(1, 4))]
+        cell = score_cell(0, "A", questions, baselines, TABLE)
+        assert [r.generated.text for r in cell.records] == questions
+        for qtext, rec in zip(questions, cell.records):
+            qvec = sentence_vector(qtext, TABLE)
+            expected = [
+                cosine_similarity(qvec, sentence_vector(b.question, TABLE))
+                for b in baselines
+            ]
+            assert [v for _, v in rec.per_baseline] == expected
+            assert rec.question_max == max(expected)
+
+
+def test_score_cell_zero_vector_from_generated_side():
+    rec = score_one("zz yy", [baseline("b0", "what is the capital")])
+    assert rec.zero_vector_flag
+    assert rec.question_max == 0.0
+    assert rec.per_baseline == (("b0", 0.0),)
+
+
+def test_score_cell_zero_vector_from_baseline_side():
+    rec = score_one(
+        "what is the capital",
+        [baseline("b0", "zz yy"), baseline("b1", "what is the capital")],
+    )
+    assert rec.zero_vector_flag
+    assert rec.per_baseline[0][1] == 0.0
+    assert rec.question_max == pytest.approx(1.0, abs=1e-9)
+
+
+def test_score_cell_empty_baselines():
+    with pytest.raises(EmptyRecords):
+        score_cell(0, "A", ["what is"], [], TABLE)
+
+
+def test_score_cell_builds_each_sentence_vector_once(monkeypatch):
+    sentences = []
+
+    def counting(sentence, table):
+        sentences.append(sentence)
+        return sentence_vector(sentence, table)
+
+    monkeypatch.setattr(scoring, "sentence_vector", counting)
+    questions = ["what is the capital", "who built the river", "the long city"]
+    baselines = [
+        baseline("b0", "what is the capital"),
+        baseline("b1", "the long river"),
+        baseline("b2", "who built it"),
+        baseline("b3", "zz yy"),
+    ]
+    cell = score_cell(0, "A", questions, baselines, TABLE)
+    assert len(sentences) == len(questions) + len(baselines) == 7
+    assert sorted(sentences) == sorted(questions + [b.question for b in baselines])
+    assert len(cell.records) == 3
 
 
 # -- prompt_max -------------------------------------------------------------------

@@ -90,10 +90,12 @@ def load_outcome(load) -> tuple:
     return table.dim, list(table.index), table.matrix.tobytes()
 
 
-# (file bytes, None for a successful load or (error class, text in message))
+# (file bytes, None for a successful load, (dim, tokens) for a load that
+# must give that table, or (error class, text in message))
 LOADER_CASES = {
     "word2vec-header": (b"2 3\ncat 1 2 3\ndog 4 5 6\n", None),
-    "header-like-first-row": (b"2 3\n22 1\n", None),
+    # only line 1 can be a header; line 2 is a one-column row
+    "header-like-first-row": (b"2 3\n22 1\n", (1, ["22"])),
     "blank-lines": (b"\ncat 1.0\n\n\ndog 2.0\n", None),
     "crlf": (b"cat 1 2\r\ndog 3 4\r\n", None),
     "tab": (b"cat\t1 2\ndog 3\t4\n", None),
@@ -107,6 +109,9 @@ LOADER_CASES = {
     "non-ascii-tokens": ("caf\u00e9 1 2\n\u0130stanbul 3 4\n".encode(), None),
     "nbsp-token": ("7\u00a01 2\ndog 3\n".encode(), (DimensionMismatch, "line 2")),
     "nel-token": ("7\u00851 2\ndog 3\n".encode(), (DimensionMismatch, "line 2")),
+    # \x0b and \x85 end a line for str.splitlines() but not for a file
+    "vt-in-line": (b"a 1\x0bb 2\n", (BadFloat, "line 1")),
+    "nel-in-line": ("a 1\u0085b 2\n".encode(), (BadFloat, "line 1")),
     "short-row": (b"cat 1 2\ndog 3\n", (DimensionMismatch, "line 2")),
     "long-row": (b"cat 1 2\ndog 3 4 5\n", (DimensionMismatch, "line 2")),
     "bad-float-last-line": (b"cat 1 2\ndog 3 4\nfox 5 oops\n", (BadFloat, "line 3")),
@@ -125,8 +130,11 @@ def test_path_loader_agrees_with_line_parser(tmp_path, content, error):
 
     got = load_outcome(lambda: load_vectors_path(path))
     assert got == load_outcome(line_parser)
+    assert got == load_outcome(lambda: load_vectors(content.decode("utf-8")))
     if error is None:
         assert isinstance(got[0], int)
+    elif isinstance(error[0], int):
+        assert got[:2] == error
     else:
         assert got[0] is error[0] and error[1] in got[1]
 
