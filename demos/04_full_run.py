@@ -43,7 +43,7 @@ for pid in sorted(run.summaries):
         (rec for cell in run.results if cell.prompt_id == pid for rec in cell.records),
         key=lambda rec: rec.question_max,
     )
-    print(f"  {pid} ({best.question_max:.3f}): {best.generated.text}")
+    print(f"  {pid} ({best.question_max:.3f}): {best.question}")
 print()
 
 print(f"artifacts in {OUT}:")

@@ -53,11 +53,9 @@ from .pipeline import (
 from .promptgen import (
     PROMPT_IDS,
     BackendRequest,
-    GeneratedQuestion,
     HttpBackend,
     MockBackend,
     OpenAICompletionsBackend,
-    ParsedQuestions,
     PromptTemplate,
     default_templates,
     generate,

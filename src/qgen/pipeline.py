@@ -6,7 +6,7 @@ questions, and persists everything into one output directory:
 
 - ``manifest.json``  config snapshot, vector digest, backend identity,
   timestamps, status (the only file containing wall-clock values)
-- ``scores.jsonl``   one scored question per line
+- ``scores.jsonl``   one scored question per line: a ScoreRecord's fields
 - ``table2.csv``     context_id, prompt, question, question_max, prompt_max
 - ``run.json``       summaries, max series, run metadata
 - ``report.md``      human-readable summary
@@ -44,7 +44,6 @@ from .promptgen import (
     Backend,
     BackendRequest,
     CallRecord,
-    GeneratedQuestion,
     HttpBackend,
     MockBackend,
     OpenAICompletionsBackend,
@@ -266,7 +265,6 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = _utcnow()
     cells: list[PromptContextResult] = []
-    shortfalls: list[dict] = []
     call_log: list[CallRecord] = []
 
     stage = "load"
@@ -328,20 +326,19 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
                     if raw is None:  # skipped after a failed call
                         continue
                     stage = "score"
-                    parsed = parse_questions(raw, cfg.questions_per_prompt)
-                    if parsed.shortfall:
-                        shortfalls.append(
-                            {
-                                "context_id": cid,
-                                "prompt_id": pid,
-                                "got": len(parsed.texts),
-                                "expected": cfg.questions_per_prompt,
-                            }
-                        )
-                    cells.append(
-                        score_cell(cid, pid, list(parsed.texts), baselines[cid], table)
-                    )
+                    questions = parse_questions(raw, cfg.questions_per_prompt)
+                    cells.append(score_cell(cid, pid, questions, baselines[cid], table))
         stage = "aggregate"
+        shortfalls = [
+            {
+                "context_id": cell.context_id,
+                "prompt_id": cell.prompt_id,
+                "got": len(cell.records),
+                "expected": cfg.questions_per_prompt,
+            }
+            for cell in cells
+            if len(cell.records) < cfg.questions_per_prompt
+        ]
         run = assemble_run(info, cells, cfg.threshold, shortfalls)
         stage = "persist"
         persist_run(run, cfg, out_dir, started, call_log)
@@ -365,28 +362,13 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
 
 # -- persistence ---------------------------------------------------------------
 
-def _record_to_json(rec: ScoreRecord) -> dict:
-    return {
-        "context_id": rec.generated.context_id,
-        "prompt_id": rec.generated.prompt_id,
-        "index": rec.generated.index,
-        "question": rec.generated.text,
-        "per_baseline": [[bid, score] for bid, score in rec.per_baseline],
-        "question_max": rec.question_max,
-        "zero_vector_flag": rec.zero_vector_flag,
-    }
+# a scores.jsonl line holds exactly these ScoreRecord fields
+_RECORD_FIELDS = tuple(f.name for f in fields(ScoreRecord))
 
-
-# scores.jsonl field types that load_run checks before scoring computes with them
-_RECORD_TYPES = {
-    "context_id": int,
-    "prompt_id": str,
-    "index": int,
-    "question": str,
-    "per_baseline": list,
-    "question_max": float,
-    "zero_vector_flag": bool,
-}
+# scores.jsonl field types that load_run checks before scoring computes
+# with them; per_baseline is a JSON list, checked pair by pair by
+# _baseline_score
+_RECORD_TYPES = {**get_type_hints(ScoreRecord), "per_baseline": list}
 
 
 # run.json info field types, checked the same way
@@ -411,25 +393,17 @@ def _baseline_score(pair) -> tuple[str, float]:
 
 
 def _record_from_json(doc: dict) -> ScoreRecord:
+    """A scores.jsonl line's record; an unknown key raises TypeError."""
     _check_types(doc, _RECORD_TYPES)
-    return ScoreRecord(
-        generated=GeneratedQuestion(
-            context_id=doc["context_id"],
-            prompt_id=doc["prompt_id"],
-            index=doc["index"],
-            text=doc["question"],
-        ),
-        per_baseline=tuple(map(_baseline_score, doc["per_baseline"])),
-        question_max=doc["question_max"],
-        zero_vector_flag=doc["zero_vector_flag"],
-    )
+    pairs = tuple(map(_baseline_score, doc["per_baseline"]))
+    return ScoreRecord(**{**doc, "per_baseline": pairs})
 
 
 def scores_to_jsonl(cells: list[PromptContextResult]) -> str:
     out = io.StringIO()
     for cell in cells:
         for rec in cell.records:
-            out.write(_json_dumps(_record_to_json(rec)))
+            out.write(_json_dumps({name: getattr(rec, name) for name in _RECORD_FIELDS}))
             out.write("\n")
     return out.getvalue()
 
@@ -446,7 +420,7 @@ def table2_csv(cells: list[PromptContextResult]) -> str:
         for rec in cell.records:
             out.write(
                 f"{cell.context_id},{cell.prompt_id},"
-                f"{csv_quote(rec.generated.text)},"
+                f"{csv_quote(rec.question)},"
                 f"{_fmt(rec.question_max)},{_fmt(cell.prompt_max)}\n"
             )
     return out.getvalue()
@@ -547,20 +521,21 @@ def load_run(out_dir: str | Path) -> EvalRun:
         if not 0.0 <= info.threshold <= 1.0:
             raise TypeError(f"'threshold' must be in [0, 1], got {info.threshold!r}")
     with _reading(out / "scores.jsonl") as path:
+        # split at "\n" only: the writer leaves \x85, \u2028 and \u2029 raw
+        # inside strings, and str.splitlines() would break lines there
         records = [
             _record_from_json(json.loads(line))
-            for line in path.read_text(encoding="utf-8").splitlines()
+            for line in path.read_text(encoding="utf-8").split("\n")
             if line
         ]
     by_cell: dict[tuple[int, str], list[ScoreRecord]] = {}
     for rec in records:
-        key = (rec.generated.context_id, rec.generated.prompt_id)
-        by_cell.setdefault(key, []).append(rec)
+        by_cell.setdefault((rec.context_id, rec.prompt_id), []).append(rec)
     cells = [
         PromptContextResult(
             context_id=cid,
             prompt_id=pid,
-            records=tuple(sorted(recs, key=lambda r: r.generated.index)),
+            records=tuple(sorted(recs, key=lambda r: r.index)),
             prompt_max=prompt_max(recs),
         )
         for (cid, pid), recs in by_cell.items()
@@ -618,7 +593,7 @@ def emit_figures(run: EvalRun, out: str | Path, top_keywords: int) -> list[Path]
     Figure 1/2 series here are over the run's generated questions; the
     dataset-level variants come from emit_dataset_figures instead.
     """
-    questions = [rec.generated.text for rec in run.records()]
+    questions = [rec.question for rec in run.records()]
     files = _question_figures(questions, top_keywords)
     files["fig6_boxplot.csv"] = fig6_csv(run)
     files["fig7_matches.csv"] = fig7_csv(run)

@@ -60,14 +60,6 @@ def default_templates(ids: str = "ABCD") -> list[PromptTemplate]:
 
 
 @dataclass(frozen=True)
-class GeneratedQuestion:
-    context_id: int
-    prompt_id: str
-    index: int
-    text: str
-
-
-@dataclass(frozen=True)
 class BackendRequest:
     prompt: str
     temperature: float
@@ -307,12 +299,6 @@ class OpenAICompletionsBackend(HttpBackend):
 
 # -- response parsing ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParsedQuestions:
-    texts: tuple[str, ...]
-    shortfall: bool
-
-
 _NUM_LINE_RE = re.compile(r"^\d{1,3}[.)]\s+")
 _NUM_MARKER_RE = re.compile(r"(?:^|(?<=\s))\d{1,3}[.)]\s+")
 _BULLET_RE = re.compile(r"^[-*]\s+")
@@ -327,15 +313,14 @@ def _normalize(text: str) -> str:
     return text
 
 
-def parse_questions(raw: str, expected: int) -> ParsedQuestions:
+def parse_questions(raw: str, expected: int) -> list[str]:
     """Pull individual questions out of a completion.
 
     Accepts numbered items ("1.", "1)", inline or one per line), bulleted
     items ("-", "*"), and bare lines ending in a question mark. Markers and
     surrounding whitespace are stripped, repeated terminal punctuation is
-    collapsed, and at most ``expected`` items are returned in order.
-    ``shortfall`` is set when fewer than ``expected`` were found; zero
-    items raises NoQuestionsFound.
+    collapsed, and the first ``expected`` items are returned in order;
+    fewer is a shortfall. Zero items raises NoQuestionsFound.
     """
     items: list[str] = []
     for line in raw.splitlines():
@@ -355,5 +340,4 @@ def parse_questions(raw: str, expected: int) -> ParsedQuestions:
     items = [i for i in items if i]
     if not items:
         raise NoQuestionsFound("response contained no parseable questions")
-    kept = items[:expected]
-    return ParsedQuestions(texts=tuple(kept), shortfall=len(kept) < expected)
+    return items[:expected]

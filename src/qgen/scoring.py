@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyInput, EmptyRecords, MissingCell
-from .promptgen import GeneratedQuestion
 from .similarity import EmbeddingTable, cosine_similarity, sentence_vector
 
 DEFAULT_THRESHOLD = 0.7
@@ -27,9 +26,17 @@ DEFAULT_THRESHOLD = 0.7
 
 @dataclass(frozen=True)
 class ScoreRecord:
-    """One generated question scored against its context's baselines."""
+    """One generated question scored against its context's baselines.
 
-    generated: GeneratedQuestion
+    ``index`` is the question's position in its cell. The fields are the
+    keys of a scores.jsonl line, where ``per_baseline`` is written as a
+    list of ``[baseline id, cosine]`` pairs.
+    """
+
+    context_id: int
+    prompt_id: str
+    index: int
+    question: str
     per_baseline: tuple[tuple[str, float], ...]
     question_max: float
     zero_vector_flag: bool
@@ -137,9 +144,10 @@ def score_cell(
         sims = [cosine_similarity(qvec, bvec) for bvec in bvecs]
         records.append(
             ScoreRecord(
-                generated=GeneratedQuestion(
-                    context_id=context_id, prompt_id=prompt_id, index=i, text=text
-                ),
+                context_id=context_id,
+                prompt_id=prompt_id,
+                index=i,
+                question=text,
                 per_baseline=tuple(zip(ids, sims)),
                 question_max=max(sims),
                 zero_vector_flag=qvec.is_zero or any_zero_baseline,

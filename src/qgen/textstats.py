@@ -88,9 +88,13 @@ def frequent_words(
 
 
 def load_stopwords(source: str | IO | Iterable[str]) -> frozenset[str]:
-    """Read a stopword file: one lowercase token per line, '#' comments."""
+    """Read a stopword file: one lowercase token per line, '#' comments.
+
+    A string is split into lines at ``\\n``, ``\\r\\n`` and ``\\r`` only, as a
+    file opened in text mode is.
+    """
     if isinstance(source, str):
-        lines: Iterable[str] = source.splitlines()
+        lines: Iterable[str] = io.StringIO(source, newline=None)
     else:
         lines = source
     words = set()

@@ -21,7 +21,6 @@ import pytest
 
 from qgen.corpus import chunk_context, load_squad
 from qgen.pipeline import RunConfig, run_pipeline
-from qgen.promptgen import GeneratedQuestion
 from qgen.scoring import (
     PromptContextResult,
     ScoreRecord,
@@ -92,9 +91,10 @@ TABLE2_PROMPT_MAXES = {"A": 0.935, "B": 0.833, "C": 0.865, "D": 0.956}
 def records_for(prompt_id: str) -> list[ScoreRecord]:
     return [
         ScoreRecord(
-            generated=GeneratedQuestion(
-                context_id=0, prompt_id=prompt_id, index=i, text=f"q{i}"
-            ),
+            context_id=0,
+            prompt_id=prompt_id,
+            index=i,
+            question=f"q{i}",
             per_baseline=(("b0", value),),
             question_max=value,
             zero_vector_flag=False,
@@ -199,9 +199,10 @@ def test_criterion_4():
     def fake_records(values: list[float]) -> list[ScoreRecord]:
         return [
             ScoreRecord(
-                generated=GeneratedQuestion(
-                    context_id=0, prompt_id="A", index=i, text="q"
-                ),
+                context_id=0,
+                prompt_id="A",
+                index=i,
+                question="q",
                 per_baseline=(("b", v),),
                 question_max=v,
                 zero_vector_flag=False,

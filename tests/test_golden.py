@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from qgen.cli import main
 from qgen.pipeline import RunConfig, load_run, run_pipeline
+from qgen.scoring import ScoreRecord
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 GOLDEN = DEMOS / "out" / "full_run"
@@ -49,6 +51,11 @@ def test_golden_run_reproduces_byte_for_byte(tmp_path):
             assert _stable_manifest(out / name) == _stable_manifest(GOLDEN / name)
         else:
             assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_scores_line_keys_are_score_record_fields():
+    line = (GOLDEN / "scores.jsonl").read_text(encoding="utf-8").split("\n")[0]
+    assert sorted(json.loads(line)) == sorted(f.name for f in fields(ScoreRecord))
 
 
 def test_load_run_without_rng_algorithm(tmp_path):
@@ -93,6 +100,7 @@ def golden_run_json(**info) -> str:
         ("run.json", golden_run_json(threshold="high"), "run.json: missing or malformed field"),
         ("run.json", golden_run_json(threshold=1.5), "run.json: missing or malformed field"),
         ("scores.jsonl", score_line(per_baseline="abc"), "scores.jsonl: missing or malformed field"),
+        ("scores.jsonl", score_line(extra=1), "scores.jsonl: missing or malformed field"),
         ("manifest.json", None, "manifest.json: file not found"),
         ("manifest.json", '{"config": {"top_keywords": "5"}}', "manifest.json: "),
     ],
@@ -104,6 +112,7 @@ def golden_run_json(**info) -> str:
         "mistyped-info",
         "threshold-out-of-range",
         "per-baseline-not-pairs",
+        "unknown-score-key",
         "missing-manifest",
         "mistyped-top-keywords",
     ],

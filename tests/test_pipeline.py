@@ -264,6 +264,27 @@ def test_shortfall_run_end_to_end(tmp_path, mini_squad_path, demo_vectors_path):
     assert (out / "report.md").read_bytes() == report
 
 
+def test_line_separator_in_baseline_id_round_trips(
+    tmp_path, mini_squad_path, demo_vectors_path
+):
+    # scores.jsonl keeps U+2028 raw inside strings; reading it back must
+    # split records at "\n" only
+    doc = json.loads(mini_squad_path.read_text(encoding="utf-8"))
+    doc["data"][0]["paragraphs"][0]["qas"][0]["id"] += "\u2028"
+    dataset = tmp_path / "squad.json"
+    dataset.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    path = write_config(tmp_path, dataset, demo_vectors_path, sample_size=6)
+    cfg = load_config(path, env={})
+    run = run_pipeline(cfg)
+    out = Path(cfg.out)
+    assert "\u2028" in (out / "scores.jsonl").read_text(encoding="utf-8")
+    assert load_run(out) == run
+    report = (out / "report.md").read_bytes()
+    (out / "report.md").unlink()
+    assert main(["report", "--run", str(out)]) == 0
+    assert (out / "report.md").read_bytes() == report
+
+
 def test_prompt_subset_runs(tmp_path, mini_squad_path, demo_vectors_path):
     path = write_config(
         tmp_path, mini_squad_path, demo_vectors_path, prompts="AC", sample_size=3

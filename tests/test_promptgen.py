@@ -451,50 +451,50 @@ def test_openai_adapter_rejects_missing_choices():
 
 def test_parse_inline_numbered_shortfall():
     parsed = parse_questions("1. Who? 2. What?", expected=5)
-    assert parsed.texts == ("Who?", "What?")
-    assert parsed.shortfall is True
+    assert parsed == ["Who?", "What?"]
+    assert len(parsed) < 5
 
 
 def test_parse_paren_numbered_lines():
     raw = "1) First one?\n2) Second one?\n3) Third one?\n4) Fourth one?\n5) Fifth one?"
     parsed = parse_questions(raw, expected=5)
-    assert len(parsed.texts) == 5
-    assert parsed.texts[0] == "First one?"
-    assert parsed.shortfall is False
+    assert len(parsed) == 5
+    assert parsed[0] == "First one?"
+    assert not len(parsed) < 5
 
 
 def test_parse_bulleted_items():
     parsed = parse_questions("- Who came first?\n* What came next?", expected=2)
-    assert parsed.texts == ("Who came first?", "What came next?")
+    assert parsed == ["Who came first?", "What came next?"]
 
 
 def test_parse_bare_question_lines():
     raw = "Here are some questions:\nWhat is the answer?\nnot a question line\nWhy now?"
     parsed = parse_questions(raw, expected=2)
-    assert parsed.texts == ("What is the answer?", "Why now?")
+    assert parsed == ["What is the answer?", "Why now?"]
 
 
 def test_parse_does_not_split_mid_line_prose_numbers():
     parsed = parse_questions("Question 1. What is X?", expected=1)
-    assert parsed.texts == ("Question 1. What is X?",)
+    assert parsed == ["Question 1. What is X?"]
 
 
 def test_parse_truncates_to_expected():
     raw = "\n".join(f"{i}. Item {i}?" for i in range(1, 8))
     parsed = parse_questions(raw, expected=5)
-    assert len(parsed.texts) == 5
-    assert parsed.shortfall is False
-    assert parsed.texts[-1] == "Item 5?"
+    assert len(parsed) == 5
+    assert not len(parsed) < 5
+    assert parsed[-1] == "Item 5?"
 
 
 def test_parse_collapses_repeated_terminal_punctuation():
     parsed = parse_questions("1. What???\n2. Where...", expected=2)
-    assert parsed.texts == ("What?", "Where.")
+    assert parsed == ["What?", "Where."]
 
 
 def test_parse_drops_empty_items():
     parsed = parse_questions("1. \n2. What?", expected=5)
-    assert parsed.texts == ("What?",)
+    assert parsed == ["What?"]
 
 
 def test_parse_no_questions_found():
@@ -508,6 +508,6 @@ def test_parse_mock_output_round_trip():
     req = BackendRequest(prompt=mock_prompt(), temperature=0.5, max_tokens=256)
     raw = MockBackend(seed=4).complete(req)
     parsed = parse_questions(raw, expected=5)
-    assert len(parsed.texts) == 5
-    assert parsed.shortfall is False
-    assert all(t.endswith("?") for t in parsed.texts)
+    assert len(parsed) == 5
+    assert not len(parsed) < 5
+    assert all(t.endswith("?") for t in parsed)

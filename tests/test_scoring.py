@@ -10,7 +10,6 @@ import pytest
 from qgen import scoring
 from qgen.corpus import Answer, BaselineQuestion
 from qgen.errors import EmptyInput, EmptyRecords, MissingCell
-from qgen.promptgen import GeneratedQuestion
 from qgen.scoring import (
     DEFAULT_THRESHOLD,
     EvalRun,
@@ -50,16 +49,13 @@ def baseline(qid: str, question: str) -> BaselineQuestion:
     )
 
 
-def gq(text: str, context_id: int = 0, prompt_id: str = "A", index: int = 0):
-    return GeneratedQuestion(
-        context_id=context_id, prompt_id=prompt_id, index=index, text=text
-    )
-
-
 def record_with_max(value: float, context_id: int = 0, prompt_id: str = "A",
                     index: int = 0, zero: bool = False) -> ScoreRecord:
     return ScoreRecord(
-        generated=gq("what is", context_id, prompt_id, index),
+        context_id=context_id,
+        prompt_id=prompt_id,
+        index=index,
+        question="what is",
         per_baseline=(("b0", value),),
         question_max=value,
         zero_vector_flag=zero,
@@ -95,8 +91,8 @@ def test_score_cell_indexes_and_prompt_max():
     )
     assert cell.context_id == 3
     assert cell.prompt_id == "B"
-    assert [r.generated.index for r in cell.records] == [0, 1, 2]
-    assert all(r.generated.prompt_id == "B" for r in cell.records)
+    assert [r.index for r in cell.records] == [0, 1, 2]
+    assert all(r.context_id == 3 and r.prompt_id == "B" for r in cell.records)
     assert cell.prompt_max == max(r.question_max for r in cell.records)
 
 
@@ -128,7 +124,7 @@ def test_score_cell_matches_brute_force():
         questions = [sentence() for _ in range(rng.randint(1, 5))]
         baselines = [baseline(f"b{i}", sentence()) for i in range(rng.randint(1, 4))]
         cell = score_cell(0, "A", questions, baselines, TABLE)
-        assert [r.generated.text for r in cell.records] == questions
+        assert [r.question for r in cell.records] == questions
         for qtext, rec in zip(questions, cell.records):
             qvec = sentence_vector(qtext, TABLE)
             expected = [

@@ -125,6 +125,19 @@ def test_load_stopwords_comments_and_blanks():
     assert words == frozenset({"the", "and", "of"})
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["the\x85a\n", "the\u2028a\n", "the\x0ba\x0cb\n", "the\r\na\rb\n"],
+    ids=["nel", "line-separator", "vt-ff", "crlf-cr"],
+)
+def test_load_stopwords_string_splits_lines_like_a_file(tmp_path, text):
+    path = tmp_path / "stop.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        from_file = load_stopwords(fh)
+    assert load_stopwords(text) == from_file
+
+
 def test_bundled_stopwords_nonempty_lowercase():
     words = bundled_stopwords()
     assert len(words) >= 50
