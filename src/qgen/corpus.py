@@ -79,7 +79,8 @@ def _require(obj, key: str, kind, path: str):
     if key not in obj:
         raise SchemaError(f"{path}.{key}", "missing required field")
     value = obj[key]
-    if not isinstance(value, kind):
+    # a JSON true or false is a Python bool, which is an int too
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is int):
         raise SchemaError(
             f"{path}.{key}",
             f"expected {kind.__name__}, got {type(value).__name__}",

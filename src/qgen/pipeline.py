@@ -14,10 +14,13 @@ questions, and persists everything into one output directory:
 
 Aside from manifest timestamps, every artifact is a pure function of the
 config, so rerunning with the mock backend and the same seed reproduces
-the directory byte for byte. A failed run leaves only ``scores.jsonl``,
-holding the cells scored before the abort, and a manifest with status
-"failed"; it removes the other artifacts an earlier run left in the
-directory.
+the directory byte for byte. A run removes the previous ``manifest.json``
+before it reads any input and writes its own after every other file, so
+a directory with a manifest holds only that manifest's run, and an
+interrupted run leaves no manifest. A failed run leaves only
+``scores.jsonl``, holding the cells scored before the abort, and a
+manifest with status "failed"; it removes the other artifacts an earlier
+run left in the directory.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .promptgen import (
 )
 from .rng import ALGORITHM as RNG_ALGORITHM
 from .scoring import (
+    DEFAULT_THRESHOLD,
     EvalRun,
     PromptContextResult,
     RunInfo,
@@ -93,7 +97,7 @@ class RunConfig:
     sample_size: int = 50
     temperature: float = 0.5
     questions_per_prompt: int = 5
-    threshold: float = 0.7
+    threshold: float = DEFAULT_THRESHOLD
     prompts: str = "ABCD"
     max_output_tokens: int = 256
     max_in_flight: int = 4
@@ -252,20 +256,26 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
     Completions are scored once every call has returned or one has
     failed; the final assembly re-sorts by (context_id, prompt_id), so
     outputs do not depend on completion order. After the first failed
-    backend call no further call is sent; calls in flight finish. On any
-    abort, the cells scored so far are written to scores.jsonl next to a
-    manifest with status "failed" naming the stage and cause, and the
-    error is re-raised wrapped in PipelineError. An invalid config or
-    backend URL raises ConfigError before any input is read or file
-    written.
+    backend call no further call is sent; calls in flight finish.
+
+    The previous manifest.json is removed before any input is read, and
+    the new one is written once, after every other file: by then
+    scores.jsonl holds the scored cells, and the manifest's status is
+    "complete", or "failed" with the stage and cause. A failure is then
+    re-raised wrapped in PipelineError. A run interrupted by a
+    BaseException that is not an Exception leaves no manifest. An
+    invalid config or backend URL raises ConfigError before any input is
+    read or file touched.
     """
     cfg.validate()
     backend = make_backend(cfg)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     started = _utcnow()
     cells: list[PromptContextResult] = []
     call_log: list[CallRecord] = []
+    error: Exception | None = None
 
     stage = "load"
     try:
@@ -314,20 +324,19 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
 
         with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
             futures = {pool.submit(call, request): (cid, pid) for cid, pid, request in jobs}
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_EXCEPTION)
-                # score completed cells before surfacing any failure so
-                # the failure path salvages everything that finished
-                for future in sorted(done, key=lambda f: f.exception() is not None):
-                    cid, pid = futures[future]
-                    stage = "generate"
-                    raw = future.result()
-                    if raw is None:  # skipped after a failed call
-                        continue
-                    stage = "score"
-                    questions = parse_questions(raw, cfg.questions_per_prompt)
-                    cells.append(score_cell(cid, pid, questions, baselines[cid], table))
+            # returns once every call is done or one has failed; the failed
+            # call sorts last, so every completed cell is scored before its
+            # error is raised and the failure path salvages them
+            done, _ = wait(futures, return_when=FIRST_EXCEPTION)
+            for future in sorted(done, key=lambda f: f.exception() is not None):
+                cid, pid = futures[future]
+                stage = "generate"
+                raw = future.result()
+                if raw is None:  # skipped after a failed call
+                    continue
+                stage = "score"
+                questions = parse_questions(raw, cfg.questions_per_prompt)
+                cells.append(score_cell(cid, pid, questions, baselines[cid], table))
         stage = "aggregate"
         shortfalls = [
             {
@@ -341,22 +350,40 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
         ]
         run = assemble_run(info, cells, cfg.threshold, shortfalls)
         stage = "persist"
-        persist_run(run, cfg, out_dir, started, call_log)
+        persist_run(run, out_dir)
         emit_figures(run, out_dir, top_keywords=cfg.top_keywords)
         write_report(run, out_dir)
+        outcome = {
+            "status": "complete",
+            "rng_algorithm": info.rng_algorithm,
+            "vector_digest": info.vector_digest,
+            "backend": info.backend,
+            "questions": sum(len(c.records) for c in cells),
+            "zero_vector_count": run.zero_vector_count,
+            "shortfall_count": len(run.shortfalls),
+        }
     except Exception as exc:
         for name in _COMPLETE_RUN_ONLY:
             (out_dir / name).unlink(missing_ok=True)
-        cells.sort(key=lambda c: (c.context_id, c.prompt_id))
-        _write_files(out_dir, {"scores.jsonl": scores_to_jsonl(cells)})
-        _write_manifest(
-            out_dir, cfg, started, call_log,
-            status="failed",
-            stage=stage,
-            error=f"{type(exc).__name__}: {exc}",
-            cells=len(cells),
-        )
-        raise PipelineError(stage, exc, cells_done=len(cells)) from exc
+        error = exc
+        outcome = {"status": "failed", "stage": stage, "error": f"{type(exc).__name__}: {exc}"}
+    cells.sort(key=lambda c: (c.context_id, c.prompt_id))
+    _write_files(out_dir, {"scores.jsonl": scores_to_jsonl(cells)})
+    manifest = {
+        "config": _public_config(cfg),
+        "seed": cfg.seed,
+        "started_at": started,
+        "finished_at": _utcnow(),
+        "backend_calls": len(call_log),
+        "backend_retries": sum(c.retries for c in call_log),
+        "backend_latency_s": round(sum(c.latency_s for c in call_log), 6),
+        "cells": len(cells),
+        **outcome,
+    }
+    text = json.dumps(manifest, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    _write_files(out_dir, {"manifest.json": text})
+    if error is not None:
+        raise PipelineError(stage, error, cells_done=len(cells)) from error
     return run
 
 
@@ -444,50 +471,8 @@ def run_to_json(run: EvalRun) -> str:
     return _json_dumps(doc) + "\n"
 
 
-def persist_run(
-    run: EvalRun,
-    cfg: RunConfig,
-    out_dir: Path,
-    started: str,
-    call_log: list[CallRecord] | None = None,
-) -> None:
-    _write_files(
-        out_dir,
-        {
-            "scores.jsonl": scores_to_jsonl(run.results),
-            "table2.csv": table2_csv(run.results),
-            "run.json": run_to_json(run),
-        },
-    )
-    _write_manifest(
-        out_dir, cfg, started, call_log or [],
-        status="complete",
-        rng_algorithm=run.info.rng_algorithm,
-        vector_digest=run.info.vector_digest,
-        backend=run.info.backend,
-        cells=len(run.results),
-        questions=sum(len(c.records) for c in run.results),
-        zero_vector_count=run.zero_vector_count,
-        shortfall_count=len(run.shortfalls),
-    )
-
-
-def _write_manifest(
-    out_dir: Path, cfg: RunConfig, started: str, call_log: list[CallRecord], **fields
-) -> None:
-    """Write manifest.json: the config, timestamps and call totals, plus fields."""
-    manifest = {
-        "config": _public_config(cfg),
-        "seed": cfg.seed,
-        "started_at": started,
-        "finished_at": _utcnow(),
-        "backend_calls": len(call_log),
-        "backend_retries": sum(c.retries for c in call_log),
-        "backend_latency_s": round(sum(c.latency_s for c in call_log), 6),
-        **fields,
-    }
-    text = json.dumps(manifest, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
-    _write_files(out_dir, {"manifest.json": text})
+def persist_run(run: EvalRun, out_dir: Path) -> None:
+    _write_files(out_dir, {"table2.csv": table2_csv(run.results), "run.json": run_to_json(run)})
 
 
 @contextmanager

@@ -14,12 +14,15 @@ no blank lines, printable UTF-8 tokens unique after lowercasing, an
 optional word2vec header on line 1) with one streamed ``np.loadtxt`` call.
 Any other file goes whole to the per-line parser :func:`load_vectors`, so
 every file loads to the same table, and fails with the same error class,
-message and line number, whichever path reads it.
+message and line number, whichever path reads it. A ``nan`` or ``inf``
+component is a :class:`BadFloat` on either path: its cosine would be
+clamped to 1.0 and score as a match.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import unicodedata
 from array import array
 from dataclasses import dataclass
@@ -70,6 +73,10 @@ def _parse_header(line: str) -> bool:
     return len(parts) == 2 and all(p.isdigit() for p in parts)
 
 
+def _non_finite(lineno: int) -> BadFloat:
+    return BadFloat(f"line {lineno}: non-finite vector component")
+
+
 def load_vectors(source: str | IO | Iterable[str]) -> EmbeddingTable:
     """Load a GloVe-style text vector file: ``token v1 v2 ... vd`` per line.
 
@@ -108,9 +115,12 @@ def load_vectors(source: str | IO | Iterable[str]) -> EmbeddingTable:
         if token in index:
             raise DuplicateToken(f"line {lineno}: token {token!r} seen before")
         try:
-            values.extend([float(c) for c in comps])
+            row = [float(c) for c in comps]
         except ValueError as exc:
             raise BadFloat(f"line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            raise _non_finite(lineno)
+        values.extend(row)
         index[token] = len(index)
     dim = dim if dim is not None else 0
     matrix = np.frombuffer(values, dtype=np.float64).reshape(len(index), dim)
@@ -171,6 +181,11 @@ def _load_regular(path) -> EmbeddingTable | None:
             return None
     if matrix.shape != (len(index), dim):
         return None
+    # min and max are nan when any component is, and show an inf; they
+    # need no (rows, dim) temporary, as np.isfinite(matrix) would
+    if not (math.isfinite(matrix.min()) and math.isfinite(matrix.max())):
+        row = int(np.isfinite(matrix).all(axis=1).argmin())
+        raise _non_finite(row + 1 + header)
     return _table(index, dim, matrix)
 
 

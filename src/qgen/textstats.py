@@ -20,8 +20,6 @@ from .errors import EmptyInput
 from .scoring import summarize
 from .similarity import tokenize
 
-LENGTH_UNIT = "whitespace tokens"
-
 
 @dataclass(frozen=True)
 class Histogram:

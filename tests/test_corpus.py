@@ -126,6 +126,15 @@ def test_parse_rejects_wrong_types():
     assert "expected str" in str(err.value)
 
 
+def test_parse_rejects_boolean_answer_start():
+    doc = make_squad_doc([("T", [("Alpha beta.", [("What?", "Alpha")])])])
+    doc["data"][0]["paragraphs"][0]["qas"][0]["answers"][0]["answer_start"] = True
+    with pytest.raises(SchemaError) as err:
+        parse_squad(doc_bytes(doc))
+    assert err.value.path.endswith(".qas[0].answers[0].answer_start")
+    assert "expected int, got bool" in str(err.value)
+
+
 def test_parse_rejects_empty_answers_list():
     doc = make_squad_doc([("T", [("Alpha beta.", [("What?", "Alpha")])])])
     doc["data"][0]["paragraphs"][0]["qas"][0]["answers"] = []

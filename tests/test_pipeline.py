@@ -6,6 +6,7 @@ import json
 import shutil
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -460,6 +461,61 @@ def test_failed_rerun_leaves_only_its_own_files(
     assert manifest["cells"] == cells
     # the rejected call counts too
     assert manifest["backend_calls"] + manifest["backend_retries"] == sent
+
+
+def test_interrupted_rerun_leaves_no_manifest(
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch
+):
+    out = tmp_path / "out"
+    cfg = load_config(write_config(tmp_path, mini_squad_path, demo_vectors_path), env={})
+    run_pipeline(replace(cfg, seed=7, sample_size=4))
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline, "emit_figures", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_pipeline(replace(cfg, seed=3))
+    # the seed-7 figures and report are still there, but no manifest
+    # claims them for the seed-3 run
+    assert (out / "fig8_max_series.csv").exists()
+    assert not (out / "manifest.json").exists()
+    assert main(["report", "--run", str(out)]) == 2
+
+
+@pytest.mark.parametrize("outcome", ["complete", "generate", "load"])
+def test_manifest_is_written_once_and_last(
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, outcome
+):
+    written = []
+    real_write_files = pipeline._write_files
+
+    def recording_write_files(out, files):
+        written.extend(files)
+        return real_write_files(out, files)
+
+    monkeypatch.setattr(pipeline, "_write_files", recording_write_files)
+    dataset = mini_squad_path
+    if outcome == "generate":
+        monkeypatch.setattr(pipeline, "make_backend", lambda cfg: FailFirstBackend())
+    elif outcome == "load":
+        dataset = tmp_path / "bad.json"
+        dataset.write_text("{broken", encoding="utf-8")
+    cfg = load_config(write_config(tmp_path, dataset, demo_vectors_path), env={})
+    if outcome == "complete":
+        run_pipeline(cfg)
+        assert sorted(written) == sorted(
+            [*pipeline._COMPLETE_RUN_ONLY, "scores.jsonl", "manifest.json"]
+        )
+    else:
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(cfg)
+        assert err.value.stage == outcome
+        assert written == ["scores.jsonl", "manifest.json"]
+    assert written[-1] == "manifest.json"
+    assert written.count("manifest.json") == 1
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == ("complete" if outcome == "complete" else "failed")
 
 
 def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch):

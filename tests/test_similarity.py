@@ -105,7 +105,10 @@ LOADER_CASES = {
     "lowercase-duplicate": (b"Cat 1 2\ncat 3 4\n", (DuplicateToken, "line 2")),
     "underscore-digits": (b"cat 1_000 2\ndog 3 4\n", None),
     "fullwidth-digit": ("cat \uff11 2\ndog 3 4\n".encode(), None),
-    "inf-nan": (b"cat inf -nan\ndog -inf -0.0\n", None),
+    # a non-finite component would make every cosine with its token 1.0
+    "inf-nan": (b"cat inf -nan\ndog -inf -0.0\n", (BadFloat, "line 1: non-finite")),
+    "nan-after-header": (b"2 2\ncat 1 2\ndog nan 1\n", (BadFloat, "line 3: non-finite")),
+    "minus-inf-last-row": (b"cat 1 2\ndog 3 4\nfox -inf 5\n", (BadFloat, "line 3: non-finite")),
     "non-ascii-tokens": ("caf\u00e9 1 2\n\u0130stanbul 3 4\n".encode(), None),
     "nbsp-token": ("7\u00a01 2\ndog 3\n".encode(), (DimensionMismatch, "line 2")),
     "nel-token": ("7\u00851 2\ndog 3\n".encode(), (DimensionMismatch, "line 2")),
