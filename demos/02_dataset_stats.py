@@ -43,8 +43,8 @@ for token, count in keywords.entries:
     print(f"  {token:12s} {count}")
 print()
 
-# The same views serialize to CSV for external plotting.
+# The same views serialize to CSV for external plotting, yielded line by line.
 print("--- fig1_lengths.csv ---")
-print(histogram_to_csv(hist))
+print("".join(histogram_to_csv(hist)))
 print("--- fig2_keywords.csv ---")
-print(keywords_to_csv(keywords))
+print("".join(keywords_to_csv(keywords)))

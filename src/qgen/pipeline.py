@@ -18,7 +18,7 @@ the directory byte for byte. A run removes the previous ``manifest.json``
 before it reads any input and writes its own after every other file, so
 a directory with a manifest holds only that manifest's run, and an
 interrupted run leaves no manifest. A failed run leaves only
-``scores.jsonl``, holding the cells scored before the abort, and a
+``scores.jsonl``, holding every cell whose completion came back, and a
 manifest with status "failed"; it removes the other artifacts an earlier
 run left in the directory.
 """
@@ -26,19 +26,18 @@ run left in the directory.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import os
 import threading
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
 from string import Template
-from typing import get_args, get_type_hints
+from typing import Iterable, Iterator, get_args, get_type_hints
 
 from .corpus import SquadDataset, load_squad, sample_contexts
 from .errors import ConfigError, MalformedJson, PipelineError, SchemaError
@@ -253,10 +252,12 @@ _COMPLETE_RUN_ONLY = (
 def run_pipeline(cfg: RunConfig) -> EvalRun:
     """Execute a full run and persist all artifacts under cfg.out.
 
-    Completions are scored once every call has returned or one has
-    failed; the final assembly re-sorts by (context_id, prompt_id), so
-    outputs do not depend on completion order. After the first failed
-    backend call no further call is sent; calls in flight finish.
+    Completions are scored once every call has returned; the final
+    assembly re-sorts by (context_id, prompt_id), so outputs do not depend
+    on completion order. After the first failed backend call no further
+    call is sent; calls in flight finish and are scored, and then the
+    first submitted failure is raised. Every artifact is written line by
+    line, so scores.jsonl and table2.csv are never held whole in memory.
 
     The previous manifest.json is removed before any input is read, and
     the new one is written once, after every other file: by then
@@ -322,21 +323,21 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
                 stop.set()
                 raise
 
+        # leaving the pool waits for every call; after a failure the queued
+        # ones return None at once
         with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
             futures = {pool.submit(call, request): (cid, pid) for cid, pid, request in jobs}
-            # returns once every call is done or one has failed; the failed
-            # call sorts last, so every completed cell is scored before its
-            # error is raised and the failure path salvages them
-            done, _ = wait(futures, return_when=FIRST_EXCEPTION)
-            for future in sorted(done, key=lambda f: f.exception() is not None):
-                cid, pid = futures[future]
-                stage = "generate"
-                raw = future.result()
-                if raw is None:  # skipped after a failed call
-                    continue
-                stage = "score"
-                questions = parse_questions(raw, cfg.questions_per_prompt)
-                cells.append(score_cell(cid, pid, questions, baselines[cid], table))
+        # failed calls sort last, in submission order, so every completion
+        # that came back is scored before the first failure is raised
+        for future in sorted(futures, key=lambda f: f.exception() is not None):
+            cid, pid = futures[future]
+            stage = "generate"
+            raw = future.result()
+            if raw is None:  # skipped after a failed call
+                continue
+            stage = "score"
+            questions = parse_questions(raw, cfg.questions_per_prompt)
+            cells.append(score_cell(cid, pid, questions, baselines[cid], table))
         stage = "aggregate"
         shortfalls = [
             {
@@ -348,7 +349,7 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
             for cell in cells
             if len(cell.records) < cfg.questions_per_prompt
         ]
-        run = assemble_run(info, cells, cfg.threshold, shortfalls)
+        run = assemble_run(info, cells, shortfalls)
         stage = "persist"
         persist_run(run, out_dir)
         emit_figures(run, out_dir, top_keywords=cfg.top_keywords)
@@ -381,7 +382,7 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
         **outcome,
     }
     text = json.dumps(manifest, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
-    _write_files(out_dir, {"manifest.json": text})
+    _write_files(out_dir, {"manifest.json": (text,)})
     if error is not None:
         raise PipelineError(stage, error, cells_done=len(cells)) from error
     return run
@@ -426,31 +427,26 @@ def _record_from_json(doc: dict) -> ScoreRecord:
     return ScoreRecord(**{**doc, "per_baseline": pairs})
 
 
-def scores_to_jsonl(cells: list[PromptContextResult]) -> str:
-    out = io.StringIO()
+def scores_to_jsonl(cells: list[PromptContextResult]) -> Iterator[str]:
     for cell in cells:
         for rec in cell.records:
-            out.write(_json_dumps({name: getattr(rec, name) for name in _RECORD_FIELDS}))
-            out.write("\n")
-    return out.getvalue()
+            yield _json_dumps({name: getattr(rec, name) for name in _RECORD_FIELDS}) + "\n"
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def table2_csv(cells: list[PromptContextResult]) -> str:
+def table2_csv(cells: list[PromptContextResult]) -> Iterator[str]:
     """Per-question rows mirroring a prompt-max table layout."""
-    out = io.StringIO()
-    out.write("context_id,prompt,question,question_max,prompt_max\n")
+    yield "context_id,prompt,question,question_max,prompt_max\n"
     for cell in cells:
         for rec in cell.records:
-            out.write(
+            yield (
                 f"{cell.context_id},{cell.prompt_id},"
                 f"{csv_quote(rec.question)},"
                 f"{_fmt(rec.question_max)},{_fmt(cell.prompt_max)}\n"
             )
-    return out.getvalue()
 
 
 def run_to_json(run: EvalRun) -> str:
@@ -472,7 +468,7 @@ def run_to_json(run: EvalRun) -> str:
 
 
 def persist_run(run: EvalRun, out_dir: Path) -> None:
-    _write_files(out_dir, {"table2.csv": table2_csv(run.results), "run.json": run_to_json(run)})
+    _write_files(out_dir, {"table2.csv": table2_csv(run.results), "run.json": (run_to_json(run),)})
 
 
 @contextmanager
@@ -490,15 +486,21 @@ def _reading(path: Path):
 
 
 def load_run(out_dir: str | Path) -> EvalRun:
-    """Rebuild an EvalRun from a persisted run directory.
+    """Rebuild an EvalRun from the directory of a complete run.
 
-    Only the run info and shortfalls are read from run.json; summaries,
-    max series and the zero-vector count are recomputed from
-    scores.jsonl by assemble_run, so a loaded run always agrees with its
-    scores. A missing file or a missing or mistyped field raises
-    SchemaError and invalid JSON raises MalformedJson, each naming the file.
+    manifest.json must say status "complete", so a failed or interrupted
+    run is never read. Only the run info and shortfalls are read from
+    run.json; summaries, max series and the zero-vector count are
+    recomputed from scores.jsonl by assemble_run, so a loaded run always
+    agrees with its scores. A missing file or a missing or mistyped field
+    raises SchemaError and invalid JSON raises MalformedJson, each naming
+    the file.
     """
     out = Path(out_dir)
+    with _reading(out / "manifest.json") as path:
+        status = json.loads(path.read_text(encoding="utf-8"))["status"]
+        if status != "complete":
+            raise SchemaError(str(path), f"run status is {status!r}, not 'complete'")
     with _reading(out / "run.json") as path:
         doc = json.loads(path.read_text(encoding="utf-8"))
         info, shortfalls = RunInfo(**doc["info"]), doc["shortfalls"]
@@ -525,7 +527,7 @@ def load_run(out_dir: str | Path) -> EvalRun:
         )
         for (cid, pid), recs in by_cell.items()
     ]
-    return assemble_run(info, cells, info.threshold, shortfalls)
+    return assemble_run(info, cells, shortfalls)
 
 
 def load_top_keywords(out_dir: str | Path) -> int:
@@ -539,37 +541,31 @@ def load_top_keywords(out_dir: str | Path) -> int:
 
 # -- figures -------------------------------------------------------------------
 
-def fig6_csv(run: EvalRun) -> str:
-    out = io.StringIO()
-    out.write("prompt,mean,median,q1,q3,whisker_lo,whisker_hi,outliers\n")
+def fig6_csv(run: EvalRun) -> Iterator[str]:
+    yield "prompt,mean,median,q1,q3,whisker_lo,whisker_hi,outliers\n"
     for pid in sorted(run.summaries):
         s = run.summaries[pid]
         outliers = ";".join(_fmt(v) for v in s.outliers)
-        out.write(
+        yield (
             f"{pid},{_fmt(s.mean)},{_fmt(s.median)},{_fmt(s.q1)},{_fmt(s.q3)},"
             f"{_fmt(s.whisker_lo)},{_fmt(s.whisker_hi)},{csv_quote(outliers)}\n"
         )
-    return out.getvalue()
 
 
-def fig7_csv(run: EvalRun) -> str:
-    out = io.StringIO()
-    out.write("prompt,match_count\n")
+def fig7_csv(run: EvalRun) -> Iterator[str]:
+    yield "prompt,match_count\n"
     for pid in sorted(run.summaries):
-        out.write(f"{pid},{run.summaries[pid].match_count}\n")
-    return out.getvalue()
+        yield f"{pid},{run.summaries[pid].match_count}\n"
 
 
-def fig8_csv(run: EvalRun) -> str:
+def fig8_csv(run: EvalRun) -> Iterator[str]:
     prompt_ids = sorted(run.max_series)
-    out = io.StringIO()
-    out.write("context_id," + ",".join(prompt_ids) + "\n")
+    yield "context_id," + ",".join(prompt_ids) + "\n"
     series = {pid: dict(run.max_series[pid]) for pid in prompt_ids}
     context_ids = sorted({cid for s in run.max_series.values() for cid, _ in s})
     for cid in context_ids:
         row = ",".join(_fmt(series[pid][cid]) for pid in prompt_ids)
-        out.write(f"{cid},{row}\n")
-    return out.getvalue()
+        yield f"{cid},{row}\n"
 
 
 def emit_figures(run: EvalRun, out: str | Path, top_keywords: int) -> list[Path]:
@@ -593,7 +589,7 @@ def emit_dataset_figures(
     return _write_files(out, _question_figures(dataset.questions(), top_keywords))
 
 
-def _question_figures(questions: list[str], top_keywords: int) -> dict[str, str]:
+def _question_figures(questions: list[str], top_keywords: int) -> dict[str, Iterator[str]]:
     """Figure 1 (length histogram) and figure 2 (keywords) over the questions."""
     hist = question_length_histogram(questions)
     keywords = frequent_words(questions, bundled_stopwords(), top_k=top_keywords)
@@ -603,21 +599,24 @@ def _question_figures(questions: list[str], top_keywords: int) -> dict[str, str]
     }
 
 
-def _write_files(out: str | Path, files: dict[str, str]) -> list[Path]:
-    """Write each file whole or not at all.
+def _write_files(out: str | Path, files: dict[str, Iterable[str]]) -> list[Path]:
+    """Write each file, given as its text in chunks, whole or not at all.
 
-    The text goes to a temporary name in the same directory and is then
-    renamed onto the target, so an interrupted write leaves the previous
-    file, not a torn one.
+    The chunks are written one by one to a temporary name in the same
+    directory, which is then renamed onto the target, so a write
+    interrupted by any exception, one raised by the chunks' iterator
+    included, leaves the previous file, not a torn one. A file built as
+    one string is passed as a 1-tuple.
     """
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, text in files.items():
+    for name, chunks in files.items():
         target = out_dir / name
         tmp = out_dir / f".{name}.tmp"
         try:
-            tmp.write_text(text, encoding="utf-8")
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
             os.replace(tmp, target)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -662,4 +661,4 @@ def write_report(run: EvalRun, out: str | Path) -> Path:
         zero_vector_count=str(run.zero_vector_count),
         shortfall_note=shortfall_note,
     )
-    return _write_files(out, {"report.md": body})[0]
+    return _write_files(out, {"report.md": (body,)})[0]

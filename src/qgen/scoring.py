@@ -260,16 +260,14 @@ def build_max_series(
 
 
 def assemble_run(
-    info: RunInfo,
-    results: list[PromptContextResult],
-    threshold: float,
-    shortfalls: Iterable[dict] = (),
+    info: RunInfo, results: list[PromptContextResult], shortfalls: Iterable[dict] = ()
 ) -> EvalRun:
-    """Order results and shortfalls deterministically; attach summaries and series."""
+    """Order results and shortfalls deterministically; attach summaries and
+    series, with matches counted at info.threshold."""
     ordered = sorted(results, key=lambda c: (c.context_id, c.prompt_id))
     prompt_ids = sorted({c.prompt_id for c in ordered})
     summaries = {
-        pid: summarize_prompt(ordered, pid, threshold) for pid in prompt_ids
+        pid: summarize_prompt(ordered, pid, info.threshold) for pid in prompt_ids
     }
     zero_count = sum(
         1 for cell in ordered for rec in cell.records if rec.zero_vector_flag

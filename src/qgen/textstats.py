@@ -4,8 +4,8 @@ Question length is counted in whitespace tokens. Outliers are excluded
 with the Tukey fences of ``scoring.summarize`` and reported in
 ``excluded_outliers`` so the totals always reconcile. Keyword counts are
 lowercased, punctuation-stripped tokens with stopwords removed. Both
-outputs serialize to small CSV tables for external plotting; no images
-are rendered here.
+outputs serialize to small CSV tables, yielded line by line, for external
+plotting; no images are rendered here.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import io
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import IO, Collection, Iterable
+from typing import IO, Collection, Iterable, Iterator
 
 from .errors import EmptyInput
 from .scoring import summarize
@@ -108,22 +108,18 @@ def bundled_stopwords() -> frozenset[str]:
     return load_stopwords(text)
 
 
-def histogram_to_csv(hist: Histogram) -> str:
-    out = io.StringIO()
-    out.write("bin_lo,bin_hi,count\n")
+def histogram_to_csv(hist: Histogram) -> Iterator[str]:
+    yield "bin_lo,bin_hi,count\n"
     for i, count in enumerate(hist.counts):
         lo = hist.bin_edges[i]
         hi = hist.bin_edges[i + 1]
-        out.write(f"{lo},{hi},{count}\n")
-    return out.getvalue()
+        yield f"{lo},{hi},{count}\n"
 
 
-def keywords_to_csv(kw: KeywordFrequency) -> str:
-    out = io.StringIO()
-    out.write("token,count\n")
+def keywords_to_csv(kw: KeywordFrequency) -> Iterator[str]:
+    yield "token,count\n"
     for token, count in kw.entries:
-        out.write(f"{csv_quote(token)},{count}\n")
-    return out.getvalue()
+        yield f"{csv_quote(token)},{count}\n"
 
 
 def csv_quote(text: str) -> str:

@@ -102,7 +102,8 @@ def golden_run_json(**info) -> str:
         ("scores.jsonl", score_line(per_baseline="abc"), "scores.jsonl: missing or malformed field"),
         ("scores.jsonl", score_line(extra=1), "scores.jsonl: missing or malformed field"),
         ("manifest.json", None, "manifest.json: file not found"),
-        ("manifest.json", '{"config": {"top_keywords": "5"}}', "manifest.json: "),
+        ("manifest.json", '{"status": "complete", "config": {"top_keywords": "5"}}', "manifest.json: "),
+        ("manifest.json", '{"status": "failed", "config": {"top_keywords": 5}}', "manifest.json: run status is 'failed'"),
     ],
     ids=[
         "missing-keys",
@@ -115,6 +116,7 @@ def golden_run_json(**info) -> str:
         "unknown-score-key",
         "missing-manifest",
         "mistyped-top-keywords",
+        "failed-run",
     ],
 )
 def test_report_on_bad_run_json_exits_with_data_error(

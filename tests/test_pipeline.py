@@ -6,6 +6,7 @@ import json
 import shutil
 import threading
 import time
+from collections.abc import Iterator
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 
 from qgen import pipeline
 from qgen.cli import build_parser, main
-from qgen.errors import BackendRejected, ConfigError, PipelineError
+from qgen.errors import BackendRejected, ConfigError, PipelineError, SchemaError
 from qgen.promptgen import HttpBackend, MockBackend
 from qgen.rng import ALGORITHM
 from qgen.pipeline import (
@@ -293,9 +294,9 @@ def test_prompt_subset_runs(tmp_path, mini_squad_path, demo_vectors_path):
     run = run_pipeline(load_config(path, env={}))
     assert sorted(run.summaries) == ["A", "C"]
     assert len(run.results) == 6
-    fig7 = fig7_csv(run).splitlines()
+    fig7 = "".join(fig7_csv(run)).splitlines()
     assert len(fig7) == 1 + 2
-    fig8 = fig8_csv(run).splitlines()
+    fig8 = "".join(fig8_csv(run)).splitlines()
     assert fig8[0] == "context_id,A,C"
     assert len(fig8) == 1 + 3
 
@@ -408,6 +409,43 @@ def test_first_backend_failure_stops_queued_calls(
     assert manifest["backend_calls"] == backend.calls <= 2
 
 
+class SlowFirstFailSecondBackend(MockBackend):
+    """Its first call takes 0.2 s; its second is rejected at once."""
+
+    def __init__(self) -> None:
+        super().__init__(seed=0)
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def complete(self, request):
+        with self.lock:
+            self.calls += 1
+            n = self.calls
+        if n == 2:
+            raise BackendRejected("rejected")
+        if n == 1:
+            time.sleep(0.2)
+        return super().complete(request)
+
+
+def test_completion_in_flight_beside_failed_call_is_scored(
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch
+):
+    monkeypatch.setattr(
+        pipeline, "make_backend", lambda cfg: SlowFirstFailSecondBackend()
+    )
+    path = write_config(
+        tmp_path, mini_squad_path, demo_vectors_path, sample_size=6, max_in_flight=2
+    )
+    # one cell was scored before the abort: a partial run
+    assert main(["run", "--config", str(path)]) == 4
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stage"] == "generate"
+    assert (manifest["backend_calls"], manifest["cells"]) == (2, 1)
+    assert len((out / "scores.jsonl").read_text().splitlines()) == 5
+
+
 def test_failed_call_counted_in_manifest_totals(
     tmp_path, mini_squad_path, demo_vectors_path, monkeypatch
 ):
@@ -481,6 +519,9 @@ def test_interrupted_rerun_leaves_no_manifest(
     assert (out / "fig8_max_series.csv").exists()
     assert not (out / "manifest.json").exists()
     assert main(["report", "--run", str(out)]) == 2
+    # nor does load_run read the seed-3 run.json beside the seed-7 scores
+    with pytest.raises(SchemaError, match="manifest.json: file not found"):
+        load_run(out)
 
 
 @pytest.mark.parametrize("outcome", ["complete", "generate", "load"])
@@ -518,17 +559,29 @@ def test_manifest_is_written_once_and_last(
     assert manifest["status"] == ("complete" if outcome == "complete" else "failed")
 
 
-def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch):
-    pipeline._write_files(tmp_path, {"table2.csv": "old,row\n"})
-    real_write_text = Path.write_text
+def test_big_files_are_streamed_to_write_files(config_path, monkeypatch):
+    handed = {}
+    real_write_files = pipeline._write_files
 
-    def torn_write_text(self, text, *args, **kwargs):
-        real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+    def recording_write_files(out, files):
+        handed.update(files)
+        return real_write_files(out, files)
+
+    monkeypatch.setattr(pipeline, "_write_files", recording_write_files)
+    run_pipeline(load_config(config_path, env={}))
+    for name in ("scores.jsonl", "table2.csv"):
+        assert isinstance(handed[name], Iterator), name
+
+
+def test_interrupted_write_keeps_previous_file(tmp_path):
+    pipeline._write_files(tmp_path, {"table2.csv": ("old,row\n",)})
+
+    def torn_chunks():
+        yield "new,row\n" * 50
         raise OSError("disk full")
 
-    monkeypatch.setattr(Path, "write_text", torn_write_text)
     with pytest.raises(OSError):
-        pipeline._write_files(tmp_path, {"table2.csv": "new,row\n" * 100})
+        pipeline._write_files(tmp_path, {"table2.csv": torn_chunks()})
     assert (tmp_path / "table2.csv").read_text() == "old,row\n"
     assert [p.name for p in tmp_path.iterdir()] == ["table2.csv"]
 
@@ -632,11 +685,20 @@ def test_cli_exit_partial(tmp_path, mini_squad_path, demo_vectors_path, capsys):
         assert main(["run", "--config", str(path)]) == 4
 
 
+# qgen stats on demos/data/mini_squad.json
+STATS_FIG1 = b"bin_lo,bin_hi,count\n4,5,1\n5,6,0\n6,7,5\n7,8,2\n8,9,3\n9,10,5\n10,11,2\n"
+STATS_FIG2 = (
+    b"token,count\nkess,4\nalderbrook,3\nclocks,3\nriver,3\naster,2\nbrass,2\n"
+    b"escapement,2\nfirst,2\nlargest,2\nmany,2\nobservatory,2\nsurvey,2\nweir,2\n"
+    b"accurate,1\nadded,1\naltitude,1\napprentices,1\narrive,1\nbecome,1\nbuilt,1\n"
+)
+
+
 def test_cli_stats(tmp_path, mini_squad_path, capsys):
     out = tmp_path / "stats"
     assert main(["stats", "--dataset", str(mini_squad_path), "--out", str(out)]) == 0
-    assert (out / "fig1_lengths.csv").is_file()
-    assert (out / "fig2_keywords.csv").is_file()
+    assert (out / "fig1_lengths.csv").read_bytes() == STATS_FIG1
+    assert (out / "fig2_keywords.csv").read_bytes() == STATS_FIG2
     stdout = capsys.readouterr().out
     assert "18 questions over 6 contexts" in stdout
 

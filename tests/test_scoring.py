@@ -365,7 +365,7 @@ def test_assemble_run_orders_and_counts():
         records=(record_with_max(0.0, 0, "B", zero=True),),
         prompt_max=0.0,
     )
-    run = assemble_run(make_info(), results, 0.7)
+    run = assemble_run(make_info(), results)
     assert [(c.context_id, c.prompt_id) for c in run.results] == [
         (0, "A"),
         (0, "B"),
@@ -384,7 +384,7 @@ def test_assemble_run_summary_match_counts():
         cell_with_maxes(0, "A", [0.833, 0.534, 0.749, 0.857, 0.935]),
         cell_with_maxes(0, "B", [0.1, 0.2, 0.3, 0.4, 0.5]),
     ]
-    run = assemble_run(make_info(), results, 0.7)
+    run = assemble_run(make_info(), results)
     assert run.summaries["A"].match_count == 4
     assert run.summaries["B"].match_count == 0
     assert run.summaries["A"].n_questions == 5

@@ -149,7 +149,7 @@ def test_bundled_stopwords_nonempty_lowercase():
 
 def test_histogram_csv_shape():
     hist = question_length_histogram(make_questions([1, 2, 2, 3]))
-    lines = histogram_to_csv(hist).splitlines()
+    lines = "".join(histogram_to_csv(hist)).splitlines()
     assert lines[0] == "bin_lo,bin_hi,count"
     assert len(lines) == 1 + len(hist.counts)
     assert lines[1] == "1,2,1"
@@ -157,8 +157,10 @@ def test_histogram_csv_shape():
 
 def test_keywords_csv_escapes():
     # entries are normally punctuation-free; exercise escaping anyway
-    csv = keywords_to_csv(
-        KeywordFrequency(entries=(("plain", 3), ('qu"ote', 2), ("com,ma", 1)))
+    csv = "".join(
+        keywords_to_csv(
+            KeywordFrequency(entries=(("plain", 3), ('qu"ote', 2), ("com,ma", 1)))
+        )
     )
     lines = csv.splitlines()
     assert lines[0] == "token,count"
