@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO
 
 from .errors import (
     InvalidChunkParams,
@@ -93,16 +93,16 @@ def parse_squad(source: str | bytes | IO) -> SquadDataset:
 
     One :class:`ContextRecord` per paragraph, in file order, with
     ``context_id`` assigned 0, 1, 2, ... Raises :class:`MalformedJson` on a
-    syntax error, :class:`SchemaError` (with JSON path) on a missing or
-    mistyped field, and :class:`SpanError` (with the qas id) when an
-    answer's offsets do not slice the context to its text.
+    syntax error or non-UTF-8 bytes, :class:`SchemaError` (with JSON path)
+    on a missing or mistyped field, and :class:`SpanError` (with the qas
+    id) when an answer's offsets do not slice the context to its text.
     """
-    raw = source.read() if hasattr(source, "read") else source
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
     try:
+        raw = source.read() if hasattr(source, "read") else source
+        if isinstance(raw, bytes):
+            raw = raw.decode("utf-8")
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedJson(f"invalid JSON: {exc}") from exc
 
     data = _require(doc, "data", list, "$")
@@ -272,11 +272,3 @@ def chunk_context(text: str, max_len: int, doc_stride: int) -> list[Chunk]:
         end = spans[hi - 1][1]
         chunks.append(Chunk(start=start, end=end, text=text[start:end]))
     return chunks
-
-
-def reversed_to_jsonl(examples: Iterable[ReversedExample]) -> str:
-    return "".join(json.dumps(vars(ex), ensure_ascii=False) + "\n" for ex in examples)
-
-
-def chunks_to_jsonl(chunks: Iterable[Chunk]) -> str:
-    return "".join(json.dumps(vars(c), ensure_ascii=False) + "\n" for c in chunks)

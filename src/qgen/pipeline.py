@@ -40,7 +40,7 @@ from string import Template
 from typing import Iterable, Iterator, get_args, get_type_hints
 
 from .corpus import SquadDataset, load_squad, sample_contexts
-from .errors import ConfigError, MalformedJson, PipelineError, SchemaError
+from .errors import ConfigError, EmptyRecords, MalformedJson, PipelineError, SchemaError
 from .promptgen import (
     PROMPT_IDS,
     Backend,
@@ -62,7 +62,6 @@ from .scoring import (
     RunInfo,
     ScoreRecord,
     assemble_run,
-    prompt_max,
     score_cell,
 )
 from .similarity import load_vectors_path
@@ -175,7 +174,7 @@ def load_config(path: str | Path, env: dict | None = None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -252,12 +251,13 @@ _COMPLETE_RUN_ONLY = (
 def run_pipeline(cfg: RunConfig) -> EvalRun:
     """Execute a full run and persist all artifacts under cfg.out.
 
-    Completions are scored once every call has returned; the final
-    assembly re-sorts by (context_id, prompt_id), so outputs do not depend
-    on completion order. After the first failed backend call no further
-    call is sent; calls in flight finish and are scored, and then the
-    first submitted failure is raised. Every artifact is written line by
-    line, so scores.jsonl and table2.csv are never held whole in memory.
+    Each call fetches a completion and parses its questions, one stage,
+    "generate". After the first failed call or unparseable completion no
+    further call is sent; calls in flight finish and are scored, and then
+    the first submitted failure is raised. A sampled context without
+    baseline questions fails at stage "sample", before any call. Outputs
+    are sorted by (context_id, prompt_id), not completion order, and
+    every artifact is written line by line, never held whole in memory.
 
     The previous manifest.json is removed before any input is read, and
     the new one is written once, after every other file: by then
@@ -285,6 +285,9 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
         vector_digest = _sha256_file(cfg.vectors)
         stage = "sample"
         sampled = sample_contexts(dataset, cfg.sample_size, cfg.seed)
+        for record in sampled:
+            if not record.baselines:
+                raise EmptyRecords(f"context {record.context_id} has no baseline questions")
 
         stage = "generate"
         info = RunInfo(
@@ -314,11 +317,12 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
         # picks up its next job
         stop = threading.Event()
 
-        def call(request: BackendRequest) -> str | None:
+        def call(request: BackendRequest) -> list[str] | None:
             if stop.is_set():
                 return None
             try:
-                return generate(backend, request, call_log)
+                raw = generate(backend, request, call_log)
+                return parse_questions(raw, cfg.questions_per_prompt)
             except Exception:
                 stop.set()
                 raise
@@ -327,29 +331,18 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
         # ones return None at once
         with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
             futures = {pool.submit(call, request): (cid, pid) for cid, pid, request in jobs}
-        # failed calls sort last, in submission order, so every completion
-        # that came back is scored before the first failure is raised
+        # failed calls sort last, in submission order, so every question
+        # list that came back is scored before the first failure is raised
         for future in sorted(futures, key=lambda f: f.exception() is not None):
             cid, pid = futures[future]
             stage = "generate"
-            raw = future.result()
-            if raw is None:  # skipped after a failed call
+            questions = future.result()
+            if questions is None:  # skipped after a failed call
                 continue
             stage = "score"
-            questions = parse_questions(raw, cfg.questions_per_prompt)
             cells.append(score_cell(cid, pid, questions, baselines[cid], table))
         stage = "aggregate"
-        shortfalls = [
-            {
-                "context_id": cell.context_id,
-                "prompt_id": cell.prompt_id,
-                "got": len(cell.records),
-                "expected": cfg.questions_per_prompt,
-            }
-            for cell in cells
-            if len(cell.records) < cfg.questions_per_prompt
-        ]
-        run = assemble_run(info, cells, shortfalls)
+        run = assemble_run(info, cells, cfg.questions_per_prompt)
         stage = "persist"
         persist_run(run, out_dir)
         emit_figures(run, out_dir, top_keywords=cfg.top_keywords)
@@ -441,11 +434,12 @@ def table2_csv(cells: list[PromptContextResult]) -> Iterator[str]:
     """Per-question rows mirroring a prompt-max table layout."""
     yield "context_id,prompt,question,question_max,prompt_max\n"
     for cell in cells:
+        cell_max = _fmt(cell.prompt_max)
         for rec in cell.records:
             yield (
                 f"{cell.context_id},{cell.prompt_id},"
                 f"{csv_quote(rec.question)},"
-                f"{_fmt(rec.question_max)},{_fmt(cell.prompt_max)}\n"
+                f"{_fmt(rec.question_max)},{cell_max}\n"
             )
 
 
@@ -473,13 +467,13 @@ def persist_run(run: EvalRun, out_dir: Path) -> None:
 
 @contextmanager
 def _reading(path: Path):
-    """Raise a missing file, invalid JSON or a missing or mistyped field
-    met while reading path as SchemaError or MalformedJson naming the file."""
+    """Raise a missing file, bad JSON or UTF-8, or a missing or mistyped
+    field met reading path as SchemaError or MalformedJson naming the file."""
     try:
         yield path
     except FileNotFoundError as exc:
         raise SchemaError(str(path), "file not found") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedJson(f"{path}: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise SchemaError(str(path), f"missing or malformed field: {exc}") from exc
@@ -489,21 +483,22 @@ def load_run(out_dir: str | Path) -> EvalRun:
     """Rebuild an EvalRun from the directory of a complete run.
 
     manifest.json must say status "complete", so a failed or interrupted
-    run is never read. Only the run info and shortfalls are read from
-    run.json; summaries, max series and the zero-vector count are
-    recomputed from scores.jsonl by assemble_run, so a loaded run always
-    agrees with its scores. A missing file or a missing or mistyped field
-    raises SchemaError and invalid JSON raises MalformedJson, each naming
-    the file.
+    run is never read, and gives questions_per_prompt. Only the run info
+    is read from run.json; summaries, max series, shortfalls and the
+    zero-vector count are recomputed from scores.jsonl by assemble_run,
+    so a loaded run always agrees with its scores. A missing file or a
+    missing or mistyped field raises SchemaError and invalid JSON or
+    UTF-8 raises MalformedJson, each naming the file.
     """
     out = Path(out_dir)
     with _reading(out / "manifest.json") as path:
-        status = json.loads(path.read_text(encoding="utf-8"))["status"]
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        status = manifest["status"]
         if status != "complete":
             raise SchemaError(str(path), f"run status is {status!r}, not 'complete'")
+        expected = _config_count(manifest, "questions_per_prompt")
     with _reading(out / "run.json") as path:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        info, shortfalls = RunInfo(**doc["info"]), doc["shortfalls"]
+        info = RunInfo(**json.loads(path.read_text(encoding="utf-8"))["info"])
         _check_types(vars(info), _INFO_TYPES)
         if not 0.0 <= info.threshold <= 1.0:
             raise TypeError(f"'threshold' must be in [0, 1], got {info.threshold!r}")
@@ -523,20 +518,24 @@ def load_run(out_dir: str | Path) -> EvalRun:
             context_id=cid,
             prompt_id=pid,
             records=tuple(sorted(recs, key=lambda r: r.index)),
-            prompt_max=prompt_max(recs),
         )
         for (cid, pid), recs in by_cell.items()
     ]
-    return assemble_run(info, cells, shortfalls)
+    return assemble_run(info, cells, expected)
+
+
+def _config_count(manifest: dict, key: str) -> int:
+    """A manifest config setting that must be an int >= 1."""
+    value = manifest["config"][key]
+    if not _has_type(value, int) or value < 1:
+        raise TypeError(f"{key} must be an int >= 1, got {value!r}")
+    return value
 
 
 def load_top_keywords(out_dir: str | Path) -> int:
     """The top_keywords setting a persisted run was made with, from its manifest."""
     with _reading(Path(out_dir) / "manifest.json") as path:
-        value = json.loads(path.read_text(encoding="utf-8"))["config"]["top_keywords"]
-        if not _has_type(value, int) or value < 1:
-            raise TypeError(f"top_keywords must be an int >= 1, got {value!r}")
-    return value
+        return _config_count(json.loads(path.read_text(encoding="utf-8")), "top_keywords")
 
 
 # -- figures -------------------------------------------------------------------

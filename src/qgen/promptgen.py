@@ -222,7 +222,6 @@ class HttpBackend:
         data = json.dumps(self._payload(request), allow_nan=False).encode("utf-8")
         req = urllib.request.Request(self.url, data, self._headers(), method="POST")
         last_exc: Exception | None = None
-        timed_out = False
         for attempt in range(self.attempts):
             self._local.retries = attempt
             if attempt > 0:
@@ -236,19 +235,17 @@ class HttpBackend:
                     status, body = resp.status, resp.read()
             except (OSError, http.client.HTTPException) as exc:
                 last_exc = exc
-                # urllib wraps a connect timeout in URLError, not a read timeout
-                timed_out = isinstance(exc, TimeoutError) or isinstance(
-                    getattr(exc, "reason", None), TimeoutError
-                )
                 continue
             if status >= 500:
                 last_exc = BackendUnavailable(f"HTTP {status}")
-                timed_out = False
                 continue
             if status >= 300:
                 raise BackendRejected(f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}")
             return self._extract(body)
-        if timed_out:
+        # urllib wraps a connect timeout in URLError, not a read timeout
+        if isinstance(last_exc, TimeoutError) or isinstance(
+            getattr(last_exc, "reason", None), TimeoutError
+        ):
             raise BackendTimeout(
                 f"no answer from {self.url} within {self.timeout_s}s "
                 f"after {self.attempts} attempts"

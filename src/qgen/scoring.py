@@ -13,8 +13,8 @@ whiskers.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,12 +44,16 @@ class ScoreRecord:
 
 @dataclass(frozen=True)
 class PromptContextResult:
-    """A prompt's scored questions for one context, and their maximum."""
+    """A prompt's scored questions for one context."""
 
     context_id: int
     prompt_id: str
     records: tuple[ScoreRecord, ...]
-    prompt_max: float
+
+    @property
+    def prompt_max(self) -> float:
+        """The maximum question_max over the cell's records."""
+        return prompt_max(self.records)
 
 
 @dataclass(frozen=True)
@@ -102,8 +106,8 @@ class RunInfo:
 class EvalRun:
     """All scoring outputs for one run, in deterministic order.
 
-    ``shortfalls`` lists the cells that parsed fewer questions than
-    requested, as {context_id, prompt_id, got, expected} dicts.
+    ``shortfalls`` lists the cells with fewer records than the questions
+    asked per prompt, as {context_id, prompt_id, got, expected} dicts.
     """
 
     info: RunInfo
@@ -111,7 +115,7 @@ class EvalRun:
     summaries: dict[str, PromptSummary]
     max_series: dict[str, list[tuple[int, float]]]
     zero_vector_count: int
-    shortfalls: list[dict] = field(default_factory=list)
+    shortfalls: list[dict]
 
     def records(self) -> list[ScoreRecord]:
         return [rec for cell in self.results for rec in cell.records]
@@ -154,14 +158,11 @@ def score_cell(
             )
         )
     return PromptContextResult(
-        context_id=context_id,
-        prompt_id=prompt_id,
-        records=tuple(records),
-        prompt_max=prompt_max(records),
+        context_id=context_id, prompt_id=prompt_id, records=tuple(records)
     )
 
 
-def prompt_max(records: list[ScoreRecord]) -> float:
+def prompt_max(records: Sequence[ScoreRecord]) -> float:
     """Maximum question_max across the records."""
     if not records:
         raise EmptyRecords("prompt_max of zero records is undefined")
@@ -260,10 +261,11 @@ def build_max_series(
 
 
 def assemble_run(
-    info: RunInfo, results: list[PromptContextResult], shortfalls: Iterable[dict] = ()
+    info: RunInfo, results: list[PromptContextResult], expected: int
 ) -> EvalRun:
-    """Order results and shortfalls deterministically; attach summaries and
-    series, with matches counted at info.threshold."""
+    """Order results by (context_id, prompt_id); attach summaries, series,
+    matches counted at info.threshold, and the shortfall of every cell
+    with fewer than ``expected`` records."""
     ordered = sorted(results, key=lambda c: (c.context_id, c.prompt_id))
     prompt_ids = sorted({c.prompt_id for c in ordered})
     summaries = {
@@ -278,5 +280,14 @@ def assemble_run(
         summaries=summaries,
         max_series=build_max_series(ordered),
         zero_vector_count=zero_count,
-        shortfalls=sorted(shortfalls, key=lambda s: (s["context_id"], s["prompt_id"])),
+        shortfalls=[
+            {
+                "context_id": cell.context_id,
+                "prompt_id": cell.prompt_id,
+                "got": len(cell.records),
+                "expected": expected,
+            }
+            for cell in ordered
+            if len(cell.records) < expected
+        ],
     )

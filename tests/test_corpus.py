@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import random
 
@@ -9,11 +10,9 @@ import pytest
 
 from qgen.corpus import (
     chunk_context,
-    chunks_to_jsonl,
     load_squad,
     parse_squad,
     reverse_dataset,
-    reversed_to_jsonl,
     sample_contexts,
     to_squad_json,
 )
@@ -95,6 +94,11 @@ def test_parse_unicode_offsets_count_scalar_values():
 def test_parse_malformed_json():
     with pytest.raises(MalformedJson):
         parse_squad("{not json")
+    # JSON text must be UTF-8, given as bytes or as a text stream
+    not_utf8 = b'{"data": []}\xff'
+    for source in (not_utf8, io.TextIOWrapper(io.BytesIO(not_utf8), encoding="utf-8")):
+        with pytest.raises(MalformedJson):
+            parse_squad(source)
 
 
 @pytest.mark.parametrize(
@@ -350,31 +354,3 @@ def test_chunk_coverage_and_exact_overlap_properties():
         for lo in range(n_tokens):
             hi = min(n_tokens, lo + doc_stride + 1)
             assert any(wlo <= lo and hi <= whi for wlo, whi in spans)
-
-
-# -- jsonl emitters -----------------------------------------------------------------
-
-def test_reversed_jsonl_round_trip(mini_squad_path):
-    ds = load_squad(mini_squad_path)
-    examples = reverse_dataset(ds)
-    lines = reversed_to_jsonl(examples).splitlines()
-    assert len(lines) == len(examples)
-    parsed = [json.loads(line) for line in lines]
-    assert parsed[0]["target_question"] == examples[0].target_question
-    assert parsed[0]["input_answer"] == examples[0].input_answer
-    first = examples[0]
-    assert lines[0] == (
-        f'{{"context": {json.dumps(first.context, ensure_ascii=False)}, '
-        f'"input_answer": {json.dumps(first.input_answer, ensure_ascii=False)}, '
-        f'"target_question": {json.dumps(first.target_question, ensure_ascii=False)}}}'
-    )
-
-
-def test_chunks_jsonl_round_trip():
-    chunks = chunk_context("a b c d e f g h", 3, 1)
-    lines = chunks_to_jsonl(chunks).splitlines()
-    assert lines[0] == '{"start": 0, "end": 5, "text": "a b c"}'
-    parsed = [json.loads(line) for line in lines]
-    assert [(p["start"], p["end"], p["text"]) for p in parsed] == [
-        (c.start, c.end, c.text) for c in chunks
-    ]

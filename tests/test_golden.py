@@ -102,8 +102,11 @@ def golden_run_json(**info) -> str:
         ("scores.jsonl", score_line(per_baseline="abc"), "scores.jsonl: missing or malformed field"),
         ("scores.jsonl", score_line(extra=1), "scores.jsonl: missing or malformed field"),
         ("manifest.json", None, "manifest.json: file not found"),
-        ("manifest.json", '{"status": "complete", "config": {"top_keywords": "5"}}', "manifest.json: "),
+        ("manifest.json", '{"status": "complete", "config": {"questions_per_prompt": 5, "top_keywords": "5"}}', "manifest.json: "),
+        ("manifest.json", '{"status": "complete", "config": {"questions_per_prompt": "5", "top_keywords": 5}}', "manifest.json: "),
         ("manifest.json", '{"status": "failed", "config": {"top_keywords": 5}}', "manifest.json: run status is 'failed'"),
+        ("run.json", (GOLDEN / "run.json").read_bytes() + b"\xff", "run.json: "),
+        ("scores.jsonl", (GOLDEN / "scores.jsonl").read_bytes() + b"\xff", "scores.jsonl: "),
     ],
     ids=[
         "missing-keys",
@@ -116,7 +119,10 @@ def golden_run_json(**info) -> str:
         "unknown-score-key",
         "missing-manifest",
         "mistyped-top-keywords",
+        "mistyped-questions-per-prompt",
         "failed-run",
+        "run-json-not-utf8",
+        "scores-not-utf8",
     ],
 )
 def test_report_on_bad_run_json_exits_with_data_error(
@@ -126,7 +132,22 @@ def test_report_on_bad_run_json_exits_with_data_error(
     shutil.copytree(GOLDEN, run_dir)
     if content is None:
         (run_dir / name).unlink()
+    elif isinstance(content, bytes):
+        (run_dir / name).write_bytes(content)
     else:
         (run_dir / name).write_text(content, encoding="utf-8")
     assert main(["report", "--run", str(run_dir)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_report_ignores_stored_shortfalls(tmp_path):
+    # shortfalls are derived from scores.jsonl and the manifest's
+    # questions_per_prompt; run.json's copy is written, never read
+    run_dir = tmp_path / "run"
+    shutil.copytree(GOLDEN, run_dir)
+    doc = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
+    doc["shortfalls"] = [1]
+    (run_dir / "run.json").write_text(json.dumps(doc), encoding="utf-8")
+    (run_dir / "report.md").unlink()
+    assert main(["report", "--run", str(run_dir)]) == 0
+    assert (run_dir / "report.md").read_bytes() == (GOLDEN / "report.md").read_bytes()

@@ -375,10 +375,13 @@ def test_total_backend_failure_no_cells(tmp_path, mini_squad_path, demo_vectors_
 
 
 class FailFirstBackend(MockBackend):
-    """Rejects its first call; every later call takes about 50 ms."""
+    """Fails its first call: raises BackendRejected, or with
+    ``unparseable`` returns a completion with no questions. Every later
+    call takes about 50 ms."""
 
-    def __init__(self) -> None:
+    def __init__(self, unparseable: bool = False) -> None:
         super().__init__(seed=0)
+        self.unparseable = unparseable
         self.calls = 0
         self.lock = threading.Lock()
 
@@ -386,16 +389,19 @@ class FailFirstBackend(MockBackend):
         with self.lock:
             self.calls += 1
             first = self.calls == 1
+        if first and self.unparseable:
+            return "no questions here"
         if first:
             raise BackendRejected("rejected")
         time.sleep(0.05)
         return super().complete(request)
 
 
+@pytest.mark.parametrize("unparseable", [False, True], ids=["rejected", "unparseable"])
 def test_first_backend_failure_stops_queued_calls(
-    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, unparseable
 ):
-    backend = FailFirstBackend()
+    backend = FailFirstBackend(unparseable)
     monkeypatch.setattr(pipeline, "make_backend", lambda cfg: backend)
     # 6 contexts x 4 prompts = 24 calls
     path = write_config(
@@ -426,6 +432,22 @@ class SlowFirstFailSecondBackend(MockBackend):
         if n == 1:
             time.sleep(0.2)
         return super().complete(request)
+
+
+def test_context_without_baselines_fails_before_any_call(
+    tmp_path, mini_squad_path, demo_vectors_path, capsys
+):
+    doc = json.loads(mini_squad_path.read_text(encoding="utf-8"))
+    doc["data"][0]["paragraphs"][0]["qas"] = []
+    dataset = tmp_path / "no_baselines.json"
+    dataset.write_text(json.dumps(doc), encoding="utf-8")
+    # all 6 contexts are sampled, context 0 among them
+    path = write_config(tmp_path, dataset, demo_vectors_path, sample_size=6)
+    assert main(["run", "--config", str(path)]) == 2
+    assert "context 0 has no baseline questions" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["stage"] == "sample"
+    assert (manifest["backend_calls"], manifest["cells"]) == (0, 0)
 
 
 def test_completion_in_flight_beside_failed_call_is_scored(
@@ -639,6 +661,11 @@ def test_cli_run_accepts_every_backend_kind():
 def test_cli_exit_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
     assert "error:" in capsys.readouterr().err
+    # JSON text must be UTF-8
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b'{"seed": 1}\xff')
+    assert main(["run", "--config", str(not_utf8)]) == 1
+    assert "config is not valid JSON" in capsys.readouterr().err
 
 
 def test_cli_exit_config_error_on_mistyped_value(
@@ -705,8 +732,11 @@ def test_cli_stats(tmp_path, mini_squad_path, capsys):
 
 def test_cli_stats_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{broken", encoding="utf-8")
-    assert main(["stats", "--dataset", str(bad), "--out", str(tmp_path / "o")]) == 2
+    # invalid JSON, and valid JSON followed by a byte that is not UTF-8
+    for content in (b"{broken", b'{"data": []}\xff'):
+        bad.write_bytes(content)
+        assert main(["stats", "--dataset", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

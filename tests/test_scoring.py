@@ -66,12 +66,7 @@ def cell_with_maxes(context_id: int, prompt_id: str, values: list[float]):
     records = tuple(
         record_with_max(v, context_id, prompt_id, i) for i, v in enumerate(values)
     )
-    return PromptContextResult(
-        context_id=context_id,
-        prompt_id=prompt_id,
-        records=records,
-        prompt_max=max(values),
-    )
+    return PromptContextResult(context_id=context_id, prompt_id=prompt_id, records=records)
 
 
 # -- score_cell -----------------------------------------------------------------
@@ -363,9 +358,8 @@ def test_assemble_run_orders_and_counts():
         context_id=zero_cell.context_id,
         prompt_id=zero_cell.prompt_id,
         records=(record_with_max(0.0, 0, "B", zero=True),),
-        prompt_max=0.0,
     )
-    run = assemble_run(make_info(), results)
+    run = assemble_run(make_info(), results, expected=1)
     assert [(c.context_id, c.prompt_id) for c in run.results] == [
         (0, "A"),
         (0, "B"),
@@ -384,7 +378,7 @@ def test_assemble_run_summary_match_counts():
         cell_with_maxes(0, "A", [0.833, 0.534, 0.749, 0.857, 0.935]),
         cell_with_maxes(0, "B", [0.1, 0.2, 0.3, 0.4, 0.5]),
     ]
-    run = assemble_run(make_info(), results)
+    run = assemble_run(make_info(), results, expected=5)
     assert run.summaries["A"].match_count == 4
     assert run.summaries["B"].match_count == 0
     assert run.summaries["A"].n_questions == 5
