@@ -12,7 +12,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from qgen import BackendRequest, HttpBackend, MockBackend, default_templates, generate, render_prompt
+from qgen import BackendRequest, HttpBackend, MockBackend, generate, render_prompt
 
 MOCK = MockBackend(seed=11)
 
@@ -51,10 +51,9 @@ thread.start()
 url = f"http://127.0.0.1:{server.server_address[1]}/complete"
 print(f"contract server listening on {url}")
 
-template = default_templates("A")[0]
 request = BackendRequest(
     prompt=render_prompt(
-        template,
+        "A",
         "The River Kess flows for 210 kilometres through the Ostmark valley.",
     ),
     temperature=0.5,

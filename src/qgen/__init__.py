@@ -2,7 +2,7 @@
 
 The package splits into corpus handling (parse, reverse, sample, chunk),
 text statistics (length histogram, keyword frequencies), sentence
-similarity over word-vector files, prompt templates and generation
+similarity over word-vector files, prompt rendering and generation
 backends, score aggregation, and a pipeline/CLI layer that ties a full
 run together and persists its artifacts.
 """
@@ -56,8 +56,6 @@ from .promptgen import (
     HttpBackend,
     MockBackend,
     OpenAICompletionsBackend,
-    PromptTemplate,
-    default_templates,
     generate,
     parse_questions,
     render_prompt,

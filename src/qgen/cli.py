@@ -26,6 +26,7 @@ from .pipeline import (
     load_config,
     load_run,
     load_top_keywords,
+    make_out_dir,
     run_pipeline,
     write_report,
 )
@@ -84,15 +85,11 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return replace(cfg, **updates) if updates else cfg
 
 
-def _exit_code(exc: QgenError) -> int:
+def _exit_code(exc: BaseException) -> int:
     if isinstance(exc, PipelineError):
         if exc.cells_done > 0:
             return EXIT_PARTIAL
-        if isinstance(exc.cause, BackendError):
-            return EXIT_BACKEND
-        if isinstance(exc.cause, ConfigError):
-            return EXIT_CONFIG
-        return EXIT_DATA
+        exc = exc.cause
     if isinstance(exc, ConfigError):
         return EXIT_CONFIG
     if isinstance(exc, BackendError):
@@ -115,8 +112,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    out = make_out_dir(args.out)
     dataset = load_squad(args.dataset)
-    written = emit_dataset_figures(dataset, args.out)
+    written = emit_dataset_figures(dataset, out)
     print(
         f"dataset: {dataset.example_count} questions over "
         f"{len(dataset.records)} contexts"

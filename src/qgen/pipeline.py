@@ -49,7 +49,6 @@ from .promptgen import (
     HttpBackend,
     MockBackend,
     OpenAICompletionsBackend,
-    default_templates,
     generate,
     parse_questions,
     render_prompt,
@@ -129,7 +128,7 @@ class RunConfig:
         if self.top_keywords < 1:
             raise ConfigError("top_keywords must be >= 1")
         if not self.prompts:
-            raise ConfigError("prompts must name at least one template")
+            raise ConfigError("prompts must name at least one prompt id")
         seen = set()
         for pid in self.prompts:
             if pid not in PROMPT_IDS:
@@ -190,10 +189,7 @@ def load_config(path: str | Path, env: dict | None = None) -> RunConfig:
             raise ConfigError(f"config key {key!r} must be a non-empty string")
         if not Path(value).is_absolute():
             doc[key] = str(p.parent / value)
-    try:
-        cfg = RunConfig(**doc)
-    except TypeError as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+    cfg = RunConfig(**doc)
     if env.get(ENV_URL):
         cfg = replace(cfg, backend_url=env[ENV_URL])
     if env.get(ENV_TOKEN):
@@ -209,6 +205,17 @@ def make_backend(cfg: RunConfig) -> Backend:
     return OpenAICompletionsBackend(
         url=cfg.backend_url, token=cfg.backend_token, model=cfg.backend_model
     )
+
+
+def make_out_dir(path: str | Path) -> Path:
+    """Create the output directory if need be; a path that cannot be a
+    directory raises ConfigError naming it."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
+    return out_dir
 
 
 def _sha256_file(path: str | Path) -> str:
@@ -270,8 +277,7 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
     """
     cfg.validate()
     backend = make_backend(cfg)
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(cfg.out)
     (out_dir / "manifest.json").unlink(missing_ok=True)
     started = _utcnow()
     cells: list[PromptContextResult] = []
@@ -285,6 +291,9 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
         vector_digest = _sha256_file(cfg.vectors)
         stage = "sample"
         sampled = sample_contexts(dataset, cfg.sample_size, cfg.seed)
+        # only the sampled records are read from here on; holding the rest
+        # through generation, scoring and persistence would raise the peak
+        del dataset
         for record in sampled:
             if not record.baselines:
                 raise EmptyRecords(f"context {record.context_id} has no baseline questions")
@@ -298,19 +307,20 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
             vector_digest=vector_digest,
             rng_algorithm=RNG_ALGORITHM,
         )
-        baselines = {r.context_id: r.baselines for r in sampled}
-        jobs = [
+        # every prompt is rendered before the first call, so a render
+        # error sends none
+        rendered = [
             (
-                record.context_id,
-                template.id,
+                record,
+                pid,
                 BackendRequest(
-                    prompt=render_prompt(template, record.text),
+                    prompt=render_prompt(pid, record.text),
                     temperature=cfg.temperature,
                     max_tokens=cfg.max_output_tokens,
                 ),
             )
             for record in sampled
-            for template in default_templates(cfg.prompts)
+            for pid in cfg.prompts
         ]
         # set by the first failed call; a worker checks it before each
         # call, so none is sent after a failure, however soon the worker
@@ -330,17 +340,16 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
         # leaving the pool waits for every call; after a failure the queued
         # ones return None at once
         with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
-            futures = {pool.submit(call, request): (cid, pid) for cid, pid, request in jobs}
+            jobs = [(record, pid, pool.submit(call, request)) for record, pid, request in rendered]
         # failed calls sort last, in submission order, so every question
         # list that came back is scored before the first failure is raised
-        for future in sorted(futures, key=lambda f: f.exception() is not None):
-            cid, pid = futures[future]
+        for record, pid, future in sorted(jobs, key=lambda job: job[2].exception() is not None):
             stage = "generate"
             questions = future.result()
             if questions is None:  # skipped after a failed call
                 continue
             stage = "score"
-            cells.append(score_cell(cid, pid, questions, baselines[cid], table))
+            cells.append(score_cell(record.context_id, pid, questions, record.baselines, table))
         stage = "aggregate"
         run = assemble_run(info, cells, cfg.questions_per_prompt)
         stage = "persist"

@@ -32,8 +32,6 @@ from .errors import (
 )
 from .rng import Xoshiro256
 
-PROMPT_IDS = ("A", "B", "C", "D")
-
 _INSTRUCTIONS = {
     "A": "Generate 5 questions from the text;",
     "B": "Generate 5 complex questions from the text.",
@@ -44,19 +42,7 @@ _INSTRUCTIONS = {
     ),
 }
 
-
-@dataclass(frozen=True)
-class PromptTemplate:
-    id: str
-    instruction: str
-
-    def __post_init__(self) -> None:
-        if self.id not in PROMPT_IDS:
-            raise ValueError(f"unknown prompt id {self.id!r}")
-
-
-def default_templates(ids: str = "ABCD") -> list[PromptTemplate]:
-    return [PromptTemplate(id=i, instruction=_INSTRUCTIONS[i]) for i in ids]
+PROMPT_IDS = tuple(_INSTRUCTIONS)
 
 
 @dataclass(frozen=True)
@@ -72,11 +58,14 @@ class CallRecord:
     retries: int
 
 
-def render_prompt(template: PromptTemplate, context: str) -> str:
-    """Instruction, then the context, then the answer cue; byte-stable."""
+def render_prompt(prompt_id: str, context: str) -> str:
+    """The prompt's instruction, then the context, then the answer cue;
+    byte-stable."""
+    if prompt_id not in _INSTRUCTIONS:
+        raise ValueError(f"unknown prompt id {prompt_id!r}")
     if not context:
         raise ValueError("context must be non-empty")
-    return f"{template.instruction}\nText: {context}\nQuestions:"
+    return f"{_INSTRUCTIONS[prompt_id]}\nText: {context}\nQuestions:"
 
 
 class Backend(Protocol):

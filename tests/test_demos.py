@@ -1,8 +1,9 @@
-"""The narrative demos run to completion against the package in src/."""
+"""The narrative demos and README's Python examples run against the package in src/."""
 
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -37,3 +38,20 @@ def test_demo_exits_cleanly(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_blocks_run(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    assert blocks
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for block in blocks:
+        proc = subprocess.run(
+            [sys.executable, "-c", block],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, f"{block}\n{proc.stderr}"

@@ -6,6 +6,7 @@ import json
 import shutil
 import threading
 import time
+import weakref
 from collections.abc import Iterator
 from dataclasses import replace
 from pathlib import Path
@@ -316,6 +317,28 @@ def test_figure_shapes(config_path):
     report = (out / "report.md").read_text()
     assert str(run.info.seed) in report
     assert run.info.vector_digest in report
+
+
+def test_dataset_released_before_scoring(config_path, monkeypatch):
+    # only the sampled contexts are read after sampling, so the parsed
+    # dataset must not be held through scoring
+    loaded = []
+    alive_at_score = []
+    load_squad, score_cell = pipeline.load_squad, pipeline.score_cell
+
+    def keep_weakref(path):
+        dataset = load_squad(path)
+        loaded.append(weakref.ref(dataset))
+        return dataset
+
+    def record_alive(*args):
+        alive_at_score.append(loaded[0]() is not None)
+        return score_cell(*args)
+
+    monkeypatch.setattr(pipeline, "load_squad", keep_weakref)
+    monkeypatch.setattr(pipeline, "score_cell", record_alive)
+    run_pipeline(load_config(config_path, env={}))
+    assert alive_at_score == [False] * 8
 
 
 # -- HTTP-backed runs and failure handling ------------------------------------------
@@ -681,16 +704,22 @@ def test_cli_exit_config_error_on_mistyped_value(
     [
         ({"temperature": float("nan")}, "temperature must be float"),
         ({"backend": "http", "backend_url": "file:///tmp/reply.json"}, "http(s)://"),
+        # relative to the config file, so under tmp_path
+        ({"out": "file"}, "cannot create output directory"),
+        ({"out": "file/sub"}, "cannot create output directory"),
     ],
-    ids=["nan-temperature", "file-url"],
+    ids=["nan-temperature", "file-url", "out-is-file", "out-under-file"],
 )
 def test_cli_exit_config_error_before_reading_input(
-    tmp_path, mini_squad_path, demo_vectors_path, capsys, overrides, message
+    tmp_path, mini_squad_path, demo_vectors_path, capsys, monkeypatch, overrides, message
 ):
+    (tmp_path / "file").write_bytes(b"kept")
+    monkeypatch.setattr(pipeline, "load_squad", lambda path: pytest.fail("input was read"))
     path = write_config(tmp_path, mini_squad_path, demo_vectors_path, **overrides)
     assert main(["run", "--config", str(path)]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    assert (tmp_path / "file").read_bytes() == b"kept"
 
 
 def test_cli_exit_data_error(tmp_path, demo_vectors_path, capsys):
@@ -737,6 +766,15 @@ def test_cli_stats_data_error(tmp_path, capsys):
         bad.write_bytes(content)
         assert main(["stats", "--dataset", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_cli_stats_unusable_out(tmp_path, mini_squad_path, capsys, monkeypatch):
+    out = tmp_path / "file"
+    out.write_bytes(b"kept")
+    monkeypatch.setattr("qgen.cli.load_squad", lambda path: pytest.fail("input was read"))
+    assert main(["stats", "--dataset", str(mini_squad_path), "--out", str(out)]) == 1
+    assert f"error: cannot create output directory {out}" in capsys.readouterr().err
+    assert out.read_bytes() == b"kept"
 
 
 @pytest.mark.parametrize(

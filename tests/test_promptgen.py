@@ -30,8 +30,6 @@ from qgen.promptgen import (
     HttpBackend,
     MockBackend,
     OpenAICompletionsBackend,
-    PromptTemplate,
-    default_templates,
     generate,
     parse_questions,
     render_prompt,
@@ -48,35 +46,28 @@ EXPECTED_INSTRUCTIONS = {
 }
 
 
-# -- templates and rendering -----------------------------------------------------
+# -- prompts and rendering -------------------------------------------------------
 
 def test_instruction_strings_byte_exact():
-    templates = {t.id: t.instruction for t in default_templates()}
-    assert templates == EXPECTED_INSTRUCTIONS
-
-
-def test_default_templates_order_and_subset():
-    assert [t.id for t in default_templates()] == list(PROMPT_IDS)
-    assert [t.id for t in default_templates("DB")] == ["D", "B"]
+    assert PROMPT_IDS == tuple(EXPECTED_INSTRUCTIONS)
+    for pid, instruction in EXPECTED_INSTRUCTIONS.items():
+        assert render_prompt(pid, "x") == f"{instruction}\nText: x\nQuestions:"
 
 
 def test_unknown_prompt_id_rejected():
-    with pytest.raises(ValueError):
-        PromptTemplate(id="E", instruction="whatever")
-    with pytest.raises(KeyError):
-        default_templates("AX")
+    with pytest.raises(ValueError, match="unknown prompt id 'E'"):
+        render_prompt("E", "Hello world.")
 
 
 def test_render_prompt_example():
-    tpl = default_templates("A")[0]
-    assert render_prompt(tpl, "Hello world.") == (
+    assert render_prompt("A", "Hello world.") == (
         "Generate 5 questions from the text;\nText: Hello world.\nQuestions:"
     )
 
 
 def test_render_prompt_rejects_empty_context():
     with pytest.raises(ValueError):
-        render_prompt(default_templates("A")[0], "")
+        render_prompt("A", "")
 
 
 # -- mock backend -------------------------------------------------------------------
@@ -89,7 +80,7 @@ CONTEXT = (
 
 
 def mock_prompt(context: str = CONTEXT, prompt_id: str = "A") -> str:
-    return render_prompt(default_templates(prompt_id)[0], context)
+    return render_prompt(prompt_id, context)
 
 
 def test_mock_is_deterministic_per_seed_and_prompt():
