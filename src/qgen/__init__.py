@@ -26,6 +26,7 @@ from .errors import (
     BackendRejected,
     BackendTimeout,
     BackendUnavailable,
+    BadEncoding,
     BadFloat,
     ConfigError,
     DimensionMismatch,
@@ -68,12 +69,10 @@ from .scoring import (
     RunInfo,
     ScoreRecord,
     assemble_run,
-    build_max_series,
     count_matches,
     prompt_max,
     score_cell,
     summarize,
-    summarize_prompt,
 )
 from .similarity import (
     EmbeddingTable,

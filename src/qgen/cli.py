@@ -81,7 +81,7 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if args.sample_size is not None:
         updates["sample_size"] = args.sample_size
     if args.out is not None:
-        updates["out"] = str(Path(args.out))
+        updates["out"] = args.out
     return replace(cfg, **updates) if updates else cfg
 
 

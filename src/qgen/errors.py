@@ -81,6 +81,10 @@ class DuplicateToken(QgenError):
     """The same token appears twice in a vector file."""
 
 
+class BadEncoding(QgenError):
+    """A vector file is not valid UTF-8 text."""
+
+
 # -- promptgen -------------------------------------------------------------
 
 class BackendError(QgenError):
@@ -92,7 +96,7 @@ class BackendUnavailable(BackendError):
 
 
 class BackendRejected(BackendError):
-    """HTTP 4xx or a protocol-violating response body; never retried."""
+    """HTTP 3xx or 4xx or a protocol-violating response body; never retried."""
 
 
 class BackendTimeout(BackendError):

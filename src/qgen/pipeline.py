@@ -105,6 +105,8 @@ class RunConfig:
             value = getattr(self, f.name)
             if not any(_has_type(value, kind) for kind in _CONFIG_TYPES[f.name]):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        if not self.out:
+            raise ConfigError("out must be a non-empty path")
         if self.backend not in BACKEND_KINDS:
             raise ConfigError(
                 f"backend must be one of {BACKEND_KINDS}, got {self.backend!r}"
@@ -569,11 +571,9 @@ def fig7_csv(run: EvalRun) -> Iterator[str]:
 def fig8_csv(run: EvalRun) -> Iterator[str]:
     prompt_ids = sorted(run.max_series)
     yield "context_id," + ",".join(prompt_ids) + "\n"
-    series = {pid: dict(run.max_series[pid]) for pid in prompt_ids}
-    context_ids = sorted({cid for s in run.max_series.values() for cid, _ in s})
-    for cid in context_ids:
-        row = ",".join(_fmt(series[pid][cid]) for pid in prompt_ids)
-        yield f"{cid},{row}\n"
+    # every series lists the same context ids, ascending (see EvalRun)
+    for points in zip(*(run.max_series[pid] for pid in prompt_ids)):
+        yield f"{points[0][0]}," + ",".join(_fmt(value) for _, value in points) + "\n"
 
 
 def emit_figures(run: EvalRun, out: str | Path, top_keywords: int) -> list[Path]:

@@ -150,13 +150,23 @@ class MockBackend:
 
 # -- HTTP backends -----------------------------------------------------------
 
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    # following a 301/302/303 would resend the bearer token to any host as
+    # a GET without the prompt; every 3xx comes back as an HTTPError instead
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
+_OPENER = urllib.request.build_opener(_NoRedirect)
+
+
 class HttpBackend:
     """Minimal wire contract: POST {prompt, temperature, max_tokens} -> {text}.
 
     Only http and https URLs with a host are accepted. Transport errors
     and 5xx are retried with exponential backoff; any other non-2xx
-    answer raises BackendRejected at once. Subclasses adapt the wire
-    format through ``_payload`` and ``_extract``.
+    answer, a 3xx included, raises BackendRejected at once. Subclasses
+    adapt the wire format through ``_payload`` and ``_extract``.
     """
 
     def __init__(
@@ -217,7 +227,7 @@ class HttpBackend:
                 self.sleep(self.backoff_base_s * (2 ** (attempt - 1)))
             try:
                 try:
-                    resp = urllib.request.urlopen(req, timeout=self.timeout_s)
+                    resp = _OPENER.open(req, timeout=self.timeout_s)
                 except urllib.error.HTTPError as exc:
                     resp = exc  # a non-2xx answer, still a response with a body
                 with resp:

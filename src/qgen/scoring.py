@@ -106,6 +106,7 @@ class RunInfo:
 class EvalRun:
     """All scoring outputs for one run, in deterministic order.
 
+    Every prompt's ``max_series`` lists the same context ids, ascending.
     ``shortfalls`` lists the cells with fewer records than the questions
     asked per prompt, as {context_id, prompt_id, got, expected} dicts.
     """
@@ -208,69 +209,39 @@ def summarize(scores: list[float]) -> BoxStats:
     )
 
 
-def summarize_prompt(
-    results: list[PromptContextResult], prompt_id: str, threshold: float
-) -> PromptSummary:
-    """Summary of one prompt's question_max distribution over all cells."""
-    records = [
-        rec
-        for cell in results
-        if cell.prompt_id == prompt_id
-        for rec in cell.records
-    ]
-    if not records:
-        raise EmptyRecords(f"no records for prompt {prompt_id!r}")
-    stats = summarize([rec.question_max for rec in records])
-    return PromptSummary(
-        prompt_id=prompt_id,
-        n_questions=stats.n,
-        mean=stats.mean,
-        median=stats.median,
-        q1=stats.q1,
-        q3=stats.q3,
-        whisker_lo=stats.whisker_lo,
-        whisker_hi=stats.whisker_hi,
-        outliers=stats.outliers,
-        match_count=count_matches(records, threshold),
-    )
-
-
-def build_max_series(
-    results: list[PromptContextResult],
-) -> dict[str, list[tuple[int, float]]]:
-    """Per-prompt (context_id, prompt_max) series, sorted by context id.
-
-    The results must cover the full context × prompt grid; a hole raises
-    MissingCell naming the gap, since a silent gap would misalign the
-    series.
-    """
-    by_cell: dict[tuple[int, str], float] = {}
-    for cell in results:
-        by_cell[(cell.context_id, cell.prompt_id)] = cell.prompt_max
-    context_ids = sorted({cell.context_id for cell in results})
-    prompt_ids = sorted({cell.prompt_id for cell in results})
-    series: dict[str, list[tuple[int, float]]] = {}
-    for pid in prompt_ids:
-        row: list[tuple[int, float]] = []
-        for cid in context_ids:
-            if (cid, pid) not in by_cell:
-                raise MissingCell(cid, pid)
-            row.append((cid, by_cell[(cid, pid)]))
-        series[pid] = row
-    return series
-
-
 def assemble_run(
     info: RunInfo, results: list[PromptContextResult], expected: int
 ) -> EvalRun:
-    """Order results by (context_id, prompt_id); attach summaries, series,
-    matches counted at info.threshold, and the shortfall of every cell
-    with fewer than ``expected`` records."""
+    """Order results by (context_id, prompt_id); build each prompt's max series
+    and summary, matches counted at info.threshold, in one pass over its cells;
+    list every cell with fewer than ``expected`` records. The first hole in the
+    context × prompt grid, prompts then contexts ascending, raises MissingCell."""
     ordered = sorted(results, key=lambda c: (c.context_id, c.prompt_id))
-    prompt_ids = sorted({c.prompt_id for c in ordered})
-    summaries = {
-        pid: summarize_prompt(ordered, pid, info.threshold) for pid in prompt_ids
-    }
+    by_prompt: dict[str, dict[int, PromptContextResult]] = {}
+    for cell in ordered:
+        by_prompt.setdefault(cell.prompt_id, {})[cell.context_id] = cell
+    context_ids = sorted({c.context_id for c in ordered})
+    summaries: dict[str, PromptSummary] = {}
+    max_series: dict[str, list[tuple[int, float]]] = {}
+    for pid, cells in sorted(by_prompt.items()):
+        if len(cells) < len(context_ids):
+            raise MissingCell(min(set(context_ids) - cells.keys()), pid)
+        # a cell without records raises EmptyRecords here
+        max_series[pid] = [(cid, cells[cid].prompt_max) for cid in context_ids]
+        records = [rec for cid in context_ids for rec in cells[cid].records]
+        stats = summarize([rec.question_max for rec in records])
+        summaries[pid] = PromptSummary(
+            prompt_id=pid,
+            n_questions=stats.n,
+            mean=stats.mean,
+            median=stats.median,
+            q1=stats.q1,
+            q3=stats.q3,
+            whisker_lo=stats.whisker_lo,
+            whisker_hi=stats.whisker_hi,
+            outliers=stats.outliers,
+            match_count=count_matches(records, info.threshold),
+        )
     zero_count = sum(
         1 for cell in ordered for rec in cell.records if rec.zero_vector_flag
     )
@@ -278,7 +249,7 @@ def assemble_run(
         info=info,
         results=ordered,
         summaries=summaries,
-        max_series=build_max_series(ordered),
+        max_series=max_series,
         zero_vector_count=zero_count,
         shortfalls=[
             {

@@ -30,7 +30,7 @@ from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from .errors import BadFloat, DimensionMismatch, DuplicateToken
+from .errors import BadEncoding, BadFloat, DimensionMismatch, DuplicateToken
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,6 @@ class SentenceVector:
     values: np.ndarray
     covered: int
     total: int
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[0])
 
     @property
     def is_zero(self) -> bool:
@@ -84,7 +80,7 @@ def load_vectors(source: str | IO | Iterable[str]) -> EmbeddingTable:
     ``count dim`` header (two bare integers) is skipped when it is line 1.
     Tokens are lowercased on load. Blank lines are ignored. A string is
     split into lines at ``\\n``, ``\\r\\n`` and ``\\r`` only, as a file
-    opened in text mode is.
+    opened in text mode is. A stream that does not decode raises BadEncoding.
     """
     if isinstance(source, str):
         lines: Iterable[str] = io.StringIO(source, newline=None)
@@ -93,35 +89,39 @@ def load_vectors(source: str | IO | Iterable[str]) -> EmbeddingTable:
     index: dict[str, int] = {}
     values = array("d")
     dim: int | None = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip("\n").strip("\r")
-        if not line.strip():
-            continue
-        if lineno == 1 and _parse_header(line):
-            continue
-        parts = line.split()
-        token = parts[0].lower()
-        comps = parts[1:]
-        if dim is None:
-            if not comps:
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip("\n").strip("\r")
+            if not line.strip():
+                continue
+            if lineno == 1 and _parse_header(line):
+                continue
+            parts = line.split()
+            token = parts[0].lower()
+            comps = parts[1:]
+            if dim is None:
+                if not comps:
+                    raise DimensionMismatch(
+                        f"line {lineno}: no vector components after token {token!r}"
+                    )
+                dim = len(comps)
+            if len(comps) != dim:
                 raise DimensionMismatch(
-                    f"line {lineno}: no vector components after token {token!r}"
+                    f"line {lineno}: expected {dim} components, got {len(comps)}"
                 )
-            dim = len(comps)
-        if len(comps) != dim:
-            raise DimensionMismatch(
-                f"line {lineno}: expected {dim} components, got {len(comps)}"
-            )
-        if token in index:
-            raise DuplicateToken(f"line {lineno}: token {token!r} seen before")
-        try:
-            row = [float(c) for c in comps]
-        except ValueError as exc:
-            raise BadFloat(f"line {lineno}: {exc}") from exc
-        if not all(map(math.isfinite, row)):
-            raise _non_finite(lineno)
-        values.extend(row)
-        index[token] = len(index)
+            if token in index:
+                raise DuplicateToken(f"line {lineno}: token {token!r} seen before")
+            try:
+                row = [float(c) for c in comps]
+            except ValueError as exc:
+                raise BadFloat(f"line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, row)):
+                raise _non_finite(lineno)
+            values.extend(row)
+            index[token] = len(index)
+    except UnicodeDecodeError as exc:
+        # a text stream decodes in chunks, so the failing line is not known
+        raise BadEncoding(f"vector file is not valid {exc.encoding}: {exc.reason}") from exc
     dim = dim if dim is not None else 0
     matrix = np.frombuffer(values, dtype=np.float64).reshape(len(index), dim)
     return _table(index, dim, matrix)

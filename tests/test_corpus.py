@@ -112,6 +112,11 @@ def test_parse_malformed_json():
         (lambda d: d["data"][0]["paragraphs"][0]["qas"][0].pop("question"), "qas[0].question"),
         (lambda d: d["data"][0]["paragraphs"][0]["qas"][0].pop("id"), "qas[0].id"),
         (lambda d: d["data"][0]["paragraphs"][0]["qas"][0].pop("answers"), "qas[0].answers"),
+        (lambda d: d.update(data=[1]), "$.data[0]: expected an object"),
+        (
+            lambda d: d["data"][0]["paragraphs"][0]["qas"][0]["answers"][0].update(text=""),
+            "answers[0].text: answer text is empty",
+        ),
     ],
 )
 def test_parse_schema_errors_carry_json_path(mutate, path_fragment):

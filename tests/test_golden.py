@@ -107,6 +107,7 @@ def golden_run_json(**info) -> str:
         ("manifest.json", '{"status": "failed", "config": {"top_keywords": 5}}', "manifest.json: run status is 'failed'"),
         ("run.json", (GOLDEN / "run.json").read_bytes() + b"\xff", "run.json: "),
         ("scores.jsonl", (GOLDEN / "scores.jsonl").read_bytes() + b"\xff", "scores.jsonl: "),
+        ("scores.jsonl", score_line(per_baseline=[["b0"]]), "'per_baseline' entries must be [id, score]"),
     ],
     ids=[
         "missing-keys",
@@ -123,6 +124,7 @@ def golden_run_json(**info) -> str:
         "failed-run",
         "run-json-not-utf8",
         "scores-not-utf8",
+        "per-baseline-entry-not-pair",
     ],
 )
 def test_report_on_bad_run_json_exits_with_data_error(

@@ -146,6 +146,8 @@ def test_validate_rejects_bad_values(config_path):
         replace(cfg, max_output_tokens=0),
         replace(cfg, top_keywords=0),
         replace(cfg, dataset="/nonexistent/data.json"),
+        # "" would be the current directory, whose files a failed run removes
+        replace(cfg, out=""),
         # wrong types are rejected before any range check
         replace(cfg, seed="7"),
         replace(cfg, threshold="0.7"),
@@ -674,6 +676,20 @@ def test_cli_run_overrides(tmp_path, mini_squad_path, demo_vectors_path, capsys)
     assert manifest["cells"] == 12
 
 
+def test_cli_run_backend_override_with_env_url(
+    tmp_path, mini_squad_path, demo_vectors_path, capsys, monkeypatch
+):
+    reply = {"choices": [{"text": FIVE_QUESTIONS}]}
+    with scripted_server(["ok"] * 4, reply=reply) as (url, state):
+        monkeypatch.setenv(ENV_URL, url)
+        path = write_config(tmp_path, mini_squad_path, demo_vectors_path, sample_size=1)
+        assert main(["run", "--config", str(path), "--backend", "openai"]) == 0
+    assert len(state["captured"]) == 4
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "complete"
+    assert manifest["backend"] == {"kind": "openai", "url": url, "model": None}
+
+
 def test_cli_run_accepts_every_backend_kind():
     args = build_parser().parse_args(
         ["run", "--config", "c.json", "--backend", "openai"]
@@ -707,8 +723,9 @@ def test_cli_exit_config_error_on_mistyped_value(
         # relative to the config file, so under tmp_path
         ({"out": "file"}, "cannot create output directory"),
         ({"out": "file/sub"}, "cannot create output directory"),
+        ({"out": ""}, "config key 'out' must be a non-empty string"),
     ],
-    ids=["nan-temperature", "file-url", "out-is-file", "out-under-file"],
+    ids=["nan-temperature", "file-url", "out-is-file", "out-under-file", "out-empty"],
 )
 def test_cli_exit_config_error_before_reading_input(
     tmp_path, mini_squad_path, demo_vectors_path, capsys, monkeypatch, overrides, message
@@ -720,6 +737,22 @@ def test_cli_exit_config_error_before_reading_input(
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     assert (tmp_path / "file").read_bytes() == b"kept"
+
+
+def test_cli_exit_config_error_on_empty_out_flag(
+    tmp_path, mini_squad_path, demo_vectors_path, capsys, monkeypatch
+):
+    # --out "" is not the current directory, whose report.md and run.json a
+    # failed run would delete
+    for name in ("report.md", "run.json"):
+        (tmp_path / name).write_bytes(b"kept")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(pipeline, "load_squad", lambda path: pytest.fail("input was read"))
+    path = write_config(tmp_path, mini_squad_path, demo_vectors_path)
+    assert main(["run", "--config", str(path), "--out", ""]) == 1
+    assert "out must be a non-empty path" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "report.md", "run.json"]
+    assert (tmp_path / "report.md").read_bytes() == (tmp_path / "run.json").read_bytes() == b"kept"
 
 
 def test_cli_exit_data_error(tmp_path, demo_vectors_path, capsys):

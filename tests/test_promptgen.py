@@ -158,7 +158,9 @@ def test_generate_records_call_log():
 @contextmanager
 def scripted_server(script: list, reply: dict | str | None = None):
     """Serve scripted statuses; "ok" entries reply 200 with ``reply`` JSON,
-    "sleep" answers late and "drop" closes the connection without a reply."""
+    "sleep" answers late, "drop" closes the connection without a reply and
+    a (status, location) pair answers with that Location header. A GET is
+    captured and answered like a POST."""
     state = {"captured": [], "script": list(script)}
     ok_body = reply if reply is not None else {"text": "1. Why?"}
 
@@ -194,9 +196,14 @@ def scripted_server(script: list, reply: dict | str | None = None):
                 except OSError:
                     pass
             else:
-                self.send_response(int(step))
+                status, location = step if isinstance(step, tuple) else (step, None)
+                self.send_response(int(status))
+                if location:
+                    self.send_header("Location", location)
                 self.send_header("Content-Length", "0")
                 self.end_headers()
+
+        do_GET = do_POST
 
         def log_message(self, *args):
             pass
@@ -204,7 +211,10 @@ def scripted_server(script: list, reply: dict | str | None = None):
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
     server.daemon_threads = True
     server.block_on_close = False
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits up to one poll interval for the loop to stop
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_port}/complete", state
@@ -283,6 +293,19 @@ def test_http_4xx_rejected_without_retry():
     assert sleeps == []
 
 
+@pytest.mark.parametrize("code", [301, 302, 303, 307, 308])
+@BACKEND_REPLIES
+def test_http_redirect_rejected_not_followed(backend_cls, reply, code):
+    with scripted_server(["ok"], reply=reply) as (elsewhere, target):
+        with scripted_server([(code, elsewhere)]) as (url, origin):
+            backend = backend_cls(url, token="SECRET", sleep=lambda s: None)
+            with pytest.raises(BackendRejected, match=f"HTTP {code}"):
+                backend.complete(REQ)
+    assert len(origin["captured"]) == 1
+    assert backend.last_retries == 0
+    assert target["captured"] == []
+
+
 def test_http_timeout_raises_backend_timeout():
     with scripted_server(["sleep", "sleep"]) as (url, _):
         backend = HttpBackend(url, timeout_s=0.2, attempts=2, sleep=lambda s: None)
@@ -355,6 +378,9 @@ def test_http_malformed_body_rejected():
             HttpBackend(url, sleep=lambda s: None).complete(REQ)
     with scripted_server(["ok"], reply="not json at all") as (url, _):
         with pytest.raises(BackendRejected):
+            HttpBackend(url, sleep=lambda s: None).complete(REQ)
+    with scripted_server(["ok"], reply={"text": 5}) as (url, _):
+        with pytest.raises(BackendRejected, match="not a string"):
             HttpBackend(url, sleep=lambda s: None).complete(REQ)
 
 
@@ -436,6 +462,9 @@ def test_openai_adapter_rejects_missing_choices():
     with scripted_server(["ok"], reply={"choices": []}) as (url, _):
         with pytest.raises(BackendRejected):
             OpenAICompletionsBackend(url, sleep=lambda s: None).complete(REQ)
+    with scripted_server(["ok"], reply={"choices": [{"text": None}]}) as (url, _):
+        with pytest.raises(BackendRejected, match="not a string"):
+            OpenAICompletionsBackend(url, sleep=lambda s: None).complete(REQ)
 
 
 # -- response parsing -----------------------------------------------------------------
@@ -463,6 +492,11 @@ def test_parse_bare_question_lines():
     raw = "Here are some questions:\nWhat is the answer?\nnot a question line\nWhy now?"
     parsed = parse_questions(raw, expected=2)
     assert parsed == ["What is the answer?", "Why now?"]
+
+
+def test_parse_skips_blank_lines_between_items():
+    spaced = parse_questions("1. Who?\n\n   \n2. What?\n\n", expected=5)
+    assert spaced == parse_questions("1. Who?\n2. What?", expected=5) == ["Who?", "What?"]
 
 
 def test_parse_does_not_split_mid_line_prose_numbers():

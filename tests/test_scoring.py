@@ -17,12 +17,10 @@ from qgen.scoring import (
     RunInfo,
     ScoreRecord,
     assemble_run,
-    build_max_series,
     count_matches,
     prompt_max,
     score_cell,
     summarize,
-    summarize_prompt,
 )
 from qgen.similarity import load_vectors, sentence_vector, cosine_similarity
 
@@ -285,54 +283,6 @@ def test_summarize_empty_raises():
         summarize([])
 
 
-# -- summarize_prompt --------------------------------------------------------------
-
-def test_summarize_prompt_pools_across_cells():
-    results = [
-        cell_with_maxes(0, "A", [0.9, 0.2]),
-        cell_with_maxes(1, "A", [0.8, 0.75]),
-        cell_with_maxes(0, "B", [0.1, 0.1]),
-    ]
-    summary = summarize_prompt(results, "A", 0.7)
-    assert summary.prompt_id == "A"
-    assert summary.n_questions == 4
-    assert summary.match_count == 3
-    oracle = summarize([0.9, 0.2, 0.8, 0.75])
-    assert summary.median == oracle.median
-    assert summary.mean == oracle.mean
-    assert summary.outliers == oracle.outliers
-
-
-def test_summarize_prompt_unknown_prompt():
-    with pytest.raises(EmptyRecords):
-        summarize_prompt([cell_with_maxes(0, "A", [0.5])], "D", 0.7)
-
-
-# -- build_max_series ----------------------------------------------------------------
-
-def grid_results() -> list[PromptContextResult]:
-    return [
-        cell_with_maxes(1, "B", [0.4]),
-        cell_with_maxes(0, "A", [0.9]),
-        cell_with_maxes(1, "A", [0.6]),
-        cell_with_maxes(0, "B", [0.3]),
-    ]
-
-
-def test_build_max_series_projection():
-    series = build_max_series(grid_results())
-    assert sorted(series) == ["A", "B"]
-    assert series["A"] == [(0, 0.9), (1, 0.6)]
-    assert series["B"] == [(0, 0.3), (1, 0.4)]
-
-
-def test_build_max_series_missing_cell():
-    results = grid_results()[:-1]
-    with pytest.raises(MissingCell) as err:
-        build_max_series(results)
-    assert "0" in str(err.value) and "B" in str(err.value)
-
-
 # -- assemble_run ------------------------------------------------------------------
 
 def make_info() -> RunInfo:
@@ -344,6 +294,54 @@ def make_info() -> RunInfo:
         vector_digest="abc",
         rng_algorithm="xoshiro256**",
     )
+
+
+def test_assemble_run_summary_pools_across_cells():
+    results = [
+        cell_with_maxes(0, "A", [0.9, 0.2]),
+        cell_with_maxes(1, "A", [0.8, 0.75]),
+        cell_with_maxes(0, "B", [0.1, 0.1]),
+        cell_with_maxes(1, "B", [0.1, 0.1]),
+    ]
+    summary = assemble_run(make_info(), results, expected=2).summaries["A"]
+    assert summary.prompt_id == "A"
+    assert summary.n_questions == 4
+    assert summary.match_count == 3
+    oracle = summarize([0.9, 0.2, 0.8, 0.75])
+    assert summary.median == oracle.median
+    assert summary.mean == oracle.mean
+    assert summary.outliers == oracle.outliers
+
+
+def grid_results() -> list[PromptContextResult]:
+    return [
+        cell_with_maxes(1, "B", [0.4]),
+        cell_with_maxes(0, "A", [0.9]),
+        cell_with_maxes(1, "A", [0.6]),
+        cell_with_maxes(0, "B", [0.3]),
+    ]
+
+
+def test_assemble_run_max_series_projection():
+    series = assemble_run(make_info(), grid_results(), expected=1).max_series
+    assert sorted(series) == ["A", "B"]
+    assert series["A"] == [(0, 0.9), (1, 0.6)]
+    assert series["B"] == [(0, 0.3), (1, 0.4)]
+
+
+def test_assemble_run_missing_cell():
+    results = grid_results()[:-1]
+    with pytest.raises(MissingCell) as err:
+        assemble_run(make_info(), results, expected=1)
+    assert (err.value.context_id, err.value.prompt_id) == (0, "B")
+    assert "0" in str(err.value) and "B" in str(err.value)
+
+
+def test_assemble_run_cell_without_records():
+    results = grid_results()
+    results[0] = PromptContextResult(context_id=1, prompt_id="B", records=())
+    with pytest.raises(EmptyRecords):
+        assemble_run(make_info(), results, expected=1)
 
 
 def test_assemble_run_orders_and_counts():

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import numpy as np
 import pytest
 
 from qgen import similarity
-from qgen.errors import BadFloat, DimensionMismatch, DuplicateToken
+from qgen.cli import main
+from qgen.errors import BadEncoding, BadFloat, DimensionMismatch, DuplicateToken
 from qgen.similarity import (
     EmbeddingTable,
     cosine_similarity,
@@ -115,6 +117,7 @@ LOADER_CASES = {
     # \x0b and \x85 end a line for str.splitlines() but not for a file
     "vt-in-line": (b"a 1\x0bb 2\n", (BadFloat, "line 1")),
     "nel-in-line": ("a 1\u0085b 2\n".encode(), (BadFloat, "line 1")),
+    "no-components": (b"cat\n", (DimensionMismatch, "line 1: no vector components")),
     "short-row": (b"cat 1 2\ndog 3\n", (DimensionMismatch, "line 2")),
     "long-row": (b"cat 1 2\ndog 3 4 5\n", (DimensionMismatch, "line 2")),
     "bad-float-last-line": (b"cat 1 2\ndog 3 4\nfox 5 oops\n", (BadFloat, "line 3")),
@@ -140,6 +143,24 @@ def test_path_loader_agrees_with_line_parser(tmp_path, content, error):
         assert got[:2] == error
     else:
         assert got[0] is error[0] and error[1] in got[1]
+
+
+def test_non_utf8_vector_file_is_bad_encoding(tmp_path, mini_squad_path):
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(b"cat 1.0 2.0\ndog\xff 3.0 4.0\n")
+    with open(path, "r", encoding="utf-8") as fh:
+        with pytest.raises(BadEncoding, match="not valid utf-8: invalid start byte"):
+            load_vectors(fh)
+    with pytest.raises(BadEncoding, match="not valid utf-8: invalid start byte"):
+        load_vectors_path(path)
+
+    config = tmp_path / "config.json"
+    doc = {"dataset": str(mini_squad_path), "vectors": str(path), "out": "out", "sample_size": 2}
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 2
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["stage"] == "load"
+    assert manifest["error"].startswith("BadEncoding: vector file is not valid utf-8")
 
 
 def test_regular_file_skips_line_parser(monkeypatch, tmp_path, demo_vectors_path):
