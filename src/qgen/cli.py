@@ -71,18 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.backend is not None:
-        updates["backend"] = args.backend
-    if args.threshold is not None:
-        updates["threshold"] = args.threshold
-    if args.sample_size is not None:
-        updates["sample_size"] = args.sample_size
-    if args.out is not None:
-        updates["out"] = args.out
-    return replace(cfg, **updates) if updates else cfg
+    """cfg with every given flag whose dest names a RunConfig field."""
+    updates = {
+        name: value
+        for name, value in vars(args).items()
+        if value is not None and name in RunConfig.__dataclass_fields__
+    }
+    return replace(cfg, **updates)
 
 
 def _exit_code(exc: BaseException) -> int:

@@ -53,7 +53,10 @@ class ContextRecord:
 @dataclass(frozen=True)
 class SquadDataset:
     records: tuple[ContextRecord, ...]
-    example_count: int
+
+    @property
+    def example_count(self) -> int:
+        return sum(len(r.baselines) for r in self.records)
 
     def questions(self) -> list[str]:
         return [b.question for r in self.records for b in r.baselines]
@@ -107,7 +110,6 @@ def parse_squad(source: str | bytes | IO) -> SquadDataset:
 
     data = _require(doc, "data", list, "$")
     records: list[ContextRecord] = []
-    example_count = 0
     context_id = 0
     for ai, article in enumerate(data):
         apath = f"$.data[{ai}]"
@@ -157,7 +159,6 @@ def parse_squad(source: str | bytes | IO) -> SquadDataset:
                 baselines.append(
                     BaselineQuestion(id=qid, question=question, answers=tuple(answers))
                 )
-                example_count += 1
             records.append(
                 ContextRecord(
                     context_id=context_id,
@@ -167,7 +168,7 @@ def parse_squad(source: str | bytes | IO) -> SquadDataset:
                 )
             )
             context_id += 1
-    return SquadDataset(records=tuple(records), example_count=example_count)
+    return SquadDataset(records=tuple(records))
 
 
 def load_squad(path) -> SquadDataset:

@@ -39,7 +39,7 @@ from pathlib import Path
 from string import Template
 from typing import Iterable, Iterator, get_args, get_type_hints
 
-from .corpus import SquadDataset, load_squad, sample_contexts
+from .corpus import ContextRecord, SquadDataset, load_squad, sample_contexts
 from .errors import ConfigError, EmptyRecords, MalformedJson, PipelineError, SchemaError
 from .promptgen import (
     PROMPT_IDS,
@@ -210,8 +210,11 @@ def make_backend(cfg: RunConfig) -> Backend:
 
 
 def make_out_dir(path: str | Path) -> Path:
-    """Create the output directory if need be; a path that cannot be a
-    directory raises ConfigError naming it."""
+    """Create the output directory if need be. An empty string, which
+    Path would take for the current directory, raises ConfigError, and so
+    does a path that cannot be a directory, naming it."""
+    if path == "":
+        raise ConfigError("out must be a non-empty path")
     out_dir = Path(path)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -260,8 +263,9 @@ _COMPLETE_RUN_ONLY = (
 def run_pipeline(cfg: RunConfig) -> EvalRun:
     """Execute a full run and persist all artifacts under cfg.out.
 
-    Each call fetches a completion and parses its questions, one stage,
-    "generate". After the first failed call or unparseable completion no
+    Each call renders its prompt, fetches a completion and parses its
+    questions, one stage, "generate"; each prompt lives only as long as
+    its call. After the first call that fails in any of the three, no
     further call is sent; calls in flight finish and are scored, and then
     the first submitted failure is raised. A sampled context without
     baseline questions fails at stage "sample", before any call. Outputs
@@ -309,30 +313,20 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
             vector_digest=vector_digest,
             rng_algorithm=RNG_ALGORITHM,
         )
-        # every prompt is rendered before the first call, so a render
-        # error sends none
-        rendered = [
-            (
-                record,
-                pid,
-                BackendRequest(
-                    prompt=render_prompt(pid, record.text),
-                    temperature=cfg.temperature,
-                    max_tokens=cfg.max_output_tokens,
-                ),
-            )
-            for record in sampled
-            for pid in cfg.prompts
-        ]
         # set by the first failed call; a worker checks it before each
         # call, so none is sent after a failure, however soon the worker
         # picks up its next job
         stop = threading.Event()
 
-        def call(request: BackendRequest) -> list[str] | None:
+        def call(record: ContextRecord, pid: str) -> list[str] | None:
             if stop.is_set():
                 return None
             try:
+                request = BackendRequest(
+                    prompt=render_prompt(pid, record.text),
+                    temperature=cfg.temperature,
+                    max_tokens=cfg.max_output_tokens,
+                )
                 raw = generate(backend, request, call_log)
                 return parse_questions(raw, cfg.questions_per_prompt)
             except Exception:
@@ -342,7 +336,11 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
         # leaving the pool waits for every call; after a failure the queued
         # ones return None at once
         with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
-            jobs = [(record, pid, pool.submit(call, request)) for record, pid, request in rendered]
+            jobs = [
+                (record, pid, pool.submit(call, record, pid))
+                for record in sampled
+                for pid in cfg.prompts
+            ]
         # failed calls sort last, in submission order, so every question
         # list that came back is scored before the first failure is raised
         for record, pid, future in sorted(jobs, key=lambda job: job[2].exception() is not None):

@@ -400,13 +400,14 @@ def test_total_backend_failure_no_cells(tmp_path, mini_squad_path, demo_vectors_
 
 
 class FailFirstBackend(MockBackend):
-    """Fails its first call: raises BackendRejected, or with
-    ``unparseable`` returns a completion with no questions. Every later
-    call takes about 50 ms."""
+    """With failure "rejected" its first call raises BackendRejected, with
+    "unparseable" it returns a completion with no questions; with any
+    other failure no call fails. Every call that does not fail takes
+    about 50 ms."""
 
-    def __init__(self, unparseable: bool = False) -> None:
+    def __init__(self, failure: str = "rejected") -> None:
         super().__init__(seed=0)
-        self.unparseable = unparseable
+        self.failure = failure
         self.calls = 0
         self.lock = threading.Lock()
 
@@ -414,21 +415,33 @@ class FailFirstBackend(MockBackend):
         with self.lock:
             self.calls += 1
             first = self.calls == 1
-        if first and self.unparseable:
+        if first and self.failure == "unparseable":
             return "no questions here"
-        if first:
+        if first and self.failure == "rejected":
             raise BackendRejected("rejected")
         time.sleep(0.05)
         return super().complete(request)
 
 
-@pytest.mark.parametrize("unparseable", [False, True], ids=["rejected", "unparseable"])
+@pytest.mark.parametrize("failure", ["rejected", "unparseable", "unrenderable"])
 def test_first_backend_failure_stops_queued_calls(
-    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, unparseable
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, failure
 ):
-    backend = FailFirstBackend(unparseable)
+    backend = FailFirstBackend(failure)
     monkeypatch.setattr(pipeline, "make_backend", lambda cfg: backend)
-    # 6 contexts x 4 prompts = 24 calls
+    renders = []
+    real_render = pipeline.render_prompt
+
+    def render_prompt(pid, context):
+        with backend.lock:
+            renders.append(pid)
+            first = len(renders) == 1
+        if first and failure == "unrenderable":
+            raise ValueError("unrenderable")
+        return real_render(pid, context)
+
+    monkeypatch.setattr(pipeline, "render_prompt", render_prompt)
+    # 6 contexts x 4 prompts = 24 jobs
     path = write_config(
         tmp_path, mini_squad_path, demo_vectors_path, sample_size=6, max_in_flight=2
     )
@@ -436,8 +449,11 @@ def test_first_backend_failure_stops_queued_calls(
         run_pipeline(load_config(path, env={}))
     assert err.value.stage == "generate"
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    # the failed call and at most the one in flight beside it
+    # the failed job and at most the one in flight beside it
+    assert len(renders) <= 2
     assert manifest["backend_calls"] == backend.calls <= 2
+    if failure == "unrenderable":
+        assert manifest["error"] == "ValueError: unrenderable"
 
 
 class SlowFirstFailSecondBackend(MockBackend):
@@ -697,6 +713,15 @@ def test_cli_run_accepts_every_backend_kind():
     assert args.backend == "openai"
 
 
+def test_cli_run_flags_name_config_fields():
+    # a flag whose dest names no RunConfig field would be ignored silently
+    args = vars(build_parser().parse_args(["run", "--config", "c.json"]))
+    assert args.pop("command") == "run"
+    assert args.pop("config") == "c.json"
+    assert args
+    assert set(args) <= set(RunConfig.__dataclass_fields__)
+
+
 def test_cli_exit_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -808,6 +833,13 @@ def test_cli_stats_unusable_out(tmp_path, mini_squad_path, capsys, monkeypatch):
     assert main(["stats", "--dataset", str(mini_squad_path), "--out", str(out)]) == 1
     assert f"error: cannot create output directory {out}" in capsys.readouterr().err
     assert out.read_bytes() == b"kept"
+    # an empty --out is not the current directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fig1_lengths.csv").write_bytes(b"kept")
+    assert main(["stats", "--dataset", str(mini_squad_path), "--out", ""]) == 1
+    assert "error: out must be a non-empty path" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig1_lengths.csv", "file"]
+    assert (tmp_path / "fig1_lengths.csv").read_bytes() == b"kept"
 
 
 @pytest.mark.parametrize(
