@@ -35,6 +35,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from importlib import resources
+from itertools import groupby
 from pathlib import Path
 from string import Template
 from typing import Iterable, Iterator, get_args, get_type_hints
@@ -268,9 +269,9 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
     its call. After the first call that fails in any of the three, no
     further call is sent; calls in flight finish and are scored, and then
     the first submitted failure is raised. A sampled context without
-    baseline questions fails at stage "sample", before any call. Outputs
-    are sorted by (context_id, prompt_id), not completion order, and
-    every artifact is written line by line, never held whole in memory.
+    baseline questions fails at stage "sample", before any call. The jobs,
+    and so every output, are in (context_id, prompt_id) order, and every
+    artifact is written line by line, never held whole in memory.
 
     The previous manifest.json is removed before any input is read, and
     the new one is written once, after every other file: by then
@@ -333,23 +334,26 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
                 stop.set()
                 raise
 
-        # leaving the pool waits for every call; after a failure the queued
-        # ones return None at once
+        # sampled is sorted by context id, so the jobs are in (context_id,
+        # prompt_id) order, the order of every artifact. Leaving the pool
+        # waits for every call; after a failure the queued ones return None
         with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
             jobs = [
                 (record, pid, pool.submit(call, record, pid))
                 for record in sampled
-                for pid in cfg.prompts
+                for pid in sorted(cfg.prompts)
             ]
-        # failed calls sort last, in submission order, so every question
-        # list that came back is scored before the first failure is raised
-        for record, pid, future in sorted(jobs, key=lambda job: job[2].exception() is not None):
-            stage = "generate"
-            questions = future.result()
-            if questions is None:  # skipped after a failed call
-                continue
-            stage = "score"
-            cells.append(score_cell(record.context_id, pid, questions, record.baselines, table))
+        # every question list that came back is scored, in job order, before
+        # the first failed job's error is raised
+        stage = "score"
+        for record, pid, future in jobs:
+            questions = None if future.exception() else future.result()
+            if questions is not None:
+                cell = score_cell(record.context_id, pid, questions, record.baselines, table)
+                cells.append(cell)
+        stage = "generate"
+        for *_, future in jobs:
+            future.result()  # raises the first failed job's error
         stage = "aggregate"
         run = assemble_run(info, cells, cfg.questions_per_prompt)
         stage = "persist"
@@ -370,7 +374,6 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
             (out_dir / name).unlink(missing_ok=True)
         error = exc
         outcome = {"status": "failed", "stage": stage, "error": f"{type(exc).__name__}: {exc}"}
-    cells.sort(key=lambda c: (c.context_id, c.prompt_id))
     _write_files(out_dir, {"scores.jsonl": scores_to_jsonl(cells)})
     manifest = {
         "config": _public_config(cfg),
@@ -392,12 +395,9 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
 
 # -- persistence ---------------------------------------------------------------
 
-# a scores.jsonl line holds exactly these ScoreRecord fields
-_RECORD_FIELDS = tuple(f.name for f in fields(ScoreRecord))
-
-# scores.jsonl field types that load_run checks before scoring computes
-# with them; per_baseline is a JSON list, checked pair by pair by
-# _baseline_score
+# the keys of a scores.jsonl line, ScoreRecord's fields, with the types
+# load_run checks before scoring computes with them; per_baseline is a
+# JSON list, checked pair by pair by _baseline_score
 _RECORD_TYPES = {**get_type_hints(ScoreRecord), "per_baseline": list}
 
 
@@ -432,7 +432,8 @@ def _record_from_json(doc: dict) -> ScoreRecord:
 def scores_to_jsonl(cells: list[PromptContextResult]) -> Iterator[str]:
     for cell in cells:
         for rec in cell.records:
-            yield _json_dumps({name: getattr(rec, name) for name in _RECORD_FIELDS}) + "\n"
+            # not vars(rec): it would give every record a __dict__ it keeps
+            yield _json_dumps({name: getattr(rec, name) for name in _RECORD_TYPES}) + "\n"
 
 
 def _fmt(x: float) -> str:
@@ -491,13 +492,14 @@ def _reading(path: Path):
 def load_run(out_dir: str | Path) -> EvalRun:
     """Rebuild an EvalRun from the directory of a complete run.
 
-    manifest.json must say status "complete", so a failed or interrupted
-    run is never read, and gives questions_per_prompt. Only the run info
-    is read from run.json; summaries, max series, shortfalls and the
-    zero-vector count are recomputed from scores.jsonl by assemble_run,
-    so a loaded run always agrees with its scores. A missing file or a
-    missing or mistyped field raises SchemaError and invalid JSON or
-    UTF-8 raises MalformedJson, each naming the file.
+    manifest.json must say status "complete"; it gives questions_per_prompt
+    and the cell and question counts. run.json gives the run info, and
+    assemble_run recomputes the rest from scores.jsonl, read line by line
+    in the order the run wrote it: cells ascend by (context_id, prompt_id),
+    each indexed 0, 1, 2, ..., as many as the manifest counts. A missing
+    file, a missing or mistyped field or a line out of order raises
+    SchemaError, and invalid JSON or UTF-8 or a blank line MalformedJson,
+    each naming the file.
     """
     out = Path(out_dir)
     with _reading(out / "manifest.json") as path:
@@ -505,37 +507,34 @@ def load_run(out_dir: str | Path) -> EvalRun:
         status = manifest["status"]
         if status != "complete":
             raise SchemaError(str(path), f"run status is {status!r}, not 'complete'")
-        expected = _config_count(manifest, "questions_per_prompt")
+        expected = _count(manifest["config"], "questions_per_prompt")
+        counts = (_count(manifest, "cells"), _count(manifest, "questions"))
     with _reading(out / "run.json") as path:
         info = RunInfo(**json.loads(path.read_text(encoding="utf-8"))["info"])
         _check_types(vars(info), _INFO_TYPES)
         if not 0.0 <= info.threshold <= 1.0:
             raise TypeError(f"'threshold' must be in [0, 1], got {info.threshold!r}")
-    with _reading(out / "scores.jsonl") as path:
-        # split at "\n" only: the writer leaves \x85, \u2028 and \u2029 raw
-        # inside strings, and str.splitlines() would break lines there
-        records = [
-            _record_from_json(json.loads(line))
-            for line in path.read_text(encoding="utf-8").split("\n")
-            if line
-        ]
-    by_cell: dict[tuple[int, str], list[ScoreRecord]] = {}
-    for rec in records:
-        by_cell.setdefault((rec.context_id, rec.prompt_id), []).append(rec)
-    cells = [
-        PromptContextResult(
-            context_id=cid,
-            prompt_id=pid,
-            records=tuple(sorted(recs, key=lambda r: r.index)),
-        )
-        for (cid, pid), recs in by_cell.items()
-    ]
+    cells: list[PromptContextResult] = []
+    # a line ends at "\n" only: the writer leaves \x85, \u2028 and \u2029
+    # raw inside strings
+    with _reading(out / "scores.jsonl") as path, open(path, encoding="utf-8", newline="\n") as fh:
+        records = (_record_from_json(json.loads(line)) for line in fh)
+        for key, group in groupby(records, key=lambda r: (r.context_id, r.prompt_id)):
+            recs = tuple(group)
+            if cells and key <= (cells[-1].context_id, cells[-1].prompt_id):
+                raise SchemaError(str(path), f"cell {key} is out of order")
+            if any(rec.index != i for i, rec in enumerate(recs)):
+                raise SchemaError(str(path), f"cell {key} is not indexed 0, 1, 2, ...")
+            cells.append(PromptContextResult(*key, records=recs))
+        read = (len(cells), sum(len(c.records) for c in cells))
+        if read != counts:
+            raise SchemaError(str(path), f"(cells, questions) is {read}, manifest {counts}")
     return assemble_run(info, cells, expected)
 
 
-def _config_count(manifest: dict, key: str) -> int:
-    """A manifest config setting that must be an int >= 1."""
-    value = manifest["config"][key]
+def _count(doc: dict, key: str) -> int:
+    """A manifest value that must be an int >= 1."""
+    value = doc[key]
     if not _has_type(value, int) or value < 1:
         raise TypeError(f"{key} must be an int >= 1, got {value!r}")
     return value
@@ -544,7 +543,7 @@ def _config_count(manifest: dict, key: str) -> int:
 def load_top_keywords(out_dir: str | Path) -> int:
     """The top_keywords setting a persisted run was made with, from its manifest."""
     with _reading(Path(out_dir) / "manifest.json") as path:
-        return _config_count(json.loads(path.read_text(encoding="utf-8")), "top_keywords")
+        return _count(json.loads(path.read_text(encoding="utf-8"))["config"], "top_keywords")
 
 
 # -- figures -------------------------------------------------------------------

@@ -4,13 +4,18 @@ bench/child.py wraps module attributes of qgen.pipeline and qgen.scoring
 listed in its TRACED table. A refactor that renames or inlines one of
 them would make the traced benchmark print a "not traced" line or report
 a layer as idle; this test catches that in the test suite instead. The
-table is read with ast, so bench/ is neither imported nor edited.
+table is read with ast, so bench/ is neither imported nor edited. The
+golden run's call counts are pinned, and the attributes bench/child.py
+reads from a run and from the loaders' results are read here too, so a
+rename that would fail every benchmark run fails a test first.
 """
 
 from __future__ import annotations
 
 import ast
 import functools
+import threading
+from collections import Counter
 from pathlib import Path
 
 from qgen import pipeline, scoring
@@ -39,21 +44,32 @@ def test_traced_names_exist():
 
 
 def test_golden_run_calls_every_traced_name(tmp_path, monkeypatch):
-    called = set()
+    # counts are pinned: a change that lowers one updates it here, and one
+    # that rises fails
+    calls = Counter()
+    sentences = set()
+    loaded = {}
+    lock = threading.Lock()
 
-    def recording(key, fn):
+    def counting(key, fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            called.add(key)
-            return fn(*args, **kwargs)
+            with lock:
+                calls[key] += 1
+                if key == "sentence_vector":
+                    sentences.add(args[0])
+            result = fn(*args, **kwargs)
+            if key in ("load_squad", "load_vectors_path"):
+                loaded[key] = result
+            return result
 
         return wrapper
 
     for module, attr in TRACED:
         fn = getattr(MODULES[module], attr)
-        monkeypatch.setattr(MODULES[module], attr, recording((module, attr), fn))
+        monkeypatch.setattr(MODULES[module], attr, counting(attr, fn))
     # the config of demos/04_full_run.py
-    run_pipeline(
+    run = run_pipeline(
         RunConfig(
             dataset=str(ROOT / "demos" / "data" / "mini_squad.json"),
             vectors=str(ROOT / "demos" / "data" / "vectors_50d.txt"),
@@ -63,4 +79,28 @@ def test_golden_run_calls_every_traced_name(tmp_path, monkeypatch):
             threshold=0.7,
         )
     )
-    assert [name for name in TRACED if name not in called] == []
+    assert [attr for _, attr in TRACED if attr not in calls] == []
+    assert {attr: calls[attr] for _, attr in TRACED} == {
+        "load_squad": 1,
+        "sample_contexts": 1,
+        "load_vectors_path": 1,
+        "_sha256_file": 1,
+        "render_prompt": 16,
+        "generate": 16,
+        "parse_questions": 16,
+        "score_cell": 16,
+        "assemble_run": 1,
+        "persist_run": 1,
+        "emit_figures": 1,
+        "write_report": 1,
+        "question_length_histogram": 1,
+        "frequent_words": 1,
+        "sentence_vector": 128,
+        "cosine_similarity": 240,
+    }
+    assert len(sentences) == 46
+    # what bench/child.py reads from a run and from the loaders' results
+    assert sum(len(cell.records) for cell in run.results) == 80
+    assert len(run.results) == 16
+    dataset, table = loaded["load_squad"], loaded["load_vectors_path"]
+    assert (len(dataset.records), dataset.example_count, len(table)) == (6, 18, 167)

@@ -90,6 +90,22 @@ def golden_run_json(**info) -> str:
     return json.dumps(doc)
 
 
+def golden_scores(edit) -> str:
+    """The golden scores.jsonl after edit(list of its lines, without "\n")."""
+    lines = (GOLDEN / "scores.jsonl").read_text(encoding="utf-8").split("\n")[:-1]
+    return "".join(line + "\n" for line in edit(lines))
+
+
+def with_index(line: str, index: int) -> str:
+    return json.dumps({**json.loads(line), "index": index})
+
+
+def manifest(cells=16, questions_per_prompt=5, top_keywords=5) -> str:
+    """A complete run's manifest with the fields report reads."""
+    config = {"questions_per_prompt": questions_per_prompt, "top_keywords": top_keywords}
+    return json.dumps({"status": "complete", "config": config, "cells": cells, "questions": 80})
+
+
 @pytest.mark.parametrize(
     "name, content, message",
     [
@@ -102,12 +118,20 @@ def golden_run_json(**info) -> str:
         ("scores.jsonl", score_line(per_baseline="abc"), "scores.jsonl: missing or malformed field"),
         ("scores.jsonl", score_line(extra=1), "scores.jsonl: missing or malformed field"),
         ("manifest.json", None, "manifest.json: file not found"),
-        ("manifest.json", '{"status": "complete", "config": {"questions_per_prompt": 5, "top_keywords": "5"}}', "manifest.json: "),
-        ("manifest.json", '{"status": "complete", "config": {"questions_per_prompt": "5", "top_keywords": 5}}', "manifest.json: "),
+        ("manifest.json", manifest(top_keywords="5"), "manifest.json: missing or malformed field: top_keywords must be"),
+        ("manifest.json", manifest(questions_per_prompt="5"), "manifest.json: missing or malformed field: questions_per_prompt must be"),
+        ("manifest.json", manifest(cells=0), "manifest.json: missing or malformed field: cells must be"),
         ("manifest.json", '{"status": "failed", "config": {"top_keywords": 5}}', "manifest.json: run status is 'failed'"),
         ("run.json", (GOLDEN / "run.json").read_bytes() + b"\xff", "run.json: "),
         ("scores.jsonl", (GOLDEN / "scores.jsonl").read_bytes() + b"\xff", "scores.jsonl: "),
         ("scores.jsonl", score_line(per_baseline=[["b0"]]), "'per_baseline' entries must be [id, score]"),
+        ("scores.jsonl", golden_scores(lambda ls: ls[:1] + ls), "scores.jsonl: cell (0, 'A') is not indexed"),
+        ("scores.jsonl", golden_scores(lambda ls: [ls[0], with_index(ls[1], 0), *ls[2:]]), "scores.jsonl: cell (0, 'A') is not indexed"),
+        # the first two cells, (0, A) and (0, B), swapped as blocks
+        ("scores.jsonl", golden_scores(lambda ls: ls[5:10] + ls[:5] + ls[10:]), "scores.jsonl: cell (0, 'A') is out of order"),
+        ("scores.jsonl", golden_scores(lambda ls: ls[:1] + [""] + ls[1:]), "scores.jsonl: Expecting value"),
+        ("scores.jsonl", golden_scores(lambda ls: ls[:-1]), "scores.jsonl: (cells, questions) is (16, 79)"),
+        ("scores.jsonl", golden_scores(lambda ls: [line for line in ls if '"prompt_id":"D"' not in line]), "scores.jsonl: (cells, questions) is (12, 60)"),
     ],
     ids=[
         "missing-keys",
@@ -121,10 +145,17 @@ def golden_run_json(**info) -> str:
         "missing-manifest",
         "mistyped-top-keywords",
         "mistyped-questions-per-prompt",
+        "zero-cells",
         "failed-run",
         "run-json-not-utf8",
         "scores-not-utf8",
         "per-baseline-entry-not-pair",
+        "scores-duplicate-line",
+        "scores-renumbered",
+        "scores-out-of-order",
+        "scores-blank-line",
+        "scores-dropped-last-line",
+        "scores-dropped-prompt",
     ],
 )
 def test_report_on_bad_run_json_exits_with_data_error(

@@ -193,12 +193,37 @@ def test_run_pipeline_shapes_and_artifacts(config_path, tmp_path):
     assert keys == sorted(keys)
 
 
-def test_run_pipeline_is_deterministic(tmp_path, mini_squad_path, demo_vectors_path):
+class SlowFirstCallsBackend(MockBackend):
+    """Its first three calls take 60, 40 and 20 ms, the rest no time, so
+    with more than one call in flight completions come back out of job
+    order."""
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed=seed)
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def complete(self, request):
+        with self.lock:
+            self.calls += 1
+            n = self.calls
+        time.sleep(0.02 * max(0, 4 - n))
+        return super().complete(request)
+
+
+@pytest.mark.parametrize(
+    "second", [{}, {"prompts": "DCBA"}, {"max_in_flight": 1}],
+    ids=["same", "prompts-reversed", "one-in-flight"],
+)
+def test_run_pipeline_is_deterministic(
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, second
+):
+    monkeypatch.setattr(pipeline, "make_backend", lambda cfg: SlowFirstCallsBackend(cfg.seed))
     outs = []
-    for name in ("one", "two"):
+    for name, overrides in (("one", {}), ("two", second)):
         path = write_config(
             tmp_path, mini_squad_path, demo_vectors_path,
-            out=str(tmp_path / name), seed=11,
+            out=str(tmp_path / name), seed=11, **overrides,
         )
         run_pipeline(load_config(path, env={}))
         outs.append(tmp_path / name)
@@ -219,7 +244,8 @@ def test_run_pipeline_is_deterministic(tmp_path, mini_squad_path, demo_vectors_p
     m1 = json.loads((outs[1] / "manifest.json").read_text())
     for volatile in ("started_at", "finished_at", "backend_latency_s"):
         m0.pop(volatile), m1.pop(volatile)
-    m0["config"].pop("out"), m1["config"].pop("out")
+    for key in ("out", *second):
+        m0["config"].pop(key), m1["config"].pop(key)
     assert m0 == m1
 
 
