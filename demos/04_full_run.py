@@ -31,14 +31,13 @@ print(f"scored {sum(len(c.records) for c in run.results)} questions "
       f"in {len(run.results)} context-prompt cells")
 print()
 print("per-prompt summaries (max similarity per question):")
-for pid in sorted(run.summaries):
-    s = run.summaries[pid]
+for pid, s in run.summaries.items():
     print(f"  {pid}: n={s.n_questions} mean={s.mean:.4f} median={s.median:.4f} "
           f"q1={s.q1:.4f} q3={s.q3:.4f} matches={s.match_count}")
 print()
 
 print("highest scoring question per prompt:")
-for pid in sorted(run.summaries):
+for pid in run.summaries:
     best = max(
         (rec for cell in run.results if cell.prompt_id == pid for rec in cell.records),
         key=lambda rec: rec.question_max,

@@ -97,8 +97,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     run = run_pipeline(cfg)
     total = sum(len(c.records) for c in run.results)
     print(f"run complete: {len(run.results)} cells, {total} questions -> {cfg.out}")
-    for pid in sorted(run.summaries):
-        s = run.summaries[pid]
+    for pid, s in run.summaries.items():
         print(
             f"  prompt {pid}: n={s.n_questions} mean={s.mean:.4f} "
             f"median={s.median:.4f} matches={s.match_count}"

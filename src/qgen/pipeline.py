@@ -477,8 +477,8 @@ def persist_run(run: EvalRun, out_dir: Path) -> None:
 
 @contextmanager
 def _reading(path: Path):
-    """Raise a missing file, bad JSON or UTF-8, or a missing or mistyped
-    field met reading path as SchemaError or MalformedJson naming the file."""
+    """Raise a missing file, bad JSON or UTF-8, a missing or mistyped field
+    or another ValueError met reading path as a QgenError naming the file."""
     try:
         yield path
     except FileNotFoundError as exc:
@@ -487,6 +487,22 @@ def _reading(path: Path):
         raise MalformedJson(f"{path}: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise SchemaError(str(path), f"missing or malformed field: {exc}") from exc
+    except ValueError as exc:
+        raise SchemaError(str(path), str(exc)) from exc
+
+
+def _score_records(path: Path, fh) -> Iterator[ScoreRecord]:
+    """The records of a scores.jsonl stream. A line that is not JSON or not
+    a record raises MalformedJson or SchemaError naming the file and the
+    line; for bad JSON, the decoder's column within that line."""
+    for n, line in enumerate(fh, 1):
+        try:
+            record = _record_from_json(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise MalformedJson(f"{path}: line {n}: {exc.msg}: column {exc.colno}") from exc
+        except (KeyError, TypeError) as exc:
+            raise SchemaError(str(path), f"line {n}: missing or malformed field: {exc}") from exc
+        yield record
 
 
 def load_run(out_dir: str | Path) -> EvalRun:
@@ -495,11 +511,12 @@ def load_run(out_dir: str | Path) -> EvalRun:
     manifest.json must say status "complete"; it gives questions_per_prompt
     and the cell and question counts. run.json gives the run info, and
     assemble_run recomputes the rest from scores.jsonl, read line by line
-    in the order the run wrote it: cells ascend by (context_id, prompt_id),
-    each indexed 0, 1, 2, ..., as many as the manifest counts. A missing
-    file, a missing or mistyped field or a line out of order raises
+    in the order the run wrote it: each cell indexed 0, 1, 2, ..., as many
+    as the manifest counts, in the order assemble_run checks. A missing
+    file, a missing or mistyped field or a cell out of order raises
     SchemaError, and invalid JSON or UTF-8 or a blank line MalformedJson,
-    each naming the file.
+    each naming the file; a scores.jsonl line that fails as JSON or as a
+    record is named too.
     """
     out = Path(out_dir)
     with _reading(out / "manifest.json") as path:
@@ -518,18 +535,16 @@ def load_run(out_dir: str | Path) -> EvalRun:
     # a line ends at "\n" only: the writer leaves \x85, \u2028 and \u2029
     # raw inside strings
     with _reading(out / "scores.jsonl") as path, open(path, encoding="utf-8", newline="\n") as fh:
-        records = (_record_from_json(json.loads(line)) for line in fh)
+        records = _score_records(path, fh)
         for key, group in groupby(records, key=lambda r: (r.context_id, r.prompt_id)):
             recs = tuple(group)
-            if cells and key <= (cells[-1].context_id, cells[-1].prompt_id):
-                raise SchemaError(str(path), f"cell {key} is out of order")
             if any(rec.index != i for i, rec in enumerate(recs)):
                 raise SchemaError(str(path), f"cell {key} is not indexed 0, 1, 2, ...")
             cells.append(PromptContextResult(*key, records=recs))
         read = (len(cells), sum(len(c.records) for c in cells))
         if read != counts:
             raise SchemaError(str(path), f"(cells, questions) is {read}, manifest {counts}")
-    return assemble_run(info, cells, expected)
+        return assemble_run(info, cells, expected)
 
 
 def _count(doc: dict, key: str) -> int:
@@ -550,8 +565,7 @@ def load_top_keywords(out_dir: str | Path) -> int:
 
 def fig6_csv(run: EvalRun) -> Iterator[str]:
     yield "prompt,mean,median,q1,q3,whisker_lo,whisker_hi,outliers\n"
-    for pid in sorted(run.summaries):
-        s = run.summaries[pid]
+    for pid, s in run.summaries.items():
         outliers = ";".join(_fmt(v) for v in s.outliers)
         yield (
             f"{pid},{_fmt(s.mean)},{_fmt(s.median)},{_fmt(s.q1)},{_fmt(s.q3)},"
@@ -561,15 +575,14 @@ def fig6_csv(run: EvalRun) -> Iterator[str]:
 
 def fig7_csv(run: EvalRun) -> Iterator[str]:
     yield "prompt,match_count\n"
-    for pid in sorted(run.summaries):
-        yield f"{pid},{run.summaries[pid].match_count}\n"
+    for pid, s in run.summaries.items():
+        yield f"{pid},{s.match_count}\n"
 
 
 def fig8_csv(run: EvalRun) -> Iterator[str]:
-    prompt_ids = sorted(run.max_series)
-    yield "context_id," + ",".join(prompt_ids) + "\n"
+    yield "context_id," + ",".join(run.max_series) + "\n"
     # every series lists the same context ids, ascending (see EvalRun)
-    for points in zip(*(run.max_series[pid] for pid in prompt_ids)):
+    for points in zip(*run.max_series.values()):
         yield f"{points[0][0]}," + ",".join(_fmt(value) for _, value in points) + "\n"
 
 
@@ -579,7 +592,7 @@ def emit_figures(run: EvalRun, out: str | Path, top_keywords: int) -> list[Path]
     Figure 1/2 series here are over the run's generated questions; the
     dataset-level variants come from emit_dataset_figures instead.
     """
-    questions = [rec.question for rec in run.records()]
+    questions = [rec.question for cell in run.results for rec in cell.records]
     files = _question_figures(questions, top_keywords)
     files["fig6_boxplot.csv"] = fig6_csv(run)
     files["fig7_matches.csv"] = fig7_csv(run)
@@ -643,8 +656,7 @@ def _report_template() -> Template:
 
 def write_report(run: EvalRun, out: str | Path) -> Path:
     rows = []
-    for pid in sorted(run.summaries):
-        s = run.summaries[pid]
+    for pid, s in run.summaries.items():
         rows.append(
             f"| {pid} | {s.n_questions} | {s.mean:.4f} | {s.median:.4f} "
             f"| {s.match_count} |"

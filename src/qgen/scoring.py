@@ -106,7 +106,8 @@ class RunInfo:
 class EvalRun:
     """All scoring outputs for one run, in deterministic order.
 
-    Every prompt's ``max_series`` lists the same context ids, ascending.
+    ``summaries`` and ``max_series`` are in ascending prompt id order, and
+    every prompt's ``max_series`` lists the same context ids, ascending.
     ``shortfalls`` lists the cells with fewer records than the questions
     asked per prompt, as {context_id, prompt_id, got, expected} dicts.
     """
@@ -117,9 +118,6 @@ class EvalRun:
     max_series: dict[str, list[tuple[int, float]]]
     zero_vector_count: int
     shortfalls: list[dict]
-
-    def records(self) -> list[ScoreRecord]:
-        return [rec for cell in self.results for rec in cell.records]
 
 
 def score_cell(
@@ -212,15 +210,19 @@ def summarize(scores: list[float]) -> BoxStats:
 def assemble_run(
     info: RunInfo, results: list[PromptContextResult], expected: int
 ) -> EvalRun:
-    """Order results by (context_id, prompt_id); build each prompt's max series
-    and summary, matches counted at info.threshold, in one pass over its cells;
-    list every cell with fewer than ``expected`` records. The first hole in the
-    context × prompt grid, prompts then contexts ascending, raises MissingCell."""
-    ordered = sorted(results, key=lambda c: (c.context_id, c.prompt_id))
+    """Take the cells in (context_id, prompt_id) order, each once, raising
+    ValueError at the first that is not; build each prompt's max series and
+    summary, matches counted at info.threshold; list every cell with fewer
+    than ``expected`` records. The first hole in the context × prompt grid,
+    prompts then contexts ascending, raises MissingCell."""
     by_prompt: dict[str, dict[int, PromptContextResult]] = {}
-    for cell in ordered:
+    key: tuple = ()
+    for cell in results:
+        key, before = (cell.context_id, cell.prompt_id), key
+        if key <= before:
+            raise ValueError(f"cell {key} is out of order")
         by_prompt.setdefault(cell.prompt_id, {})[cell.context_id] = cell
-    context_ids = sorted({c.context_id for c in ordered})
+    context_ids = list(dict.fromkeys(c.context_id for c in results))
     summaries: dict[str, PromptSummary] = {}
     max_series: dict[str, list[tuple[int, float]]] = {}
     for pid, cells in sorted(by_prompt.items()):
@@ -243,11 +245,11 @@ def assemble_run(
             match_count=count_matches(records, info.threshold),
         )
     zero_count = sum(
-        1 for cell in ordered for rec in cell.records if rec.zero_vector_flag
+        1 for cell in results for rec in cell.records if rec.zero_vector_flag
     )
     return EvalRun(
         info=info,
-        results=ordered,
+        results=results,
         summaries=summaries,
         max_series=max_series,
         zero_vector_count=zero_count,
@@ -258,7 +260,7 @@ def assemble_run(
                 "got": len(cell.records),
                 "expected": expected,
             }
-            for cell in ordered
+            for cell in results
             if len(cell.records) < expected
         ],
     )

@@ -7,13 +7,16 @@ a layer as idle; this test catches that in the test suite instead. The
 table is read with ast, so bench/ is neither imported nor edited. The
 golden run's call counts are pinned, and the attributes bench/child.py
 reads from a run and from the loaders' results are read here too, so a
-rename that would fail every benchmark run fails a test first.
+rename that would fail every benchmark run fails a test first. The
+benchmark's name tables, TRACED's span names, BENCHMARK.json's per-layer
+metrics and bench/layer_map.json, are checked against each other.
 """
 
 from __future__ import annotations
 
 import ast
 import functools
+import json
 import threading
 from collections import Counter
 from pathlib import Path
@@ -25,13 +28,13 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = {"pipeline": pipeline, "scoring": scoring}
 
 
-def traced_names() -> list[tuple[str, str]]:
+def traced_names() -> list[tuple[str, str, str]]:
     tree = ast.parse((ROOT / "bench" / "child.py").read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
         ):
-            return [(module, attr) for module, attr, _ in ast.literal_eval(node.value)]
+            return list(ast.literal_eval(node.value))
     raise AssertionError("bench/child.py defines no TRACED table")
 
 
@@ -39,8 +42,21 @@ TRACED = traced_names()
 
 
 def test_traced_names_exist():
-    missing = [(m, a) for m, a in TRACED if not callable(getattr(MODULES[m], a, None))]
+    missing = [(m, a) for m, a, _ in TRACED if not callable(getattr(MODULES[m], a, None))]
     assert missing == []
+
+
+def test_bench_name_tables_agree():
+    # bench/run.py reports a span as per-layer metrics named "<span>.<stat>"
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    per_layer = {metric["name"] for metric in bench["per_layer"]}
+    unmeasured = [
+        span for *_, span in TRACED
+        if not any(name.startswith(span + ".") for name in per_layer)
+    ]
+    assert unmeasured == []
+    layer_map = json.loads((ROOT / "bench" / "layer_map.json").read_text(encoding="utf-8"))
+    assert [m for layer in layer_map for m in layer["metrics"] if m not in per_layer] == []
 
 
 def test_golden_run_calls_every_traced_name(tmp_path, monkeypatch):
@@ -65,7 +81,7 @@ def test_golden_run_calls_every_traced_name(tmp_path, monkeypatch):
 
         return wrapper
 
-    for module, attr in TRACED:
+    for module, attr, _ in TRACED:
         fn = getattr(MODULES[module], attr)
         monkeypatch.setattr(MODULES[module], attr, counting(attr, fn))
     # the config of demos/04_full_run.py
@@ -79,8 +95,8 @@ def test_golden_run_calls_every_traced_name(tmp_path, monkeypatch):
             threshold=0.7,
         )
     )
-    assert [attr for _, attr in TRACED if attr not in calls] == []
-    assert {attr: calls[attr] for _, attr in TRACED} == {
+    assert [attr for _, attr, _ in TRACED if attr not in calls] == []
+    assert {attr: calls[attr] for _, attr, _ in TRACED} == {
         "load_squad": 1,
         "sample_contexts": 1,
         "load_vectors_path": 1,

@@ -96,8 +96,8 @@ def golden_scores(edit) -> str:
     return "".join(line + "\n" for line in edit(lines))
 
 
-def with_index(line: str, index: int) -> str:
-    return json.dumps({**json.loads(line), "index": index})
+def with_fields(line: str, **fields) -> str:
+    return json.dumps({**json.loads(line), **fields})
 
 
 def manifest(cells=16, questions_per_prompt=5, top_keywords=5) -> str:
@@ -112,11 +112,11 @@ def manifest(cells=16, questions_per_prompt=5, top_keywords=5) -> str:
         ("run.json", '{"info": {}}', "run.json: missing or malformed field"),
         ("run.json", "{not json", "run.json: "),
         ("run.json", None, "run.json: file not found"),
-        ("scores.jsonl", score_line(question_max="high"), "scores.jsonl: missing or malformed field"),
+        ("scores.jsonl", score_line(question_max="high"), "scores.jsonl: line 1: missing or malformed field"),
         ("run.json", golden_run_json(threshold="high"), "run.json: missing or malformed field"),
         ("run.json", golden_run_json(threshold=1.5), "run.json: missing or malformed field"),
-        ("scores.jsonl", score_line(per_baseline="abc"), "scores.jsonl: missing or malformed field"),
-        ("scores.jsonl", score_line(extra=1), "scores.jsonl: missing or malformed field"),
+        ("scores.jsonl", score_line(per_baseline="abc"), "scores.jsonl: line 1: missing or malformed field"),
+        ("scores.jsonl", score_line(extra=1), "scores.jsonl: line 1: missing or malformed field"),
         ("manifest.json", None, "manifest.json: file not found"),
         ("manifest.json", manifest(top_keywords="5"), "manifest.json: missing or malformed field: top_keywords must be"),
         ("manifest.json", manifest(questions_per_prompt="5"), "manifest.json: missing or malformed field: questions_per_prompt must be"),
@@ -126,10 +126,13 @@ def manifest(cells=16, questions_per_prompt=5, top_keywords=5) -> str:
         ("scores.jsonl", (GOLDEN / "scores.jsonl").read_bytes() + b"\xff", "scores.jsonl: "),
         ("scores.jsonl", score_line(per_baseline=[["b0"]]), "'per_baseline' entries must be [id, score]"),
         ("scores.jsonl", golden_scores(lambda ls: ls[:1] + ls), "scores.jsonl: cell (0, 'A') is not indexed"),
-        ("scores.jsonl", golden_scores(lambda ls: [ls[0], with_index(ls[1], 0), *ls[2:]]), "scores.jsonl: cell (0, 'A') is not indexed"),
+        ("scores.jsonl", golden_scores(lambda ls: [ls[0], with_fields(ls[1], index=0), *ls[2:]]), "scores.jsonl: cell (0, 'A') is not indexed"),
         # the first two cells, (0, A) and (0, B), swapped as blocks
         ("scores.jsonl", golden_scores(lambda ls: ls[5:10] + ls[:5] + ls[10:]), "scores.jsonl: cell (0, 'A') is out of order"),
-        ("scores.jsonl", golden_scores(lambda ls: ls[:1] + [""] + ls[1:]), "scores.jsonl: Expecting value"),
+        ("scores.jsonl", golden_scores(lambda ls: ls[:1] + [""] + ls[1:]), "scores.jsonl: line 2: Expecting value"),
+        ("scores.jsonl", golden_scores(lambda ls: ls[:40] + [""] + ls[40:]), "scores.jsonl: line 41: Expecting value: column 1\n"),
+        ("scores.jsonl", golden_scores(lambda ls: [*ls[:57], with_fields(ls[57], question_max="high"), *ls[58:]]), "scores.jsonl: line 58: missing or malformed field: 'question_max' must be float, got 'high'\n"),
+        ("scores.jsonl", golden_scores(lambda ls: [*ls[:63], ls[63][:-5], *ls[64:]]), "scores.jsonl: line 64: Expecting value: column 255\n"),
         ("scores.jsonl", golden_scores(lambda ls: ls[:-1]), "scores.jsonl: (cells, questions) is (16, 79)"),
         ("scores.jsonl", golden_scores(lambda ls: [line for line in ls if '"prompt_id":"D"' not in line]), "scores.jsonl: (cells, questions) is (12, 60)"),
     ],
@@ -154,6 +157,9 @@ def manifest(cells=16, questions_per_prompt=5, top_keywords=5) -> str:
         "scores-renumbered",
         "scores-out-of-order",
         "scores-blank-line",
+        "scores-blank-line-41",
+        "scores-mistyped-line-58",
+        "scores-truncated-line-64",
         "scores-dropped-last-line",
         "scores-dropped-prompt",
     ],

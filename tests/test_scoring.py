@@ -299,8 +299,8 @@ def make_info() -> RunInfo:
 def test_assemble_run_summary_pools_across_cells():
     results = [
         cell_with_maxes(0, "A", [0.9, 0.2]),
-        cell_with_maxes(1, "A", [0.8, 0.75]),
         cell_with_maxes(0, "B", [0.1, 0.1]),
+        cell_with_maxes(1, "A", [0.8, 0.75]),
         cell_with_maxes(1, "B", [0.1, 0.1]),
     ]
     summary = assemble_run(make_info(), results, expected=2).summaries["A"]
@@ -315,22 +315,22 @@ def test_assemble_run_summary_pools_across_cells():
 
 def grid_results() -> list[PromptContextResult]:
     return [
-        cell_with_maxes(1, "B", [0.4]),
         cell_with_maxes(0, "A", [0.9]),
-        cell_with_maxes(1, "A", [0.6]),
         cell_with_maxes(0, "B", [0.3]),
+        cell_with_maxes(1, "A", [0.6]),
+        cell_with_maxes(1, "B", [0.4]),
     ]
 
 
 def test_assemble_run_max_series_projection():
     series = assemble_run(make_info(), grid_results(), expected=1).max_series
-    assert sorted(series) == ["A", "B"]
+    assert list(series) == ["A", "B"]
     assert series["A"] == [(0, 0.9), (1, 0.6)]
     assert series["B"] == [(0, 0.3), (1, 0.4)]
 
 
 def test_assemble_run_missing_cell():
-    results = grid_results()[:-1]
+    results = [c for c in grid_results() if (c.context_id, c.prompt_id) != (0, "B")]
     with pytest.raises(MissingCell) as err:
         assemble_run(make_info(), results, expected=1)
     assert (err.value.context_id, err.value.prompt_id) == (0, "B")
@@ -339,16 +339,28 @@ def test_assemble_run_missing_cell():
 
 def test_assemble_run_cell_without_records():
     results = grid_results()
-    results[0] = PromptContextResult(context_id=1, prompt_id="B", records=())
+    results[3] = PromptContextResult(context_id=1, prompt_id="B", records=())
     with pytest.raises(EmptyRecords):
         assemble_run(make_info(), results, expected=1)
 
 
-def test_assemble_run_orders_and_counts():
+@pytest.mark.parametrize(
+    "keys",
+    [[(0, "B"), (0, "A")], [(0, "A"), (0, "A")], [(0, "A"), (0, "B"), (0, "A")]],
+    ids=["swapped", "repeated", "repeated-apart"],
+)
+def test_assemble_run_rejects_cells_out_of_order(keys):
+    # in each, a (0, "A") is the first cell not above the one before it
+    results = [cell_with_maxes(cid, pid, [0.5]) for cid, pid in keys]
+    with pytest.raises(ValueError, match=r"^cell \(0, 'A'\) is out of order$"):
+        assemble_run(make_info(), results, expected=1)
+
+
+def test_assemble_run_keeps_order_and_counts():
     results = [
-        cell_with_maxes(1, "A", [0.8]),
-        cell_with_maxes(0, "B", [0.2]),
         cell_with_maxes(0, "A", [0.9]),
+        cell_with_maxes(0, "B", [0.2]),
+        cell_with_maxes(1, "A", [0.8]),
         cell_with_maxes(1, "B", [0.4]),
     ]
     zero_cell = results[1]
@@ -364,11 +376,12 @@ def test_assemble_run_orders_and_counts():
         (1, "A"),
         (1, "B"),
     ]
-    assert sorted(run.summaries) == ["A", "B"]
+    assert run.results is results
+    assert list(run.summaries) == ["A", "B"]
     assert run.zero_vector_count == 1
     assert run.info.rng_algorithm == "xoshiro256**"
     assert run.max_series["A"] == [(0, 0.9), (1, 0.8)]
-    assert len(run.records()) == 4
+    assert sum(len(c.records) for c in run.results) == 4
 
 
 def test_assemble_run_summary_match_counts():
