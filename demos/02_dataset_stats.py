@@ -39,7 +39,7 @@ print()
 stopwords = bundled_stopwords()
 keywords = frequent_words(questions, stopwords, top_k=10)
 print("top keywords after stopword removal:")
-for token, count in keywords.entries:
+for token, count in keywords:
     print(f"  {token:12s} {count}")
 print()
 

@@ -60,7 +60,8 @@ request = BackendRequest(
     max_tokens=256,
 )
 
-over_wire = generate(HttpBackend(url), request)
+log = []  # one CallRecord (latency, retries) per call
+over_wire = generate(HttpBackend(url), request, log)
 direct = MOCK.complete(request)
 print()
 print(over_wire)
@@ -70,9 +71,8 @@ print(f"wire output equals direct mock output: {over_wire == direct}")
 # Transient 5xx responses are retried with exponential backoff; two
 # failures fit inside the default three attempts.
 ContractHandler.fail_budget = 2
-backend = HttpBackend(url, backoff_base_s=0.01)
-retried = generate(backend, request)
+retried = generate(HttpBackend(url, backoff_base_s=0.01), request, log)
 print(f"after two 503s: got same completion={retried == direct}, "
-      f"retries used={backend.last_retries}")
+      f"retries used={log[-1].retries}")
 
 server.shutdown()

@@ -85,7 +85,6 @@ from .similarity import (
 )
 from .textstats import (
     Histogram,
-    KeywordFrequency,
     bundled_stopwords,
     frequent_words,
     histogram_to_csv,

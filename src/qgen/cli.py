@@ -106,6 +106,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    if not Path(args.dataset).is_file():
+        raise ConfigError(f"dataset file not found: {args.dataset}")
     out = make_out_dir(args.out)
     dataset = load_squad(args.dataset)
     written = emit_dataset_figures(dataset, out)

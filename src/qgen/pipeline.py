@@ -405,10 +405,23 @@ _RECORD_TYPES = {**get_type_hints(ScoreRecord), "per_baseline": list}
 _INFO_TYPES = get_type_hints(RunInfo)
 
 
-def _check_types(doc: dict, types: dict[str, type]) -> None:
+def _object(value, what: str) -> dict:
+    """value, if it is a JSON object; a TypeError naming what if not."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} is not a JSON object")
+    return value
+
+
+def _checked(doc: dict, types: dict[str, type]) -> dict:
+    """doc, if its keys are those of types and each value has its key's
+    type; a KeyError or TypeError naming the first key that is not."""
     for key, kind in types.items():
         if not _has_type(doc[key], kind):
             raise TypeError(f"{key!r} must be {kind.__name__}, got {doc[key]!r}")
+    # doc holds every key of types, so any further key is unknown
+    if len(doc) > len(types):
+        raise TypeError(f"unknown key {min(doc.keys() - types.keys())!r}")
+    return doc
 
 
 def _baseline_score(pair) -> tuple[str, float]:
@@ -417,15 +430,27 @@ def _baseline_score(pair) -> tuple[str, float]:
         and len(pair) == 2
         and _has_type(pair[0], str)
         and _has_type(pair[1], float)
+        and -1.0 <= pair[1] <= 1.0
     ):
-        raise TypeError(f"'per_baseline' entries must be [id, score], got {pair!r}")
+        raise TypeError(
+            f"'per_baseline' entries must be [id, score], score in [-1, 1], got {pair!r}"
+        )
     return pair[0], pair[1]
 
 
-def _record_from_json(doc: dict) -> ScoreRecord:
-    """A scores.jsonl line's record; an unknown key raises TypeError."""
-    _check_types(doc, _RECORD_TYPES)
+def _record_from_json(doc) -> ScoreRecord:
+    """A scores.jsonl line's record, as score_cell makes one: a known
+    prompt id, at least one baseline score, and question_max the largest
+    of them. Any other line raises TypeError or KeyError."""
+    _checked(_object(doc, "the line"), _RECORD_TYPES)
+    if doc["prompt_id"] not in PROMPT_IDS:
+        raise TypeError(f"'prompt_id' must be one of {PROMPT_IDS}, got {doc['prompt_id']!r}")
     pairs = tuple(map(_baseline_score, doc["per_baseline"]))
+    if not pairs:
+        raise TypeError("'per_baseline' must not be empty")
+    question_max = doc["question_max"]
+    if question_max != max(score for _, score in pairs):
+        raise TypeError(f"'question_max' must be the largest score, got {question_max!r}")
     return ScoreRecord(**{**doc, "per_baseline": pairs})
 
 
@@ -477,12 +502,15 @@ def persist_run(run: EvalRun, out_dir: Path) -> None:
 
 @contextmanager
 def _reading(path: Path):
-    """Raise a missing file, bad JSON or UTF-8, a missing or mistyped field
-    or another ValueError met reading path as a QgenError naming the file."""
+    """Raise a missing or unreadable file, bad JSON or UTF-8, a missing or
+    mistyped field or another ValueError met reading path as a QgenError
+    naming the file."""
     try:
         yield path
     except FileNotFoundError as exc:
         raise SchemaError(str(path), "file not found") from exc
+    except OSError as exc:
+        raise SchemaError(str(path), f"cannot read: {exc.strerror}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedJson(f"{path}: {exc}") from exc
     except (KeyError, TypeError) as exc:
@@ -512,23 +540,26 @@ def load_run(out_dir: str | Path) -> EvalRun:
     and the cell and question counts. run.json gives the run info, and
     assemble_run recomputes the rest from scores.jsonl, read line by line
     in the order the run wrote it: each cell indexed 0, 1, 2, ..., as many
-    as the manifest counts, in the order assemble_run checks. A missing
-    file, a missing or mistyped field or a cell out of order raises
-    SchemaError, and invalid JSON or UTF-8 or a blank line MalformedJson,
-    each naming the file; a scores.jsonl line that fails as JSON or as a
-    record is named too.
+    as the manifest counts, in the order assemble_run checks. A missing or
+    unreadable file, a value that is not a JSON object where one is read,
+    a missing, unknown or mistyped field, a scores.jsonl line no run
+    writes or a cell out of order raises SchemaError, and invalid JSON or
+    UTF-8 or a blank line MalformedJson, each naming the file; a
+    scores.jsonl line that fails as JSON or as a record is named too.
     """
     out = Path(out_dir)
     with _reading(out / "manifest.json") as path:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest = _object(json.loads(path.read_text(encoding="utf-8")), "the file")
         status = manifest["status"]
         if status != "complete":
             raise SchemaError(str(path), f"run status is {status!r}, not 'complete'")
-        expected = _count(manifest["config"], "questions_per_prompt")
+        expected = _count(_object(manifest["config"], "'config'"), "questions_per_prompt")
         counts = (_count(manifest, "cells"), _count(manifest, "questions"))
     with _reading(out / "run.json") as path:
-        info = RunInfo(**json.loads(path.read_text(encoding="utf-8"))["info"])
-        _check_types(vars(info), _INFO_TYPES)
+        doc = _object(json.loads(path.read_text(encoding="utf-8")), "the file")
+        # run files written before rng_algorithm was recorded lack it
+        doc = {"rng_algorithm": RunInfo.rng_algorithm, **_object(doc["info"], "'info'")}
+        info = RunInfo(**_checked(doc, _INFO_TYPES))
         if not 0.0 <= info.threshold <= 1.0:
             raise TypeError(f"'threshold' must be in [0, 1], got {info.threshold!r}")
     cells: list[PromptContextResult] = []
@@ -558,7 +589,8 @@ def _count(doc: dict, key: str) -> int:
 def load_top_keywords(out_dir: str | Path) -> int:
     """The top_keywords setting a persisted run was made with, from its manifest."""
     with _reading(Path(out_dir) / "manifest.json") as path:
-        return _count(json.loads(path.read_text(encoding="utf-8"))["config"], "top_keywords")
+        manifest = _object(json.loads(path.read_text(encoding="utf-8")), "the file")
+        return _count(_object(manifest["config"], "'config'"), "top_keywords")
 
 
 # -- figures -------------------------------------------------------------------
@@ -600,11 +632,10 @@ def emit_figures(run: EvalRun, out: str | Path, top_keywords: int) -> list[Path]
     return _write_files(out, files)
 
 
-def emit_dataset_figures(
-    dataset: SquadDataset, out: str | Path, top_keywords: int = RunConfig.top_keywords
-) -> list[Path]:
-    """Write fig1/fig2 series over the dataset's baseline questions."""
-    return _write_files(out, _question_figures(dataset.questions(), top_keywords))
+def emit_dataset_figures(dataset: SquadDataset, out: str | Path) -> list[Path]:
+    """Write fig1/fig2 series over the dataset's baseline questions, with
+    RunConfig's default top_keywords."""
+    return _write_files(out, _question_figures(dataset.questions(), RunConfig.top_keywords))
 
 
 def _question_figures(questions: list[str], top_keywords: int) -> dict[str, Iterator[str]]:
@@ -645,15 +676,6 @@ def _write_files(out: str | Path, files: dict[str, Iterable[str]]) -> list[Path]
 
 # -- report --------------------------------------------------------------------
 
-def _report_template() -> Template:
-    text = (
-        resources.files("qgen")
-        .joinpath("data/report_template.md")
-        .read_text(encoding="utf-8")
-    )
-    return Template(text)
-
-
 def write_report(run: EvalRun, out: str | Path) -> Path:
     rows = []
     for pid, s in run.summaries.items():
@@ -668,7 +690,8 @@ def write_report(run: EvalRun, out: str | Path) -> Path:
             "configured questions per prompt; per-prompt totals above "
             "reflect the questions actually parsed.\n"
         )
-    body = _report_template().substitute(
+    template = resources.files("qgen").joinpath("data/report_template.md")
+    body = Template(template.read_text(encoding="utf-8")).substitute(
         backend=_json_dumps(run.info.backend),
         seed=str(run.info.seed),
         sample_size=str(run.info.sample_size),

@@ -74,23 +74,18 @@ class Backend(Protocol):
     def identity(self) -> dict: ...
 
 
-def generate(
-    backend: Backend,
-    request: BackendRequest,
-    call_log: list[CallRecord] | None = None,
-) -> str:
+def generate(backend: Backend, request: BackendRequest, call_log: list[CallRecord]) -> str:
     """Send one request and return the raw completion text.
 
     Latency and the backend's retry count for the call, returned or
-    raised, are appended to ``call_log`` when one is supplied.
+    raised, are appended to ``call_log``.
     """
     started = time.monotonic()
     try:
         return backend.complete(request)
     finally:
-        if call_log is not None:
-            retries = getattr(backend, "last_retries", 0)
-            call_log.append(CallRecord(latency_s=time.monotonic() - started, retries=retries))
+        retries = getattr(backend, "last_retries", 0)
+        call_log.append(CallRecord(latency_s=time.monotonic() - started, retries=retries))
 
 
 # -- mock backend ------------------------------------------------------------
@@ -198,12 +193,6 @@ class HttpBackend:
     def identity(self) -> dict:
         return {"kind": "http", "url": self.url}
 
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
-        return headers
-
     def _payload(self, request: BackendRequest) -> dict:
         return {
             "prompt": request.prompt,
@@ -219,7 +208,10 @@ class HttpBackend:
         BackendTimeout for timeouts and BackendUnavailable otherwise.
         """
         data = json.dumps(self._payload(request), allow_nan=False).encode("utf-8")
-        req = urllib.request.Request(self.url, data, self._headers(), method="POST")
+        headers = {"Content-Type": "application/json"}
+        if self.token:
+            headers["Authorization"] = f"Bearer {self.token}"
+        req = urllib.request.Request(self.url, data, headers, method="POST")
         last_exc: Exception | None = None
         for attempt in range(self.attempts):
             self._local.retries = attempt

@@ -28,11 +28,6 @@ class Histogram:
     excluded_outliers: int
 
 
-@dataclass(frozen=True)
-class KeywordFrequency:
-    entries: tuple[tuple[str, int], ...]
-
-
 def question_length_histogram(questions: list[str], bin_width: int = 1) -> Histogram:
     """Histogram of whitespace-token question lengths, Tukey outliers removed.
 
@@ -66,8 +61,8 @@ def question_length_histogram(questions: list[str], bin_width: int = 1) -> Histo
 
 def frequent_words(
     questions: list[str], stopwords: Collection[str], top_k: int
-) -> KeywordFrequency:
-    """Top-k tokens across all questions, stopwords and empties removed.
+) -> tuple[tuple[str, int], ...]:
+    """Top-k (token, count) pairs of all questions, stopwords and empties removed.
 
     Ordered by count descending, ties broken lexicographically.
     """
@@ -82,7 +77,7 @@ def frequent_words(
     if not counts:
         raise EmptyInput("no tokens survive stopword filtering")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return KeywordFrequency(entries=tuple(ranked[:top_k]))
+    return tuple(ranked[:top_k])
 
 
 def load_stopwords(source: str | IO | Iterable[str]) -> frozenset[str]:
@@ -116,9 +111,9 @@ def histogram_to_csv(hist: Histogram) -> Iterator[str]:
         yield f"{lo},{hi},{count}\n"
 
 
-def keywords_to_csv(kw: KeywordFrequency) -> Iterator[str]:
+def keywords_to_csv(entries: tuple[tuple[str, int], ...]) -> Iterator[str]:
     yield "token,count\n"
-    for token, count in kw.entries:
+    for token, count in entries:
         yield f"{csv_quote(token)},{count}\n"
 
 

@@ -1,12 +1,16 @@
-"""Seeded fuzzing of the run-directory reader behind `qgen report`.
+"""Seeded fuzzing of the run-directory reader and the vector-file readers.
 
-Each case copies the golden run in demos/out/full_run/ and makes one
+For `qgen report`, each case copies the golden run in demos/out/full_run/ and makes one
 mutation drawn from random.Random(seed): a JSON value replaced, deleted
 or added at a random path of manifest.json, run.json or one scores.jsonl
 line, or a scores.jsonl line duplicated, deleted, swapped or blanked.
 `qgen report` must then exit 0 or 2 (data error); any exception that
-escapes it fails the case. The seeds are fixed, so the suite stays
-deterministic.
+escapes it fails the case, and so does an exit-2 message that carries
+Python's own text for a value of the wrong kind instead of naming the
+field. For the vector readers, each case mutates a small regular vector
+file, and the path loader, the line parser on the open file and the line
+parser on the text must give the same table or the same error. The seeds
+are fixed, so the suite stays deterministic.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import shutil
 from pathlib import Path
 
 from qgen.cli import main
+from qgen.similarity import load_vectors, load_vectors_path
+from test_similarity import load_outcome
 
 GOLDEN = Path(__file__).resolve().parent.parent / "demos" / "out" / "full_run"
 SEEDS = range(300)
@@ -29,6 +35,8 @@ VALUES = (
 )
 # keys an added value goes under: unknown ones and fields the reader knows
 NEW_KEYS = ("extra", "status", "cells", "config", "info", "index", "prompt_id", "per_baseline")
+# what indexing a non-object or calling a dataclass with the wrong keys says
+INTERNAL_TEXT = ("__init__()", "indices must be", "not subscriptable", "argument after **")
 
 
 def _keys(node) -> list:
@@ -110,7 +118,76 @@ def test_report_on_mutated_run_exits_0_or_2(tmp_path, capsys):
             code = main(["report", "--run", str(run_dir)])
         except Exception as exc:
             code = f"{type(exc).__name__}: {exc}"
-        if code not in (0, 2):
-            escapes.append((seed, what, code))
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        if code not in (0, 2) or any(text in err for text in INTERNAL_TEXT):
+            escapes.append((seed, what, code, err))
     assert escapes == []
+
+
+# -- vector files ----------------------------------------------------------------
+
+VECTOR_SEEDS = range(2000)
+# whitespace str.split() knows beside " ", and the \r a text-mode read
+# turns into a line end
+SPLICES = ("\t", "\xa0", "\x85", "\x0b", "\x0c", "\r", "  ")
+# components float() reads but a regular file may not hold, or none reads
+COMPONENTS = ("nan", "inf", "1_000", "\uff11", "\u0661", "1e400", "")
+HEADERS = ("6 3", "2 3", "6 3 1", "6", "6  3", "\uff16 3", "\u0666 3", "0 0", "6 x")
+
+
+def regular_vectors(rng: random.Random) -> list[str]:
+    """The lines of a regular vector file: 6 tokens, 3 components each."""
+    return [
+        f"tok{i} " + " ".join(repr(round(rng.uniform(-1, 1), 4)) for _ in range(3))
+        for i in range(6)
+    ]
+
+
+def mutate_vectors(lines: list[str], rng: random.Random) -> list[str]:
+    """lines with one line inserted, deleted, duplicated or swapped, a
+    character spliced in, a component replaced, a token made to collide
+    with another after lowercasing, or a header-like first line added."""
+    op = rng.choice(
+        ("insert", "delete", "duplicate", "swap", "splice", "component", "collide", "header")
+    )
+    lines = list(lines)
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    if op == "insert":
+        lines.insert(i, rng.choice(("", " ", "new 1 2 3", "new 1 2", "new")))
+    elif op == "delete" and len(lines) > 1:
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    elif op == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op == "splice":
+        at = rng.randint(0, len(lines[i]))
+        lines[i] = lines[i][:at] + rng.choice(SPLICES) + lines[i][at:]
+    elif op == "component":
+        parts = lines[i].split(" ")
+        parts[rng.randrange(len(parts))] = rng.choice(COMPONENTS)
+        lines[i] = " ".join(parts)
+    elif op == "collide":
+        lines[i] = lines[j].partition(" ")[0].upper() + " " + lines[i].partition(" ")[2]
+    elif op == "header":
+        lines.insert(0, rng.choice(HEADERS))
+    return lines
+
+
+def test_vector_readers_agree_on_mutated_files(tmp_path):
+    path = tmp_path / "vectors.txt"
+    disagreements = []
+    for seed in VECTOR_SEEDS:
+        rng = random.Random(seed)
+        lines = regular_vectors(rng)
+        for _ in range(rng.randint(1, 3)):
+            lines = mutate_vectors(lines, rng)
+        text = "".join(line + "\n" for line in lines)
+        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8") as fh:
+            from_file = load_outcome(lambda: load_vectors(fh))
+        from_path = load_outcome(lambda: load_vectors_path(path))
+        from_text = load_outcome(lambda: load_vectors(text))
+        if not from_path == from_file == from_text:
+            disagreements.append((seed, text, from_path, from_file, from_text))
+    assert disagreements == []

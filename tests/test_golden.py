@@ -100,6 +100,12 @@ def with_fields(line: str, **fields) -> str:
     return json.dumps({**json.loads(line), **fields})
 
 
+def with_first_score(line: str, score: float) -> str:
+    doc = json.loads(line)
+    doc["per_baseline"][0][1] = score
+    return json.dumps(doc)
+
+
 def manifest(cells=16, questions_per_prompt=5, top_keywords=5) -> str:
     """A complete run's manifest with the fields report reads."""
     config = {"questions_per_prompt": questions_per_prompt, "top_keywords": top_keywords}
@@ -135,6 +141,22 @@ def manifest(cells=16, questions_per_prompt=5, top_keywords=5) -> str:
         ("scores.jsonl", golden_scores(lambda ls: [*ls[:63], ls[63][:-5], *ls[64:]]), "scores.jsonl: line 64: Expecting value: column 255\n"),
         ("scores.jsonl", golden_scores(lambda ls: ls[:-1]), "scores.jsonl: (cells, questions) is (16, 79)"),
         ("scores.jsonl", golden_scores(lambda ls: [line for line in ls if '"prompt_id":"D"' not in line]), "scores.jsonl: (cells, questions) is (12, 60)"),
+        # lines no run writes: score_cell's question_max is the largest of
+        # at least one cosine, each in [-1, 1], for a prompt id A-D
+        ("scores.jsonl", golden_scores(lambda ls: [with_fields(ls[0], question_max=5.0), *ls[1:]]), "scores.jsonl: line 1: missing or malformed field: 'question_max' must be the largest score, got 5.0\n"),
+        ("scores.jsonl", golden_scores(lambda ls: [with_fields(ls[0], question_max=0.5), *ls[1:]]), "scores.jsonl: line 1: missing or malformed field: 'question_max' must be the largest score, got 0.5\n"),
+        ("scores.jsonl", golden_scores(lambda ls: [with_fields(ls[0], per_baseline=[]), *ls[1:]]), "scores.jsonl: line 1: missing or malformed field: 'per_baseline' must not be empty\n"),
+        ("scores.jsonl", golden_scores(lambda ls: [with_first_score(ls[0], 2.0), *ls[1:]]), "scores.jsonl: line 1: missing or malformed field: 'per_baseline' entries must be [id, score], score in [-1, 1], got ['demo-0000', 2.0]\n"),
+        ("scores.jsonl", golden_scores(lambda ls: [line.replace('"prompt_id":"D"', '"prompt_id":"Z"') for line in ls]), "scores.jsonl: line 16: missing or malformed field: 'prompt_id' must be one of ('A', 'B', 'C', 'D'), got 'Z'\n"),
+        # JSON values of the wrong kind, and unknown or missing keys, named
+        ("manifest.json", '""', "manifest.json: missing or malformed field: the file is not a JSON object\n"),
+        ("manifest.json", "0.5", "manifest.json: missing or malformed field: the file is not a JSON object\n"),
+        ("manifest.json", json.dumps({"status": "complete", "config": [], "cells": 16, "questions": 80}), "manifest.json: missing or malformed field: 'config' is not a JSON object\n"),
+        ("run.json", "[]", "run.json: missing or malformed field: the file is not a JSON object\n"),
+        ("run.json", '{"info": []}', "run.json: missing or malformed field: 'info' is not a JSON object\n"),
+        ("run.json", '{"info": {}}', "run.json: missing or malformed field: 'seed'\n"),
+        ("scores.jsonl", golden_scores(lambda ls: ["[]", *ls[1:]]), "scores.jsonl: line 1: missing or malformed field: the line is not a JSON object\n"),
+        ("scores.jsonl", golden_scores(lambda ls: [with_fields(ls[0], extra=1), *ls[1:]]), "scores.jsonl: line 1: missing or malformed field: unknown key 'extra'\n"),
     ],
     ids=[
         "missing-keys",
@@ -162,6 +184,19 @@ def manifest(cells=16, questions_per_prompt=5, top_keywords=5) -> str:
         "scores-truncated-line-64",
         "scores-dropped-last-line",
         "scores-dropped-prompt",
+        "question-max-above-cosines",
+        "question-max-below-cosines",
+        "per-baseline-empty",
+        "cosine-above-one",
+        "unknown-prompt-id",
+        "manifest-string",
+        "manifest-number",
+        "config-list",
+        "run-json-list",
+        "info-list",
+        "info-empty",
+        "scores-line-list",
+        "scores-extra-key",
     ],
 )
 def test_report_on_bad_run_json_exits_with_data_error(
@@ -177,6 +212,27 @@ def test_report_on_bad_run_json_exits_with_data_error(
         (run_dir / name).write_text(content, encoding="utf-8")
     assert main(["report", "--run", str(run_dir)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("name", ["dataset", "manifest.json", "run.json", "scores.jsonl"])
+def test_input_path_missing_or_directory_exits_without_traceback(tmp_path, capsys, name, kind):
+    # a run file is read by qgen report, the dataset by qgen stats
+    run_dir = tmp_path / "run"
+    shutil.copytree(GOLDEN, run_dir)
+    path = tmp_path / "data.json" if name == "dataset" else run_dir / name
+    path.unlink(missing_ok=True)
+    if kind == "directory":
+        path.mkdir()
+    if name == "dataset":
+        out = tmp_path / "out"
+        assert main(["stats", "--dataset", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: dataset file not found: {path}\n"
+        assert not out.exists()
+        return
+    reason = "file not found" if kind == "missing" else "cannot read: Is a directory"
+    assert main(["report", "--run", str(run_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
 
 def test_report_ignores_stored_shortfalls(tmp_path):

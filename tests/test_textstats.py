@@ -9,7 +9,6 @@ import pytest
 from qgen.errors import EmptyInput
 from qgen.textstats import (
     Histogram,
-    KeywordFrequency,
     bundled_stopwords,
     frequent_words,
     histogram_to_csv,
@@ -80,7 +79,7 @@ def test_histogram_edges_are_integers():
 
 def test_frequent_words_example():
     kw = frequent_words(["the cat", "the dog", "the cat"], {"the"}, top_k=2)
-    assert kw.entries == (("cat", 2), ("dog", 1))
+    assert kw == (("cat", 2), ("dog", 1))
 
 
 def test_frequent_words_all_stopwords_raises():
@@ -102,17 +101,17 @@ def test_frequent_words_permutation_invariant():
 def test_frequent_words_ties_break_lexicographically():
     # zeta, alpha, and mid all appear twice: order falls back to lexicographic
     kw = frequent_words(["zeta alpha", "zeta alpha", "mid mid"], set(), top_k=4)
-    assert kw.entries == (("alpha", 2), ("mid", 2), ("zeta", 2))
+    assert kw == (("alpha", 2), ("mid", 2), ("zeta", 2))
 
 
 def test_frequent_words_lowercases_and_strips_punctuation():
     kw = frequent_words(["What? WHAT! (what)"], set(), top_k=1)
-    assert kw.entries == (("what", 3),)
+    assert kw == (("what", 3),)
 
 
 def test_frequent_words_top_k_truncates():
     kw = frequent_words(["a b c d e"], set(), top_k=2)
-    assert len(kw.entries) == 2
+    assert len(kw) == 2
     with pytest.raises(ValueError):
         frequent_words(["a"], set(), top_k=0)
 
@@ -157,11 +156,7 @@ def test_histogram_csv_shape():
 
 def test_keywords_csv_escapes():
     # entries are normally punctuation-free; exercise escaping anyway
-    csv = "".join(
-        keywords_to_csv(
-            KeywordFrequency(entries=(("plain", 3), ('qu"ote', 2), ("com,ma", 1)))
-        )
-    )
+    csv = "".join(keywords_to_csv((("plain", 3), ('qu"ote', 2), ("com,ma", 1))))
     lines = csv.splitlines()
     assert lines[0] == "token,count"
     assert lines[1] == "plain,3"
