@@ -19,7 +19,6 @@ from .corpus import (
     parse_squad,
     reverse_dataset,
     sample_contexts,
-    to_squad_json,
 )
 from .errors import (
     BackendError,

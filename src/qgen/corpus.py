@@ -91,20 +91,30 @@ def _require(obj, key: str, kind, path: str):
     return value
 
 
+def loads_json(text: str):
+    """json.loads, with a document nested too deep to decode raised as the
+    JSONDecodeError of any other malformed one."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise json.JSONDecodeError("nesting too deep", text, 0) from exc
+
+
 def parse_squad(source: str | bytes | IO) -> SquadDataset:
     """Parse SQuAD v1.1 JSON from a string, bytes, or readable stream.
 
     One :class:`ContextRecord` per paragraph, in file order, with
     ``context_id`` assigned 0, 1, 2, ... Raises :class:`MalformedJson` on a
-    syntax error or non-UTF-8 bytes, :class:`SchemaError` (with JSON path)
-    on a missing or mistyped field, and :class:`SpanError` (with the qas
-    id) when an answer's offsets do not slice the context to its text.
+    syntax error, nesting too deep or non-UTF-8 bytes, :class:`SchemaError`
+    (with JSON path) on a missing or mistyped field, and :class:`SpanError`
+    (with the qas id) when an answer's offsets do not slice the context to
+    its text.
     """
     try:
         raw = source.read() if hasattr(source, "read") else source
         if isinstance(raw, bytes):
             raw = raw.decode("utf-8")
-        doc = json.loads(raw)
+        doc = loads_json(raw)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedJson(f"invalid JSON: {exc}") from exc
 
@@ -174,36 +184,6 @@ def parse_squad(source: str | bytes | IO) -> SquadDataset:
 def load_squad(path) -> SquadDataset:
     with open(path, "rb") as fh:
         return parse_squad(fh)
-
-
-def to_squad_json(ds: SquadDataset) -> dict:
-    """Rebuild the SQuAD JSON document for a dataset.
-
-    Consecutive records sharing a title are grouped under one article, so
-    parse -> serialize -> parse reproduces the same records, ids, offsets,
-    and order.
-    """
-    articles: list[dict] = []
-    for rec in ds.records:
-        paragraph = {
-            "context": rec.text,
-            "qas": [
-                {
-                    "id": b.id,
-                    "question": b.question,
-                    "answers": [
-                        {"text": a.text, "answer_start": a.answer_start}
-                        for a in b.answers
-                    ],
-                }
-                for b in rec.baselines
-            ],
-        }
-        if articles and articles[-1]["title"] == rec.title:
-            articles[-1]["paragraphs"].append(paragraph)
-        else:
-            articles.append({"title": rec.title, "paragraphs": [paragraph]})
-    return {"version": "1.1", "data": articles}
 
 
 def reverse_dataset(ds: SquadDataset) -> list[ReversedExample]:

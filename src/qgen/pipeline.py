@@ -31,7 +31,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from importlib import resources
@@ -40,7 +40,7 @@ from pathlib import Path
 from string import Template
 from typing import Iterable, Iterator, get_args, get_type_hints
 
-from .corpus import ContextRecord, SquadDataset, load_squad, sample_contexts
+from .corpus import ContextRecord, SquadDataset, load_squad, loads_json, sample_contexts
 from .errors import ConfigError, EmptyRecords, MalformedJson, PipelineError, SchemaError
 from .promptgen import (
     PROMPT_IDS,
@@ -175,7 +175,7 @@ def load_config(path: str | Path, env: dict | None = None) -> RunConfig:
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
+        doc = loads_json(p.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -280,11 +280,17 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
     re-raised wrapped in PipelineError. A run interrupted by a
     BaseException that is not an Exception leaves no manifest. An
     invalid config or backend URL raises ConfigError before any input is
-    read or file touched.
+    read or file touched, and so does a directory at the name of an
+    artifact, before the previous manifest is removed.
     """
     cfg.validate()
     backend = make_backend(cfg)
     out_dir = make_out_dir(cfg.out)
+    # a directory at an artifact's name could be neither replaced nor
+    # removed by the failure cleanup, so it is refused before any change
+    for name in ("manifest.json", "scores.jsonl", *_COMPLETE_RUN_ONLY):
+        if (out_dir / name).is_dir():
+            raise ConfigError(f"cannot write {out_dir / name}: Is a directory")
     (out_dir / "manifest.json").unlink(missing_ok=True)
     started = _utcnow()
     cells: list[PromptContextResult] = []
@@ -525,7 +531,7 @@ def _score_records(path: Path, fh) -> Iterator[ScoreRecord]:
     line; for bad JSON, the decoder's column within that line."""
     for n, line in enumerate(fh, 1):
         try:
-            record = _record_from_json(json.loads(line))
+            record = _record_from_json(loads_json(line))
         except json.JSONDecodeError as exc:
             raise MalformedJson(f"{path}: line {n}: {exc.msg}: column {exc.colno}") from exc
         except (KeyError, TypeError) as exc:
@@ -549,14 +555,14 @@ def load_run(out_dir: str | Path) -> EvalRun:
     """
     out = Path(out_dir)
     with _reading(out / "manifest.json") as path:
-        manifest = _object(json.loads(path.read_text(encoding="utf-8")), "the file")
+        manifest = _object(loads_json(path.read_text(encoding="utf-8")), "the file")
         status = manifest["status"]
         if status != "complete":
             raise SchemaError(str(path), f"run status is {status!r}, not 'complete'")
         expected = _count(_object(manifest["config"], "'config'"), "questions_per_prompt")
         counts = (_count(manifest, "cells"), _count(manifest, "questions"))
     with _reading(out / "run.json") as path:
-        doc = _object(json.loads(path.read_text(encoding="utf-8")), "the file")
+        doc = _object(loads_json(path.read_text(encoding="utf-8")), "the file")
         # run files written before rng_algorithm was recorded lack it
         doc = {"rng_algorithm": RunInfo.rng_algorithm, **_object(doc["info"], "'info'")}
         info = RunInfo(**_checked(doc, _INFO_TYPES))
@@ -589,7 +595,7 @@ def _count(doc: dict, key: str) -> int:
 def load_top_keywords(out_dir: str | Path) -> int:
     """The top_keywords setting a persisted run was made with, from its manifest."""
     with _reading(Path(out_dir) / "manifest.json") as path:
-        manifest = _object(json.loads(path.read_text(encoding="utf-8")), "the file")
+        manifest = _object(loads_json(path.read_text(encoding="utf-8")), "the file")
         return _count(_object(manifest["config"], "'config'"), "top_keywords")
 
 
@@ -655,23 +661,38 @@ def _write_files(out: str | Path, files: dict[str, Iterable[str]]) -> list[Path]
     directory, which is then renamed onto the target, so a write
     interrupted by any exception, one raised by the chunks' iterator
     included, leaves the previous file, not a torn one. A file built as
-    one string is passed as a 1-tuple.
+    one string is passed as a 1-tuple. The directory must exist. A
+    temporary file that cannot be opened or a target that cannot be
+    replaced, a directory say, raises ConfigError naming the target; an
+    exception raised by the chunks passes through as it is.
     """
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for name, chunks in files.items():
         target = out_dir / name
         tmp = out_dir / f".{name}.tmp"
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
+            with _writing(target):
+                fh = open(tmp, "w", encoding="utf-8")
+            with fh:
                 fh.writelines(chunks)
-            os.replace(tmp, target)
+            with _writing(target):
+                os.replace(tmp, target)
         except BaseException:
-            tmp.unlink(missing_ok=True)
+            # tmp may be what could not be opened, a directory say
+            with suppress(OSError):
+                tmp.unlink(missing_ok=True)
             raise
         written.append(target)
     return written
+
+
+@contextmanager
+def _writing(target: Path):
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {target}: {exc.strerror}") from exc
 
 
 # -- report --------------------------------------------------------------------

@@ -248,7 +248,8 @@ class HttpBackend:
     def _extract(self, body: bytes) -> str:
         try:
             text = json.loads(body)["text"]
-        except (ValueError, KeyError, TypeError) as exc:
+        # a body nested too deep to decode raises RecursionError
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise BackendRejected(f"response body lacks 'text': {exc}") from exc
         if not isinstance(text, str):
             raise BackendRejected("'text' field is not a string")
@@ -278,7 +279,7 @@ class OpenAICompletionsBackend(HttpBackend):
     def _extract(self, body: bytes) -> str:
         try:
             text = json.loads(body)["choices"][0]["text"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise BackendRejected(f"response body lacks choices[0].text: {exc}") from exc
         if not isinstance(text, str):
             raise BackendRejected("choices[0].text is not a string")

@@ -41,9 +41,6 @@ class EmbeddingTable:
     index: Mapping[str, int]
     matrix: np.ndarray
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
-
     def __len__(self) -> int:
         return len(self.index)
 
@@ -73,24 +70,28 @@ def _non_finite(lineno: int) -> BadFloat:
     return BadFloat(f"line {lineno}: non-finite vector component")
 
 
+def text_lines(source: str | IO | Iterable[str]) -> Iterable[str]:
+    """The lines of source; a string is split at ``\\n``, ``\\r\\n`` and
+    ``\\r`` only, as a file opened in text mode is."""
+    if isinstance(source, str):
+        return io.StringIO(source, newline=None)
+    return source
+
+
 def load_vectors(source: str | IO | Iterable[str]) -> EmbeddingTable:
     """Load a GloVe-style text vector file: ``token v1 v2 ... vd`` per line.
 
     The dimension is inferred from the first vector line. A word2vec-style
     ``count dim`` header (two bare integers) is skipped when it is line 1.
     Tokens are lowercased on load. Blank lines are ignored. A string is
-    split into lines at ``\\n``, ``\\r\\n`` and ``\\r`` only, as a file
-    opened in text mode is. A stream that does not decode raises BadEncoding.
+    split into lines by :func:`text_lines`. A stream that does not decode
+    raises BadEncoding.
     """
-    if isinstance(source, str):
-        lines: Iterable[str] = io.StringIO(source, newline=None)
-    else:
-        lines = source
     index: dict[str, int] = {}
     values = array("d")
     dim: int | None = None
     try:
-        for lineno, raw in enumerate(lines, start=1):
+        for lineno, raw in enumerate(text_lines(source), start=1):
             line = raw.strip("\n").strip("\r")
             if not line.strip():
                 continue

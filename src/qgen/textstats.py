@@ -10,7 +10,6 @@ plotting; no images are rendered here.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -18,7 +17,7 @@ from typing import IO, Collection, Iterable, Iterator
 
 from .errors import EmptyInput
 from .scoring import summarize
-from .similarity import tokenize
+from .similarity import text_lines, tokenize
 
 
 @dataclass(frozen=True)
@@ -83,15 +82,10 @@ def frequent_words(
 def load_stopwords(source: str | IO | Iterable[str]) -> frozenset[str]:
     """Read a stopword file: one lowercase token per line, '#' comments.
 
-    A string is split into lines at ``\\n``, ``\\r\\n`` and ``\\r`` only, as a
-    file opened in text mode is.
+    A string is split into lines by :func:`qgen.similarity.text_lines`.
     """
-    if isinstance(source, str):
-        lines: Iterable[str] = io.StringIO(source, newline=None)
-    else:
-        lines = source
     words = set()
-    for raw in lines:
+    for raw in text_lines(source):
         line = raw.split("#", 1)[0].strip()
         if line:
             words.add(line.lower())

@@ -10,6 +10,7 @@ reads from a run and from the loaders' results are read here too, so a
 rename that would fail every benchmark run fails a test first. The
 benchmark's name tables, TRACED's span names, BENCHMARK.json's per-layer
 metrics and bench/layer_map.json, are checked against each other.
+On a generated corpus the call counts are checked as rules over the cells.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import json
 import threading
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from qgen import pipeline, scoring
 from qgen.pipeline import RunConfig, run_pipeline
@@ -120,3 +123,52 @@ def test_golden_run_calls_every_traced_name(tmp_path, monkeypatch):
     assert len(run.results) == 16
     dataset, table = loaded["load_squad"], loaded["load_vectors_path"]
     assert (len(dataset.records), dataset.example_count, len(table)) == (6, 18, 167)
+
+
+# the work each traced name does per cell, and once per run for the rest
+PER_CELL = ("render_prompt", "generate", "parse_questions", "score_cell")
+
+
+@pytest.mark.parametrize(
+    "prompts, questions, contexts", [("ABCD", 5, 12), ("BD", 3, 7)], ids=["ABCD-5-12", "BD-3-7"]
+)
+def test_traced_call_counts_follow_the_work(
+    tmp_path, monkeypatch, synth_corpus, prompts, questions, contexts
+):
+    # counts as rules over the run's cells, on a corpus the tests generate
+    calls = Counter()
+    lock = threading.Lock()
+    datasets = []
+
+    def counting(key, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            with lock:
+                calls[key] += 1
+            result = fn(*args, **kwargs)
+            if key == "load_squad":
+                datasets.append(result)
+            return result
+
+        return wrapper
+
+    for module, attr, _ in TRACED:
+        monkeypatch.setattr(MODULES[module], attr, counting(attr, getattr(MODULES[module], attr)))
+    dataset, vectors = synth_corpus
+    run = run_pipeline(
+        RunConfig(
+            dataset=str(dataset),
+            vectors=str(vectors),
+            out=str(tmp_path / "out"),
+            prompts=prompts,
+            questions_per_prompt=questions,
+            sample_size=contexts,
+        )
+    )
+    baselines = {r.context_id: len(r.baselines) for r in datasets[0].records}
+    sizes = [(baselines[cell.context_id], len(cell.records)) for cell in run.results]
+    expected = {attr: 1 for _, attr, _ in TRACED}
+    expected.update(dict.fromkeys(PER_CELL, contexts * len(prompts)))
+    expected["sentence_vector"] = sum(b + q for b, q in sizes)
+    expected["cosine_similarity"] = sum(b * q for b, q in sizes)
+    assert dict(calls) == expected

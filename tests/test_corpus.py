@@ -14,7 +14,6 @@ from qgen.corpus import (
     parse_squad,
     reverse_dataset,
     sample_contexts,
-    to_squad_json,
 )
 from qgen.errors import (
     InvalidChunkParams,
@@ -177,26 +176,6 @@ def test_parse_span_error_out_of_bounds():
     doc["data"][0]["paragraphs"][0]["qas"][0]["answers"][0]["answer_start"] = 100
     with pytest.raises(SpanError):
         parse_squad(doc_bytes(doc))
-
-
-# -- serialization round trip --------------------------------------------------
-
-def test_parse_serialize_parse_identity(mini_squad_path):
-    ds = load_squad(mini_squad_path)
-    assert parse_squad(doc_bytes(to_squad_json(ds))) == ds
-
-
-def test_round_trip_groups_consecutive_titles():
-    articles = [
-        ("One", [("First context here.", [("What is here?", "First")]),
-                 ("Second context there.", [("What is there?", "Second")])]),
-        ("Two", [("Third context now.", [("What is now?", "Third")])]),
-    ]
-    ds = parse_squad(doc_bytes(make_squad_doc(articles)))
-    doc = to_squad_json(ds)
-    assert [a["title"] for a in doc["data"]] == ["One", "Two"]
-    assert len(doc["data"][0]["paragraphs"]) == 2
-    assert parse_squad(doc_bytes(doc)) == ds
 
 
 # -- reversal -------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Seeded fuzzing of the run-directory reader and the vector-file readers.
+"""Seeded fuzzing of the run-directory reader, the vector-file readers,
+the dataset parser and the config loader.
 
 For `qgen report`, each case copies the golden run in demos/out/full_run/ and makes one
 mutation drawn from random.Random(seed): a JSON value replaced, deleted
@@ -9,8 +10,12 @@ escapes it fails the case, and so does an exit-2 message that carries
 Python's own text for a value of the wrong kind instead of naming the
 field. For the vector readers, each case mutates a small regular vector
 file, and the path loader, the line parser on the open file and the line
-parser on the text must give the same table or the same error. The seeds
-are fixed, so the suite stays deterministic.
+parser on the text must give the same table or the same error. The
+dataset parser and the config loader, given demos/data/mini_squad.json
+or a valid config with 1 to 3 mutations (a value replaced, a key dropped
+or added, a list item dropped or appended) or a document nested too deep
+to decode, may raise only QgenError subclasses. The seeds are fixed, so
+the suite stays deterministic.
 """
 
 from __future__ import annotations
@@ -21,6 +26,9 @@ import shutil
 from pathlib import Path
 
 from qgen.cli import main
+from qgen.corpus import parse_squad
+from qgen.errors import QgenError
+from qgen.pipeline import RunConfig, load_config
 from qgen.similarity import load_vectors, load_vectors_path
 from test_similarity import load_outcome
 
@@ -191,3 +199,105 @@ def test_vector_readers_agree_on_mutated_files(tmp_path):
         if not from_path == from_file == from_text:
             disagreements.append((seed, text, from_path, from_file, from_text))
     assert disagreements == []
+
+
+# -- dataset and config ------------------------------------------------------------
+
+DATA = GOLDEN.parent.parent / "data"
+SCHEMA_SEEDS = range(1000)
+TOO_DEEP = "[" * 100_000
+# keys an added value goes under: those each reader knows, and one it does not
+SQUAD_KEYS = (
+    "data", "title", "paragraphs", "context", "qas", "id", "question", "answers",
+    "text", "answer_start", "extra",
+)
+CONFIG_KEYS = (*RunConfig.__dataclass_fields__, "extra")
+
+
+def _places(node):
+    """(container, key) of every value inside node, at any depth."""
+    for key in _keys(node):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _places(node[key])
+
+
+def mutate_doc(top: list, keys: tuple, rng: random.Random) -> None:
+    """Make one mutation of the document top[0], in place: any value, the
+    document included, replaced with one of VALUES; or a key dropped from
+    an object or one of keys added; or a list item dropped or appended."""
+    value = json.loads(rng.choice(VALUES))
+    places = list(_places(top))
+    containers = [node[key] for node, key in places if isinstance(node[key], (dict, list))]
+    op = rng.choice(("replace", "drop", "add")) if containers else "replace"
+    if op == "replace":
+        node, key = rng.choice(places)
+        node[key] = value
+        return
+    node = rng.choice(containers)
+    if op == "drop" and node:
+        del node[rng.choice(_keys(node))]
+    elif isinstance(node, dict):
+        node[rng.choice(keys)] = value
+    else:
+        node.append(value)
+
+
+def mutated_texts(doc, keys: tuple):
+    """(seed, text) of TOO_DEEP, then of doc after 1 to 3 mutations per seed."""
+    yield None, TOO_DEEP
+    for seed in SCHEMA_SEEDS:
+        rng = random.Random(seed)
+        top = [json.loads(json.dumps(doc))]
+        for _ in range(rng.randint(1, 3)):
+            mutate_doc(top, keys, rng)
+        yield seed, json.dumps(top[0])
+
+
+def escapes(read, texts) -> list:
+    """(seed, exception) of each text that read raises a non-QgenError on."""
+    found = []
+    for seed, text in texts:
+        try:
+            read(text)
+        except QgenError:
+            pass
+        except Exception as exc:
+            found.append((seed, f"{type(exc).__name__}: {exc}"))
+    return found
+
+
+def test_parse_squad_on_mutated_dataset_raises_only_qgen_errors():
+    doc = json.loads((DATA / "mini_squad.json").read_text(encoding="utf-8"))
+    assert escapes(parse_squad, mutated_texts(doc, SQUAD_KEYS)) == []
+
+
+def test_load_config_on_mutated_config_raises_only_qgen_errors(tmp_path):
+    # every field set, so a mutation can reach each one
+    doc = {
+        "dataset": str(DATA / "mini_squad.json"),
+        "vectors": str(DATA / "vectors_50d.txt"),
+        "out": "out",
+        "backend": "mock",
+        "backend_url": None,
+        "backend_token": None,
+        "backend_model": None,
+        "seed": 7,
+        "sample_size": 4,
+        "temperature": 0.5,
+        "questions_per_prompt": 5,
+        "threshold": 0.7,
+        "prompts": "ABCD",
+        "max_output_tokens": 256,
+        "max_in_flight": 2,
+        "top_keywords": 20,
+    }
+    assert sorted(doc) == sorted(RunConfig.__dataclass_fields__)
+    path = tmp_path / "config.json"
+
+    def load(text):
+        path.write_text(text, encoding="utf-8")
+        load_config(path, env={}).validate()
+
+    load(json.dumps(doc))  # the unmutated config is valid
+    assert escapes(load, mutated_texts(doc, CONFIG_KEYS)) == []

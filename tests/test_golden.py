@@ -157,6 +157,10 @@ def manifest(cells=16, questions_per_prompt=5, top_keywords=5) -> str:
         ("run.json", '{"info": {}}', "run.json: missing or malformed field: 'seed'\n"),
         ("scores.jsonl", golden_scores(lambda ls: ["[]", *ls[1:]]), "scores.jsonl: line 1: missing or malformed field: the line is not a JSON object\n"),
         ("scores.jsonl", golden_scores(lambda ls: [with_fields(ls[0], extra=1), *ls[1:]]), "scores.jsonl: line 1: missing or malformed field: unknown key 'extra'\n"),
+        # nesting too deep for the decoder is malformed JSON too
+        ("manifest.json", "[" * 100_000, "manifest.json: nesting too deep: line 1 column 1 (char 0)\n"),
+        ("run.json", "[" * 100_000, "run.json: nesting too deep: line 1 column 1 (char 0)\n"),
+        ("scores.jsonl", golden_scores(lambda ls: ["[" * 100_000, *ls[1:]]), "scores.jsonl: line 1: nesting too deep: column 1\n"),
     ],
     ids=[
         "missing-keys",
@@ -197,6 +201,9 @@ def manifest(cells=16, questions_per_prompt=5, top_keywords=5) -> str:
         "info-empty",
         "scores-line-list",
         "scores-extra-key",
+        "manifest-too-deep",
+        "run-json-too-deep",
+        "scores-line-too-deep",
     ],
 )
 def test_report_on_bad_run_json_exits_with_data_error(
@@ -233,6 +240,24 @@ def test_input_path_missing_or_directory_exits_without_traceback(tmp_path, capsy
     reason = "file not found" if kind == "missing" else "cannot read: Is a directory"
     assert main(["report", "--run", str(run_dir)]) == 2
     assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("command", ["report", "stats"])
+def test_directory_at_output_name_exits_without_traceback(tmp_path, capsys, command):
+    run_dir = tmp_path / "run"
+    shutil.copytree(GOLDEN, run_dir)
+    if command == "report":
+        target = run_dir / "fig1_lengths.csv"
+        argv = ["report", "--run", str(run_dir)]
+    else:
+        target = run_dir / "fig2_keywords.csv"
+        argv = ["stats", "--dataset", str(DEMOS / "data" / "mini_squad.json"), "--out", str(run_dir)]
+    target.unlink()
+    target.mkdir()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: cannot write {target}: Is a directory\n"
+    assert target.is_dir()
+    assert sorted(p.name for p in run_dir.iterdir()) == sorted(p.name for p in GOLDEN.iterdir())
 
 
 def test_report_ignores_stored_shortfalls(tmp_path):

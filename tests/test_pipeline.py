@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import threading
 import time
@@ -675,6 +676,26 @@ def test_interrupted_write_keeps_previous_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["table2.csv"]
 
 
+@pytest.mark.parametrize(
+    "out, name, blocked",
+    [
+        ("missing", "run.json", None),
+        (".", "fig7_matches.csv", "fig7_matches.csv"),
+        (".", "fig8_max_series.csv", ".fig8_max_series.csv.tmp"),
+    ],
+    ids=["missing-directory", "target-is-directory", "temporary-is-directory"],
+)
+def test_unwritable_file_raises_config_error_naming_it(tmp_path, out, name, blocked):
+    # the directory is made by make_out_dir, never here; a directory in
+    # the way is left as it is
+    if blocked:
+        (tmp_path / blocked).mkdir()
+    target = tmp_path / out / name
+    with pytest.raises(ConfigError, match=f"^cannot write {re.escape(str(target))}: "):
+        pipeline._write_files(tmp_path / out, {name: ("new\n",)})
+    assert [p.name for p in tmp_path.iterdir()] == ([blocked] if blocked else [])
+
+
 def test_data_error_writes_failure_manifest(tmp_path, demo_vectors_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken", encoding="utf-8")
@@ -804,6 +825,39 @@ def test_cli_exit_config_error_on_empty_out_flag(
     assert "out must be a non-empty path" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "report.md", "run.json"]
     assert (tmp_path / "report.md").read_bytes() == (tmp_path / "run.json").read_bytes() == b"kept"
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "scores.jsonl", "run.json", "fig1_lengths.csv"])
+def test_cli_run_refuses_directory_at_artifact_name(
+    tmp_path, mini_squad_path, demo_vectors_path, capsys, monkeypatch, name
+):
+    path = write_config(tmp_path, mini_squad_path, demo_vectors_path)
+    assert main(["run", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    (out / name).unlink()
+    (out / name).mkdir()
+    before = {p.name: p.is_dir() or p.read_bytes() for p in out.iterdir()}
+    backend = FailFirstBackend("none")
+    monkeypatch.setattr(pipeline, "make_backend", lambda cfg: backend)
+    monkeypatch.setattr(pipeline, "load_squad", lambda path: pytest.fail("input was read"))
+    capsys.readouterr()
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out / name}: Is a directory\n"
+    assert backend.calls == 0
+    assert {p.name: p.is_dir() or p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_cli_deeply_nested_json_is_malformed(tmp_path, demo_vectors_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    reason = "nesting too deep: line 1 column 1 (char 0)"
+    assert main(["stats", "--dataset", str(deep), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: invalid JSON: {reason}\n"
+    assert main(["run", "--config", str(deep)]) == 1
+    assert capsys.readouterr().err == f"error: config is not valid JSON: {reason}\n"
+    path = write_config(tmp_path, deep, demo_vectors_path)
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: stage 'load': invalid JSON: {reason}\n"
 
 
 def test_cli_exit_data_error(tmp_path, demo_vectors_path, capsys):

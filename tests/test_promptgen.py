@@ -384,6 +384,13 @@ def test_http_malformed_body_rejected():
             HttpBackend(url, sleep=lambda s: None).complete(REQ)
 
 
+@pytest.mark.parametrize("backend_cls", [HttpBackend, OpenAICompletionsBackend])
+def test_body_nested_too_deep_rejected(backend_cls):
+    with scripted_server(["ok"], reply="[" * 100_000) as (url, _):
+        with pytest.raises(BackendRejected, match="response body lacks"):
+            backend_cls(url, sleep=lambda s: None).complete(REQ)
+
+
 def test_http_identity_and_call_log():
     with scripted_server([503, "ok"]) as (url, _):
         backend = HttpBackend(url, sleep=lambda s: None)

@@ -1,8 +1,10 @@
-"""The package declares requires-python >= 3.10; its code must parse there."""
+"""The package declares requires-python >= 3.10; its code must parse there,
+and it imports nothing beyond the standard library and numpy."""
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -22,3 +24,26 @@ def test_sources_parse_as_python_3_10():
             except SyntaxError as exc:
                 rejected.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
     assert rejected == []
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    """numpy is the one declared dependency; a module such as requests
+    that comes back fails here, not on a machine without it. Every import
+    statement counts, those inside functions too, which importing qgen
+    (test_import_loads_no_third_party_package_but_numpy) does not run."""
+    allowed = sys.stdlib_module_names | {"numpy", "qgen"}
+    foreign = []
+    for path in sorted((ROOT / "src" / "qgen").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name.partition(".")[0] not in allowed
+            ]
+    assert foreign == []

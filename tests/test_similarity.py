@@ -35,7 +35,7 @@ def test_load_minimal_table():
     table = load_vectors("cat 1.0 0.0\ndog 0.0 1.0\n")
     assert table.dim == 2
     assert len(table) == 2
-    assert "cat" in table and "fox" not in table
+    assert "cat" in table.index and "fox" not in table.index
     np.testing.assert_array_equal(table.matrix[table.index["cat"]], [1.0, 0.0])
 
 
@@ -43,7 +43,7 @@ def test_load_skips_word2vec_header():
     table = load_vectors("2 3\ncat 1 2 3\ndog 4 5 6\n")
     assert table.dim == 3
     assert len(table) == 2
-    assert "2" not in table
+    assert "2" not in table.index
 
 
 def test_load_dimension_mismatch_names_line():
@@ -65,7 +65,7 @@ def test_load_duplicate_token():
 
 def test_load_lowercases_tokens():
     table = load_vectors("Paris 1.0 2.0\n")
-    assert "paris" in table
+    assert "paris" in table.index
     assert "Paris" not in table.index
 
 
