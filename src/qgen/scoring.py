@@ -1,9 +1,12 @@
 """Similarity scoring of generated questions against baselines.
 
 A (context, prompt) cell is scored by one function, :func:`score_cell`.
-It builds the sentence vector of each baseline question of the context
-and of each generated question once, then compares every question with
-every baseline; the maximum of those cosine similarities is the
+It takes the sentence vector of each baseline question of the context
+and of each generated question from a dict keyed by the text, building
+only those not in it, then compares every question with every baseline.
+The cells of one context share that dict, so each distinct sentence of a
+context is built and normed once, however many prompts it has. The
+maximum of a question's cosine similarities is the
 question's score (``question_max``), and ``prompt_max`` is the maximum
 over the cell's questions. A question "matches" when its question_max
 strictly exceeds the threshold, and per-prompt distributions of
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, EmptyRecords, MissingCell
-from .similarity import EmbeddingTable, cosine_similarity, sentence_vector
+from .similarity import EmbeddingTable, SentenceVector, cosine_similarity, sentence_vector
 
 DEFAULT_THRESHOLD = 0.7
 
@@ -126,11 +129,15 @@ def score_cell(
     questions: list[str],
     baselines,
     table: EmbeddingTable,
+    vectors: dict[str, SentenceVector] | None = None,
 ) -> PromptContextResult:
     """Score a cell's question texts against its context's baselines.
 
-    ``baselines`` is the context's BaselineQuestion sequence. Each
-    baseline's sentence vector and each question's is built once. A
+    ``baselines`` is the context's BaselineQuestion sequence. ``vectors``
+    maps a text to its sentence vector in ``table``: each baseline's and
+    each question's vector is looked up there, and built and added only
+    when it is missing, so one dict passed to all the cells of a context
+    builds each distinct sentence once. None means a fresh dict. A
     question's ``per_baseline`` holds its cosines in baseline order and
     its ``question_max`` is their maximum. The zero vector flag is set when
     the question's vector or any baseline's had no in-vocabulary tokens;
@@ -138,12 +145,21 @@ def score_cell(
     """
     if not baselines:
         raise EmptyRecords(f"context {context_id} has no baseline questions")
+    if vectors is None:
+        vectors = {}
+
+    def vector(text: str) -> SentenceVector:
+        vec = vectors.get(text)
+        if vec is None:
+            vec = vectors[text] = sentence_vector(text, table)
+        return vec
+
     ids = [b.id for b in baselines]
-    bvecs = [sentence_vector(b.question, table) for b in baselines]
+    bvecs = [vector(b.question) for b in baselines]
     any_zero_baseline = any(bvec.is_zero for bvec in bvecs)
     records = []
     for i, text in enumerate(questions):
-        qvec = sentence_vector(text, table)
+        qvec = vector(text)
         sims = [cosine_similarity(qvec, bvec) for bvec in bvecs]
         records.append(
             ScoreRecord(

@@ -26,6 +26,7 @@ import math
 import unicodedata
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, Mapping
 
 import numpy as np
@@ -54,6 +55,11 @@ class SentenceVector:
     @property
     def is_zero(self) -> bool:
         return self.covered == 0
+
+    @cached_property
+    def norm(self) -> float:
+        """The Euclidean norm of values, computed on first use."""
+        return float(np.linalg.norm(self.values))
 
 
 def _table(index: dict[str, int], dim: int, matrix: np.ndarray) -> EmbeddingTable:
@@ -206,10 +212,14 @@ def tokenize(text: str) -> list[str]:
     Punctuation is any Unicode P* category character; only leading and
     trailing marks are stripped, so interior apostrophes and hyphens
     survive ("don't", "stop-gap"). Tokens that strip to nothing are
-    dropped.
+    dropped. A piece that begins and ends with an alphanumeric character
+    is kept as it is: no alphanumeric code point is in a P* category.
     """
     out: list[str] = []
     for piece in text.lower().split():
+        if piece[0].isalnum() and piece[-1].isalnum():
+            out.append(piece)
+            continue
         start = 0
         end = len(piece)
         while start < end and unicodedata.category(piece[start]).startswith("P"):
@@ -252,8 +262,7 @@ def cosine_similarity(a: SentenceVector, b: SentenceVector) -> float:
         raise DimensionMismatch(
             f"sentence vectors have dims {va.shape[0]} and {vb.shape[0]}"
         )
-    norm_a = float(np.linalg.norm(va))
-    norm_b = float(np.linalg.norm(vb))
+    norm_a, norm_b = a.norm, b.norm
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     value = float(np.dot(va, vb)) / (norm_a * norm_b)

@@ -114,7 +114,7 @@ def test_golden_run_calls_every_traced_name(tmp_path, monkeypatch):
         "write_report": 1,
         "question_length_histogram": 1,
         "frequent_words": 1,
-        "sentence_vector": 128,
+        "sentence_vector": 53,
         "cosine_similarity": 240,
     }
     assert len(sentences) == 46
@@ -165,10 +165,15 @@ def test_traced_call_counts_follow_the_work(
             sample_size=contexts,
         )
     )
-    baselines = {r.context_id: len(r.baselines) for r in datasets[0].records}
-    sizes = [(baselines[cell.context_id], len(cell.records)) for cell in run.results]
+    baselines = {r.context_id: [b.question for b in r.baselines] for r in datasets[0].records}
+    sizes = [(len(baselines[cell.context_id]), len(cell.records)) for cell in run.results]
+    # a context's cells share its sentence vectors: one per distinct text
+    # among its baselines and its cells' questions
+    texts = {cell.context_id: set(baselines[cell.context_id]) for cell in run.results}
+    for cell in run.results:
+        texts[cell.context_id].update(rec.question for rec in cell.records)
     expected = {attr: 1 for _, attr, _ in TRACED}
     expected.update(dict.fromkeys(PER_CELL, contexts * len(prompts)))
-    expected["sentence_vector"] = sum(b + q for b, q in sizes)
+    expected["sentence_vector"] = sum(map(len, texts.values()))
     expected["cosine_similarity"] = sum(b * q for b, q in sizes)
     assert dict(calls) == expected

@@ -260,6 +260,21 @@ def test_directory_at_output_name_exits_without_traceback(tmp_path, capsys, comm
     assert sorted(p.name for p in run_dir.iterdir()) == sorted(p.name for p in GOLDEN.iterdir())
 
 
+def test_report_never_writes_through_a_symlink_at_its_temporary_name(tmp_path):
+    # a stale temporary is removed, not followed into the file it names
+    run_dir = tmp_path / "run"
+    shutil.copytree(GOLDEN, run_dir)
+    victim = tmp_path / "victim.txt"
+    victim.write_bytes(b"not a report\n")
+    (run_dir / ".report.md.tmp").symlink_to(Path("..") / "victim.txt")
+    assert main(["report", "--run", str(run_dir)]) == 0
+    assert victim.read_bytes() == b"not a report\n"
+    report = run_dir / "report.md"
+    assert not report.is_symlink() and report.is_file()
+    assert report.read_bytes() == (GOLDEN / "report.md").read_bytes()
+    assert not (run_dir / ".report.md.tmp").exists()
+
+
 def test_report_ignores_stored_shortfalls(tmp_path):
     # shortfalls are derived from scores.jsonl and the manifest's
     # questions_per_prompt; run.json's copy is written, never read

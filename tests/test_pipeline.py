@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import re
 import shutil
 import threading
@@ -673,6 +675,36 @@ def test_interrupted_write_keeps_previous_file(tmp_path):
     with pytest.raises(OSError):
         pipeline._write_files(tmp_path, {"table2.csv": torn_chunks()})
     assert (tmp_path / "table2.csv").read_text() == "old,row\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table2.csv"]
+
+
+@pytest.mark.parametrize("failing", ["write", "close"])
+def test_full_disk_raises_config_error_and_keeps_previous_file(tmp_path, monkeypatch, failing):
+    pipeline._write_files(tmp_path, {"table2.csv": ("old,row\n",)})
+    real_open = open
+
+    class FullDisk:
+        """The temporary file, on a disk that fills at its first write or at close."""
+
+        def __init__(self, fd, *args, **kwargs):
+            self.fh = real_open(fd, *args, **kwargs)
+
+        def write(self, chunk):
+            if failing == "write":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return self.fh.write(chunk)
+
+        def close(self):
+            self.fh.close()
+            if failing == "close":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(pipeline, "open", FullDisk, raising=False)
+    target = tmp_path / "table2.csv"
+    message = f"^cannot write {re.escape(str(target))}: No space left on device$"
+    with pytest.raises(ConfigError, match=message):
+        pipeline._write_files(tmp_path, {"table2.csv": ("new,row\n",) * 3})
+    assert target.read_text() == "old,row\n"
     assert [p.name for p in tmp_path.iterdir()] == ["table2.csv"]
 
 

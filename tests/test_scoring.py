@@ -150,7 +150,7 @@ def test_score_cell_empty_baselines():
         score_cell(0, "A", ["what is"], [], TABLE)
 
 
-def test_score_cell_builds_each_sentence_vector_once(monkeypatch):
+def test_score_cell_builds_each_distinct_sentence_vector_once(monkeypatch):
     sentences = []
 
     def counting(sentence, table):
@@ -166,9 +166,55 @@ def test_score_cell_builds_each_sentence_vector_once(monkeypatch):
         baseline("b3", "zz yy"),
     ]
     cell = score_cell(0, "A", questions, baselines, TABLE)
-    assert len(sentences) == len(questions) + len(baselines) == 7
-    assert sorted(sentences) == sorted(questions + [b.question for b in baselines])
+    # the first question is baseline b0's text, built once for both
+    assert len(sentences) == len(set(questions + [b.question for b in baselines])) == 6
+    assert sorted(sentences) == sorted(set(questions + [b.question for b in baselines]))
     assert len(cell.records) == 3
+
+
+def record_bits(records) -> list:
+    """The records' fields, with every float as its bits."""
+    return [
+        (r.context_id, r.prompt_id, r.index, r.question, r.zero_vector_flag,
+         r.question_max.hex(), [(qid, v.hex()) for qid, v in r.per_baseline])
+        for r in records
+    ]
+
+
+def test_shared_vectors_score_as_fresh_ones():
+    # a context's cells share one dict in run_pipeline; each cell scored
+    # with its own fresh dict gives the same records, bit for bit
+    rng = random.Random(47)
+    vocab = [*WORDS, "zz", "what?"]
+
+    def sentence():
+        return " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 4)))
+
+    for context_id in range(30):
+        baselines = [baseline(f"b{i}", sentence()) for i in range(rng.randint(1, 4))]
+        pool = [b.question for b in baselines] + [sentence() for _ in range(3)]
+        vectors: dict = {}
+        texts = {b.question for b in baselines}
+        for pid in "ABCD":
+            questions = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+            texts.update(questions)
+            shared = score_cell(context_id, pid, questions, baselines, TABLE, vectors)
+            fresh = score_cell(context_id, pid, questions, baselines, TABLE)
+            assert shared == fresh
+            assert record_bits(shared.records) == record_bits(fresh.records)
+        assert vectors.keys() == texts
+
+
+def test_vectors_left_from_another_context_score_the_same():
+    first = [baseline("b0", "what is the capital"), baseline("b1", "the long river")]
+    second = [baseline("c0", "who built the city"), baseline("c1", "what is the capital")]
+    questions = ["the long river", "who built the city", "what is the capital zz"]
+    vectors: dict = {}
+    score_cell(1, "A", questions, first, TABLE, vectors)
+    left = score_cell(2, "A", questions, second, TABLE, vectors)
+    fresh = score_cell(2, "A", questions, second, TABLE)
+    assert record_bits(left.records) == record_bits(fresh.records)
+    assert set(vectors) == {b.question for b in first + second} | set(questions)
 
 
 # -- prompt_max -------------------------------------------------------------------

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+import unicodedata
 
 import numpy as np
 import pytest
@@ -206,6 +208,46 @@ def test_tokenize_unicode_punctuation():
     assert tokenize("«Paris», c'est grand…") == ["paris", "c'est", "grand"]
 
 
+def test_no_alphanumeric_code_point_is_punctuation():
+    # tokenize keeps a piece with alphanumeric ends as it is, without
+    # looking up its ends' categories
+    both = [
+        hex(cp)
+        for cp in range(sys.maxunicode + 1)
+        if chr(cp).isalnum() and unicodedata.category(chr(cp)).startswith("P")
+    ]
+    assert both == []
+
+
+def tokenize_by_category(text: str) -> list[str]:
+    """tokenize as it reads every piece: strip P* characters off its ends."""
+    out = []
+    for piece in text.lower().split():
+        start, end = 0, len(piece)
+        while start < end and unicodedata.category(piece[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(piece[end - 1]).startswith("P"):
+            end -= 1
+        if end > start:
+            out.append(piece[start:end])
+    return out
+
+
+# letters, digits and numerals; P* marks; combining marks; symbols;
+# characters whose lowercase ends in a combining mark (İ) or differs in
+# length; whitespace str.split() knows
+TOKEN_ALPHABET = (
+    "aZé9٣ⅷß" "'-.,!?¿¡«»…—“”・、。()[]" "\u0301\u0307\u20dd" "$+€😀_" "İẞΣ" " \t\u00a0\u2028\x85"
+)
+
+
+def test_tokenize_agrees_with_category_reference():
+    rng = random.Random(20)
+    for _ in range(5000):
+        text = "".join(rng.choice(TOKEN_ALPHABET) for _ in range(rng.randint(0, 24)))
+        assert tokenize(text) == tokenize_by_category(text), repr(text)
+
+
 # -- sentence vectors ---------------------------------------------------------------
 
 def test_sentence_vector_mean_pooling():
@@ -253,6 +295,15 @@ def test_sentence_vector_values_read_only():
     sv = sentence_vector(["a"], table)
     with pytest.raises(ValueError):
         sv.values[0] = 9.0
+
+
+def test_norm_is_numpy_norm_bit_for_bit():
+    rng = random.Random(5)
+    for dim in (1, 3, 50):
+        values = np.array(random_vector(rng, dim))
+        sv = similarity.SentenceVector(values=values, covered=1, total=1)
+        assert sv.norm.hex() == float(np.linalg.norm(values)).hex()
+        assert sv.norm is sv.norm  # computed once and kept
 
 
 # -- cosine similarity ----------------------------------------------------------------
