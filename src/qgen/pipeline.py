@@ -30,7 +30,6 @@ import json
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
@@ -266,12 +265,18 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
 
     Each call renders its prompt, fetches a completion and parses its
     questions, one stage, "generate"; each prompt lives only as long as
-    its call. After the first call that fails in any of the three, no
-    further call is sent; calls in flight finish and are scored, and then
-    the first submitted failure is raised. A sampled context without
-    baseline questions fails at stage "sample", before any call. The jobs,
-    and so every output, are in (context_id, prompt_id) order, and every
-    artifact is written line by line, never held whole in memory.
+    its call. The calls are made by min(max_in_flight, jobs) threads,
+    which take job indexes in order from one shared iterator and put each
+    question list, or the exception its call raised, into that job's
+    slot. After the first call that fails in any of the three, no further
+    call is sent; calls in flight finish and are scored, in job order, and
+    then the failure in the first slot that holds one is raised. A Ctrl-C
+    while the calls run stops them the same way: the calls in flight
+    finish, no thread is left running, and the KeyboardInterrupt passes
+    through. A sampled context without baseline questions fails at stage
+    "sample", before any call. The jobs, and so every output, are in
+    (context_id, prompt_id) order, and every artifact is written line by
+    line, never held whole in memory.
 
     The previous manifest.json is removed before any input is read, and
     the new one is written once, after every other file: by then
@@ -320,52 +325,81 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
             vector_digest=vector_digest,
             rng_algorithm=RNG_ALGORITHM,
         )
-        # set by the first failed call; a worker checks it before each
-        # call, so none is sent after a failure, however soon the worker
-        # picks up its next job
+        # sampled is sorted by context id, so the jobs are in (context_id,
+        # prompt_id) order, the order of every artifact
+        jobs = [(record, pid) for record in sampled for pid in sorted(cfg.prompts)]
+        # slots[i] is job i's question list, or the exception its call
+        # raised, or None if it was never called
+        slots: list = [None] * len(jobs)
+        pending = iter(range(len(jobs)))
+        taking = threading.Lock()
+        # set by the first failed call, or by an interrupt of the main
+        # thread; a worker checks it before each call, so none is sent
+        # after, however soon the worker takes its next job
         stop = threading.Event()
 
-        def call(record: ContextRecord, pid: str) -> list[str] | None:
-            if stop.is_set():
-                return None
-            try:
-                request = BackendRequest(
-                    prompt=render_prompt(pid, record.text),
-                    temperature=cfg.temperature,
-                    max_tokens=cfg.max_output_tokens,
-                )
-                raw = generate(backend, request, call_log)
-                return parse_questions(raw, cfg.questions_per_prompt)
-            except Exception:
-                stop.set()
-                raise
+        def call(record: ContextRecord, pid: str) -> list[str]:
+            request = BackendRequest(
+                prompt=render_prompt(pid, record.text),
+                temperature=cfg.temperature,
+                max_tokens=cfg.max_output_tokens,
+            )
+            raw = generate(backend, request, call_log)
+            return parse_questions(raw, cfg.questions_per_prompt)
 
-        # sampled is sorted by context id, so the jobs are in (context_id,
-        # prompt_id) order, the order of every artifact. Leaving the pool
-        # waits for every call; after a failure the queued ones return None
-        with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
-            jobs = [
-                (record, pid, pool.submit(call, record, pid))
-                for record in sampled
-                for pid in sorted(cfg.prompts)
-            ]
+        def work(done: threading.Event) -> None:
+            try:
+                while not stop.is_set():
+                    with taking:
+                        i = next(pending, None)
+                    if i is None:
+                        return
+                    try:
+                        slots[i] = call(*jobs[i])
+                    except BaseException as exc:
+                        stop.set()
+                        slots[i] = exc
+            finally:
+                done.set()
+
+        finished = [threading.Event() for _ in range(min(cfg.max_in_flight, len(jobs)))]
+        workers = [
+            threading.Thread(target=work, args=(done,), name=f"qgen-call-{n}")
+            for n, done in enumerate(finished)
+        ]
+        try:
+            for worker in workers:
+                worker.start()
+            for done in finished:
+                done.wait()
+        except BaseException:
+            # a Ctrl-C, say: the calls in flight finish and no other is sent
+            stop.set()
+            raise
+        finally:
+            # a started worker is joined only once it is done: Python 3.11
+            # takes a thread whose join was interrupted for stopped
+            for worker, done in zip(workers, finished):
+                if worker.ident is not None:
+                    done.wait()
+                    worker.join()
         # every question list that came back is scored, in job order, before
         # the first failed job's error is raised; a context's cells share
         # one dict of sentence vectors, dropped when the next context starts
         stage = "score"
-        for _, context_jobs in groupby(jobs, key=lambda job: job[0].context_id):
+        for _, context_jobs in groupby(zip(jobs, slots), key=lambda js: js[0][0].context_id):
             vectors: dict = {}
-            for record, pid, future in context_jobs:
-                questions = None if future.exception() else future.result()
-                if questions is not None:
+            for (record, pid), questions in context_jobs:
+                if isinstance(questions, list):
                     cells.append(
                         score_cell(
                             record.context_id, pid, questions, record.baselines, table, vectors
                         )
                     )
         stage = "generate"
-        for *_, future in jobs:
-            future.result()  # raises the first failed job's error
+        for slot in slots:
+            if isinstance(slot, BaseException):
+                raise slot
         stage = "aggregate"
         run = assemble_run(info, cells, cfg.questions_per_prompt)
         stage = "persist"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import random
@@ -98,6 +99,54 @@ def test_parse_malformed_json():
     for source in (not_utf8, io.TextIOWrapper(io.BytesIO(not_utf8), encoding="utf-8")):
         with pytest.raises(MalformedJson):
             parse_squad(source)
+
+
+@pytest.fixture()
+def collections():
+    """The generation of every collection the cyclic GC starts while the
+    fixture is live."""
+    started: list[int] = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    # the collector reads the list it was given at start-up, so the hook
+    # goes into that list, not into a new one
+    gc.callbacks.append(hook)
+    yield started
+    gc.callbacks.remove(hook)
+
+
+def test_parse_runs_no_collection(collections):
+    # 2,000 contexts build enough containers to trigger collections of
+    # every generation if the collector runs
+    raw = doc_bytes(make_squad_doc(build_synth_articles(2000)))
+    # start from empty generations, so that building raw cannot trigger a
+    # collection as parse_squad is entered
+    gc.collect()
+    collections.clear()
+    ds = parse_squad(raw)
+    # len allocates nothing, so the collection due after the parse has
+    # not started yet
+    started_inside = len(collections)
+    assert started_inside == 0
+    assert len(ds.records) == 2000
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("source", ["{broken", '{"data": [{"title": 1}]}', '{"data": []}'])
+def test_parse_restores_collector_state(source):
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            try:
+                parse_squad(source)
+            except (MalformedJson, SchemaError):
+                pass
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(

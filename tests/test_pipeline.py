@@ -7,6 +7,8 @@ import json
 import os
 import re
 import shutil
+import signal
+import sys
 import threading
 import time
 import weakref
@@ -215,8 +217,8 @@ class SlowFirstCallsBackend(MockBackend):
 
 
 @pytest.mark.parametrize(
-    "second", [{}, {"prompts": "DCBA"}, {"max_in_flight": 1}],
-    ids=["same", "prompts-reversed", "one-in-flight"],
+    "second", [{}, {"prompts": "DCBA"}, {"max_in_flight": 1}, {"max_in_flight": 32}],
+    ids=["same", "prompts-reversed", "one-in-flight", "more-in-flight-than-jobs"],
 )
 def test_run_pipeline_is_deterministic(
     tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, second
@@ -614,6 +616,119 @@ def test_interrupted_rerun_leaves_no_manifest(
     # nor does load_run read the seed-3 run.json beside the seed-7 scores
     with pytest.raises(SchemaError, match="manifest.json: file not found"):
         load_run(out)
+
+
+class InterruptingBackend(MockBackend):
+    """Its call number `at` is interrupted: with how "raise" the call
+    raises KeyboardInterrupt, with how "signal" it sends SIGINT to the
+    process, which the main thread receives, and then takes 0.25 s. Every
+    other call takes 50 ms."""
+
+    def __init__(self, at: int, how: str) -> None:
+        super().__init__(seed=0)
+        self.at = at
+        self.how = how
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def complete(self, request):
+        with self.lock:
+            self.calls += 1
+            n = self.calls
+        if n == self.at and self.how == "raise":
+            raise KeyboardInterrupt
+        if n == self.at:
+            os.kill(os.getpid(), signal.SIGINT)
+            time.sleep(0.2)
+        time.sleep(0.05)
+        return super().complete(request)
+
+
+@pytest.mark.parametrize("how", ["raise", "signal"])
+def test_interrupt_stops_the_calls(
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, how
+):
+    at, in_flight = 3, 2
+    backend = InterruptingBackend(at, how)
+    monkeypatch.setattr(pipeline, "make_backend", lambda cfg: backend)
+    # 6 contexts x 4 prompts = 24 jobs
+    cfg = load_config(
+        write_config(
+            tmp_path, mini_squad_path, demo_vectors_path,
+            sample_size=6, max_in_flight=in_flight,
+        ),
+        env={},
+    )
+    before = set(threading.enumerate())
+    with pytest.raises(KeyboardInterrupt):
+        run_pipeline(cfg)
+    assert set(threading.enumerate()) <= before
+    sent = backend.calls
+    # a call still running would be counted by now
+    time.sleep(0.1)
+    assert backend.calls == sent
+    # the interrupted call and those in flight beside it; a signal reaches
+    # the main thread a moment after it is sent, so one more may start
+    assert sent <= at + in_flight - (how == "raise")
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("in_flight", [1, 2, 32])
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+def test_dispatcher_starts_one_thread_per_call_in_flight(
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, in_flight, fails
+):
+    started = []
+    real_start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    monkeypatch.setattr(
+        pipeline, "make_backend", lambda cfg: FailFirstBackend("rejected" if fails else "none")
+    )
+    # the demo config: 4 contexts x 4 prompts = 16 jobs
+    cfg = load_config(
+        write_config(
+            tmp_path, mini_squad_path, demo_vectors_path,
+            sample_size=4, max_in_flight=in_flight,
+        ),
+        env={},
+    )
+    if fails:
+        with pytest.raises(PipelineError):
+            run_pipeline(cfg)
+    else:
+        run_pipeline(cfg)
+    assert len(started) == min(in_flight, 16)
+    assert not set(started) & set(threading.enumerate())
+
+
+def test_dispatcher_sends_each_job_once_under_contention(tmp_path, synth_corpus, monkeypatch):
+    # more workers than cores, switching threads as often as the
+    # interpreter allows: two workers taking one job index would render
+    # its prompt twice and leave another job unsent
+    dataset, vectors = synth_corpus
+    renders = []
+    real_render = pipeline.render_prompt
+
+    def render_prompt(pid, context):
+        renders.append((pid, context))
+        return real_render(pid, context)
+
+    monkeypatch.setattr(pipeline, "render_prompt", render_prompt)
+    cfg = load_config(
+        write_config(tmp_path, dataset, vectors, sample_size=60, max_in_flight=8), env={}
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run = run_pipeline(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(renders) == len(set(renders)) == len(run.results) == 60 * 4
 
 
 @pytest.mark.parametrize("outcome", ["complete", "generate", "load"])
