@@ -9,14 +9,19 @@ summed in token order, so repeated runs are bit-identical.
 
 An :class:`EmbeddingTable` is a vocabulary index (token -> row) into one
 read-only ``(rows, dim)`` float64 matrix. :func:`load_vectors_path` reads
-a regular file (``token v1 ... vd`` with single spaces, ``\\n`` line ends,
-no blank lines, printable UTF-8 tokens unique after lowercasing, an
-optional word2vec header on line 1) with one streamed ``np.loadtxt`` call.
-Any other file goes whole to the per-line parser :func:`load_vectors`, so
-every file loads to the same table, and fails with the same error class,
-message and line number, whichever path reads it. A ``nan`` or ``inf``
-component is a :class:`BadFloat` on either path: its cosine would be
-clamped to 1.0 and score as a match.
+the file in text mode, so ``\r\n`` and ``\r`` end a line as ``\n`` does.
+A regular file (``token v1 ... vd`` with single spaces, printable tokens
+unique after lowercasing, finite components, blank lines only after the
+first row, an optional word2vec header on line 1) is read with one
+``np.loadtxt`` call. Any other file (a tab or double space, a short row,
+a duplicate, a ``nan``, a value such as ``1_000`` that loadtxt does not
+read) goes whole to the per-line parser :func:`load_vectors`, so every
+file loads to the same table, and fails with the same error class,
+message and line number, whichever path reads it. A bad file is read
+twice, so at 400k rows its error comes seconds later. A ``nan`` or
+``inf`` component is a :class:`BadFloat`: its cosine would be clamped to
+1.0 and score as a match. A byte-order mark is a :class:`BadEncoding`: it
+would hide the first token.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ from .errors import BadEncoding, BadFloat, DimensionMismatch, DuplicateToken
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """Row ``index[token]`` of the read-only ``matrix`` is the token's vector."""
+    """Row ``index[token]`` of the read-only ``matrix`` is the token's
+    vector. ``matrix`` may be a strided view; ``matrix[rows]`` is a copy."""
 
     dim: int
     index: Mapping[str, int]
@@ -72,10 +78,6 @@ def _parse_header(line: str) -> bool:
     return len(parts) == 2 and all(p.isdigit() for p in parts)
 
 
-def _non_finite(lineno: int) -> BadFloat:
-    return BadFloat(f"line {lineno}: non-finite vector component")
-
-
 def text_lines(source: str | IO | Iterable[str]) -> Iterable[str]:
     """The lines of source; a string is split at ``\\n``, ``\\r\\n`` and
     ``\\r`` only, as a file opened in text mode is."""
@@ -99,6 +101,8 @@ def load_vectors(source: str | IO | Iterable[str]) -> EmbeddingTable:
     try:
         for lineno, raw in enumerate(text_lines(source), start=1):
             line = raw.strip("\n").strip("\r")
+            if lineno == 1 and line.startswith("\ufeff"):
+                raise BadEncoding("line 1: starts with a UTF-8 byte-order mark")
             if not line.strip():
                 continue
             if lineno == 1 and _parse_header(line):
@@ -123,7 +127,7 @@ def load_vectors(source: str | IO | Iterable[str]) -> EmbeddingTable:
             except ValueError as exc:
                 raise BadFloat(f"line {lineno}: {exc}") from exc
             if not all(map(math.isfinite, row)):
-                raise _non_finite(lineno)
+                raise BadFloat(f"line {lineno}: non-finite vector component")
             values.extend(row)
             index[token] = len(index)
     except UnicodeDecodeError as exc:
@@ -134,74 +138,60 @@ def load_vectors(source: str | IO | Iterable[str]) -> EmbeddingTable:
     return _table(index, dim, matrix)
 
 
-def _load_regular(path) -> EmbeddingTable | None:
-    """Load a regular vector file (see the module docstring) with one
-    ``np.loadtxt`` call, or return None when the file is not provably
-    read by it exactly as :func:`load_vectors` reads it."""
-    index: dict[str, int] = {}
-    dim = -1
-    header = 0
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if b"\r" in line:
-                return None
-            try:
-                if lineno == 1 and _parse_header(line.decode("utf-8")):
-                    header = 1
-                    continue
-                token = line.partition(b" ")[0].decode("utf-8")
-            except UnicodeDecodeError:
-                return None
-            # an empty token (blank line, leading space) or one holding the
-            # line end (no space on the line) or whitespace str.split()
-            # knows (tab, NBSP, NEL, ...)
-            if not token or not token.isprintable():
-                return None
-            spaces = line.count(b" ")
-            if dim < 0:
-                dim = spaces
-            if spaces != dim:
-                return None
-            token = token.lower()
-            if token in index:
-                return None
-            index[token] = len(index)
-        if not index or dim == 0:
+def _load_regular(fh) -> EmbeddingTable | None:
+    """Load a regular vector file (see the module docstring) from the text
+    handle fh with one ``np.loadtxt`` call, or return None when the file is
+    not provably read by it exactly as :func:`load_vectors` reads it.
+
+    loadtxt skips blank lines, so a row index is not a line number: a
+    duplicate token or a non-finite component returns None, and the
+    per-line parser names the line. The matrix is a strided view.
+    """
+    try:
+        line = fh.readline()
+        header = int(_parse_header(line))
+        dim = (fh.readline() if header else line).count(" ")
+        if dim == 0:
             return None
         fh.seek(0)
-        try:
-            # loadtxt raises on a field that str.split() would cut
-            # differently (empty, blank, inner whitespace) and on 1_000 and
-            # non-ASCII digits, which float() reads; a field it accepts
-            # gets float()'s bits
-            matrix = np.loadtxt(
-                fh,
-                dtype=np.float64,
-                delimiter=" ",
-                comments=None,
-                usecols=range(1, dim + 1),
-                skiprows=header,
-                ndmin=2,
-                encoding="utf-8",
-            )
-        except ValueError:
-            return None
-    if matrix.shape != (len(index), dim):
+        # loadtxt raises on a row with another field count and on a field
+        # that str.split() would cut differently (empty, blank, inner
+        # whitespace), on 1_000 and non-ASCII digits, which float() reads,
+        # and on bad UTF-8; a field it accepts gets float()'s bits
+        rows = np.loadtxt(
+            fh,
+            dtype=[("token", object), ("vector", np.float64, (dim,))],
+            delimiter=" ",
+            comments=None,
+            skiprows=header,
+            ndmin=1,
+            converters={0: str.lower},
+        )
+    except ValueError:
         return None
-    # min and max are nan when any component is, and show an inf; they
-    # need no (rows, dim) temporary, as np.isfinite(matrix) would
-    if not (math.isfinite(matrix.min()) and math.isfinite(matrix.max())):
-        row = int(np.isfinite(matrix).all(axis=1).argmin())
-        raise _non_finite(row + 1 + header)
+    index = dict(zip(rows["token"], range(len(rows))))
+    matrix = rows["vector"]
+    # an empty token (leading space) or one holding whitespace str.split()
+    # knows (tab, NBSP, NEL, ...) is not printable, lowered or not; min and
+    # max show a nan or inf with no (rows, dim) temporary
+    if (
+        len(index) != len(rows)
+        or "" in index
+        or not all(map(str.isprintable, index))
+        or not (math.isfinite(matrix.min()) and math.isfinite(matrix.max()))
+    ):
+        return None
     return _table(index, dim, matrix)
 
 
 def load_vectors_path(path) -> EmbeddingTable:
-    """Load a vector file from disk; see the module docstring for the two
-    ways it is read, which give the same table and the same errors."""
-    table = _load_regular(path)
-    if table is None:
-        with open(path, "r", encoding="utf-8") as fh:
+    """Load a vector file from disk, UTF-8 in text mode; see the module
+    docstring for the two ways it is read, which give the same table and
+    the same errors. A file that is not regular is read twice."""
+    with open(path, "r", encoding="utf-8") as fh:
+        table = _load_regular(fh)
+        if table is None:
+            fh.seek(0)
             table = load_vectors(fh)
     return table
 

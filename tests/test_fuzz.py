@@ -9,12 +9,13 @@ line, or a scores.jsonl line duplicated, deleted, swapped or blanked.
 escapes it fails the case, and so does an exit-2 message that carries
 Python's own text for a value of the wrong kind instead of naming the
 field. For the vector readers, each case mutates a small regular vector
-file, and the path loader, the line parser on the open file and the line
-parser on the text must give the same table or the same error. The
-dataset parser and the config loader, given demos/data/mini_squad.json
-or a valid config with 1 to 3 mutations (a value replaced, a key dropped
-or added, a list item dropped or appended) or a document nested too deep
-to decode, may raise only QgenError subclasses. The seeds are fixed, so
+file, written once with \\n and once with \\r\\n line ends, and the
+path loader, the line parser on the open file and the line parser on the
+text must give the same table or the same error. The dataset parser and
+the config loader, given demos/data/mini_squad.json or a valid config
+with 1 to 3 mutations (a value replaced, a key dropped or added, a list
+item dropped or appended) or a document nested too deep to decode, may
+raise only QgenError subclasses. The seeds are fixed, so
 the suite stays deterministic.
 """
 
@@ -190,14 +191,15 @@ def test_vector_readers_agree_on_mutated_files(tmp_path):
         lines = regular_vectors(rng)
         for _ in range(rng.randint(1, 3)):
             lines = mutate_vectors(lines, rng)
-        text = "".join(line + "\n" for line in lines)
-        path.write_text(text, encoding="utf-8", newline="")
-        with open(path, encoding="utf-8") as fh:
-            from_file = load_outcome(lambda: load_vectors(fh))
-        from_path = load_outcome(lambda: load_vectors_path(path))
-        from_text = load_outcome(lambda: load_vectors(text))
-        if not from_path == from_file == from_text:
-            disagreements.append((seed, text, from_path, from_file, from_text))
+        for end in ("\n", "\r\n"):
+            text = "".join(line + end for line in lines)
+            path.write_text(text, encoding="utf-8", newline="")
+            with open(path, encoding="utf-8") as fh:
+                from_file = load_outcome(lambda: load_vectors(fh))
+            from_path = load_outcome(lambda: load_vectors_path(path))
+            from_text = load_outcome(lambda: load_vectors(text))
+            if not from_path == from_file == from_text:
+                disagreements.append((seed, text, from_path, from_file, from_text))
     assert disagreements == []
 
 

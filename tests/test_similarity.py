@@ -101,17 +101,23 @@ LOADER_CASES = {
     # only line 1 can be a header; line 2 is a one-column row
     "header-like-first-row": (b"2 3\n22 1\n", (1, ["22"])),
     "blank-lines": (b"\ncat 1.0\n\n\ndog 2.0\n", None),
+    "blank-line-after-header": (b"2 2\n\ncat 1 2\n", (2, ["cat"])),
     "crlf": (b"cat 1 2\r\ndog 3 4\r\n", None),
+    "crlf-header": (b"2 2\r\ncat 1 2\r\ndog 3 4\r\n", (2, ["cat", "dog"])),
+    "cr": (b"2 2\rcat 1 2\rdog 3 4\r", (2, ["cat", "dog"])),
     "tab": (b"cat\t1 2\ndog 3\t4\n", None),
     "double-space": (b"cat  1 2\ndog 3  4\n", None),
     "trailing-space": (b"cat 1 2 \ndog 3 4 \n", None),
     "leading-space": (b"cat 1 2\n 3 4\n", (DimensionMismatch, "line 2")),
     "lowercase-duplicate": (b"Cat 1 2\ncat 3 4\n", (DuplicateToken, "line 2")),
+    # a row index is not a line number once a blank line is skipped
+    "duplicate-after-blank-line": (b"cat 1 2\n\nCat 3 4\n", (DuplicateToken, "line 3")),
     "underscore-digits": (b"cat 1_000 2\ndog 3 4\n", None),
     "fullwidth-digit": ("cat \uff11 2\ndog 3 4\n".encode(), None),
     # a non-finite component would make every cosine with its token 1.0
     "inf-nan": (b"cat inf -nan\ndog -inf -0.0\n", (BadFloat, "line 1: non-finite")),
     "nan-after-header": (b"2 2\ncat 1 2\ndog nan 1\n", (BadFloat, "line 3: non-finite")),
+    "nan-after-blank-line": (b"cat 1 2\n\ndog nan 1\n", (BadFloat, "line 3: non-finite")),
     "minus-inf-last-row": (b"cat 1 2\ndog 3 4\nfox -inf 5\n", (BadFloat, "line 3: non-finite")),
     "non-ascii-tokens": ("caf\u00e9 1 2\n\u0130stanbul 3 4\n".encode(), None),
     "nbsp-token": ("7\u00a01 2\ndog 3\n".encode(), (DimensionMismatch, "line 2")),
@@ -124,6 +130,8 @@ LOADER_CASES = {
     "long-row": (b"cat 1 2\ndog 3 4 5\n", (DimensionMismatch, "line 2")),
     "bad-float-last-line": (b"cat 1 2\ndog 3 4\nfox 5 oops\n", (BadFloat, "line 3")),
     "empty": (b"", None),
+    # a byte-order mark would hide the first token, "the" in GloVe
+    "utf8-bom": ("\ufeffthe 1 2\ncat 3 4\n".encode(), (BadEncoding, "line 1")),
 }
 
 
@@ -176,9 +184,23 @@ def test_regular_file_skips_line_parser(monkeypatch, tmp_path, demo_vectors_path
         table.matrix[0, 0] = 1.0
 
     text = demo_vectors_path.read_text(encoding="utf-8")
-    header = tmp_path / "header.txt"
-    header.write_text(f"{len(table)} 50\n{text}", encoding="utf-8")
-    assert load_vectors_path(header).matrix.tobytes() == table.matrix.tobytes()
+    with open(demo_vectors_path, encoding="utf-8") as fh:
+        reference = load_vectors(fh)
+    assert table.matrix.tobytes() == reference.matrix.tobytes()
+    assert table.index == reference.index
+    first, rest = text.split("\n", 1)
+    variants = {
+        "header": f"{len(table)} 50\n{text}",
+        "crlf": text.replace("\n", "\r\n"),
+        "blank-line": f"{first}\n\n{rest}",
+        "no-final-newline": text.rstrip("\n"),
+    }
+    for name, variant in variants.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(variant, encoding="utf-8", newline="")
+        got = load_vectors_path(path)
+        assert got.matrix.tobytes() == reference.matrix.tobytes(), name
+        assert got.index == reference.index, name
     tabbed = tmp_path / "tabbed.txt"
     tabbed.write_text(text.replace(" ", "\t", 1), encoding="utf-8")
     with pytest.raises(AssertionError, match="per-line parser reached"):
