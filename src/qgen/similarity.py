@@ -157,13 +157,16 @@ def _load_regular(fh) -> EmbeddingTable | None:
         # loadtxt raises on a row with another field count and on a field
         # that str.split() would cut differently (empty, blank, inner
         # whitespace), on 1_000 and non-ASCII digits, which float() reads,
-        # and on bad UTF-8; a field it accepts gets float()'s bits
+        # and on bad UTF-8; a field it accepts gets float()'s bits. The
+        # handle decodes; encoding keeps numpy < 2 from handing the
+        # converter latin1 bytes
         rows = np.loadtxt(
             fh,
             dtype=[("token", object), ("vector", np.float64, (dim,))],
             delimiter=" ",
             comments=None,
             skiprows=header,
+            encoding="utf-8",
             ndmin=1,
             converters={0: str.lower},
         )
