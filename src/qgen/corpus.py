@@ -5,6 +5,10 @@ into validated records, reverses question/answer roles for generation
 inputs, draws reproducible context samples, and splits long contexts into
 overlapping token chunks.
 
+Every check runs at parse time; a record is then built from its validated
+paragraph only when it is read, so a run that samples 50 of 2,067 contexts
+builds 50 records, and no error waits until a read.
+
 Offsets count Unicode scalar values, which is what Python string indexing
 does and what the official v1.1 files are consistent under. v2-style
 unanswerable entries (empty ``answers``) are rejected at parse time.
@@ -15,6 +19,7 @@ from __future__ import annotations
 import gc
 import json
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import IO
 
@@ -51,16 +56,78 @@ class ContextRecord:
     baselines: tuple[BaselineQuestion, ...]
 
 
+class ContextRecords(Sequence):
+    """The records of a parsed dataset: a read-only sequence that builds
+    ``ContextRecord(context_id=i, ...)`` from the i-th validated paragraph
+    each time index i is read.
+
+    A read builds a new object, so ``records[i] is records[i]`` may be
+    false, but the two are equal. A slice gives a tuple. Two sequences are
+    equal, and hash alike, when their records are. A record holds only
+    strings and ints of the JSON tree, never the tree or the sequence.
+    """
+
+    __slots__ = ("_paragraphs",)
+
+    def __init__(self, paragraphs: list[tuple[str, dict]]):
+        # (article title, paragraph object) in file order, all validated
+        self._paragraphs = paragraphs
+
+    def __len__(self) -> int:
+        return len(self._paragraphs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._build, range(len(self._paragraphs))[index]))
+        # range indexing normalises a negative index and raises IndexError
+        return self._build(range(len(self._paragraphs))[index])
+
+    def __iter__(self):
+        return map(self._build, range(len(self._paragraphs)))
+
+    def __eq__(self, other):
+        if not isinstance(other, ContextRecords):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def _build(self, context_id: int) -> ContextRecord:
+        title, para = self._paragraphs[context_id]
+        return ContextRecord(
+            context_id=context_id,
+            title=title,
+            text=para["context"],
+            baselines=tuple(
+                BaselineQuestion(
+                    id=qa["id"],
+                    question=qa["question"],
+                    answers=tuple(
+                        Answer(text=ans["text"], answer_start=ans["answer_start"])
+                        for ans in qa["answers"]
+                    ),
+                )
+                for qa in para["qas"]
+            ),
+        )
+
+
 @dataclass(frozen=True)
 class SquadDataset:
-    records: tuple[ContextRecord, ...]
+    """A parsed dataset. ``records`` is a :class:`ContextRecords`, built on
+    access; ``len(records)``, ``example_count``, ``questions()`` and
+    :func:`reverse_dataset` read the validated paragraphs and build no
+    record. Two datasets are equal when their records are."""
+
+    records: ContextRecords
 
     @property
     def example_count(self) -> int:
-        return sum(len(r.baselines) for r in self.records)
+        return sum(len(para["qas"]) for _, para in self.records._paragraphs)
 
     def questions(self) -> list[str]:
-        return [b.question for r in self.records for b in r.baselines]
+        return [qa["question"] for _, para in self.records._paragraphs for qa in para["qas"]]
 
 
 @dataclass(frozen=True)
@@ -111,11 +178,17 @@ def parse_squad(source: str | bytes | IO) -> SquadDataset:
     (with the qas id) when an answer's offsets do not slice the context to
     its text.
 
+    Every paragraph is validated here, so every error is raised here. The
+    dataset keeps each validated paragraph of the decoded JSON and its
+    article's title; ``records`` is a read-only :class:`ContextRecords`
+    that builds a record only when it is read, not a tuple. The tree is
+    freed with the dataset.
+
     The process-wide cyclic garbage collector is paused while it runs and
-    restored as it was on return or raise. The JSON tree and the records
-    hold no reference cycles, so refcounting frees them as before; but a
-    collection triggered by the growing trees would rescan them and find
-    nothing, which cost over a third of the parse of a 10,000-context file.
+    restored as it was on return or raise. The JSON tree holds no
+    reference cycles, so refcounting frees it as before; but a collection
+    triggered by the growing tree would rescan it and find nothing, which
+    cost over a third of the parse of a 10,000-context file.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -138,8 +211,7 @@ def _parse_squad(source: str | bytes | IO) -> SquadDataset:
         raise MalformedJson(f"invalid JSON: {exc}") from exc
 
     data = _require(doc, "data", list, "$")
-    records: list[ContextRecord] = []
-    context_id = 0
+    validated: list[tuple[str, dict]] = []
     for ai, article in enumerate(data):
         apath = f"$.data[{ai}]"
         title = _require(article, "title", str, apath)
@@ -150,7 +222,6 @@ def _parse_squad(source: str | bytes | IO) -> SquadDataset:
             if not context:
                 raise SchemaError(f"{ppath}.context", "context text is empty")
             qas = _require(para, "qas", list, ppath)
-            baselines: list[BaselineQuestion] = []
             for qi, qa in enumerate(qas):
                 qpath = f"{ppath}.qas[{qi}]"
                 qid = _require(qa, "id", str, qpath)
@@ -164,7 +235,6 @@ def _parse_squad(source: str | bytes | IO) -> SquadDataset:
                         "empty answers list (v2-style unanswerable entries "
                         "are not supported)",
                     )
-                answers: list[Answer] = []
                 for xi, ans in enumerate(answers_raw):
                     xpath = f"{qpath}.answers[{xi}]"
                     text = _require(ans, "text", str, xpath)
@@ -184,23 +254,13 @@ def _parse_squad(source: str | bytes | IO) -> SquadDataset:
                             f"{context[start:start + len(text)]!r}, "
                             f"expected {text!r}",
                         )
-                    answers.append(Answer(text=text, answer_start=start))
-                baselines.append(
-                    BaselineQuestion(id=qid, question=question, answers=tuple(answers))
-                )
-            records.append(
-                ContextRecord(
-                    context_id=context_id,
-                    title=title,
-                    text=context,
-                    baselines=tuple(baselines),
-                )
-            )
-            context_id += 1
-    return SquadDataset(records=tuple(records))
+            validated.append((title, para))
+    return SquadDataset(records=ContextRecords(validated))
 
 
 def load_squad(path) -> SquadDataset:
+    """:func:`parse_squad` of the file at path: every check runs here, and
+    ``records`` is a read-only sequence built on access, not a tuple."""
     with open(path, "rb") as fh:
         return parse_squad(fh)
 
@@ -211,17 +271,15 @@ def reverse_dataset(ds: SquadDataset) -> list[ReversedExample]:
     The first answer keeps the mapping deterministic; train entries have a
     single answer each, dev entries may carry several.
     """
-    out: list[ReversedExample] = []
-    for rec in ds.records:
-        for b in rec.baselines:
-            out.append(
-                ReversedExample(
-                    context=rec.text,
-                    input_answer=b.answers[0].text,
-                    target_question=b.question,
-                )
-            )
-    return out
+    return [
+        ReversedExample(
+            context=para["context"],
+            input_answer=qa["answers"][0]["text"],
+            target_question=qa["question"],
+        )
+        for _, para in ds.records._paragraphs
+        for qa in para["qas"]
+    ]
 
 
 def sample_contexts(ds: SquadDataset, n: int, seed: int) -> list[ContextRecord]:

@@ -11,6 +11,7 @@ plotting; no images are rendered here.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Collection, Iterable, Iterator
@@ -63,16 +64,18 @@ def frequent_words(
 ) -> tuple[tuple[str, int], ...]:
     """Top-k (token, count) pairs of all questions, stopwords and empties removed.
 
-    Ordered by count descending, ties broken lexicographically.
+    Ordered by count descending, ties broken lexicographically. Each
+    distinct text is tokenized once and its tokens counted as often as the
+    text occurs.
     """
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
     counts: dict[str, int] = {}
-    for q in questions:
+    for q, times in Counter(questions).items():
         for tok in tokenize(q):
             if tok in stopwords:
                 continue
-            counts[tok] = counts.get(tok, 0) + 1
+            counts[tok] = counts.get(tok, 0) + times
     if not counts:
         raise EmptyInput("no tokens survive stopword filtering")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))

@@ -73,7 +73,49 @@ def test_parse_accepts_stream_and_text(mini_squad_path):
     raw = mini_squad_path.read_bytes()
     with open(mini_squad_path, "rb") as fh:
         from_stream = parse_squad(fh)
-    assert parse_squad(raw) == from_stream == parse_squad(raw.decode("utf-8"))
+    from_bytes, from_text = parse_squad(raw), parse_squad(raw.decode("utf-8"))
+    assert from_bytes == from_stream == from_text
+    assert hash(from_bytes) == hash(from_stream) == hash(from_text)
+    assert len({from_bytes, from_stream, from_text}) == 1
+
+
+def test_records_are_a_read_only_sequence_built_on_access(mini_squad_path):
+    ds = load_squad(mini_squad_path)
+    records = ds.records
+    built = list(records)
+    assert len(records) == len(built) == 6
+    assert [r.context_id for r in built] == list(range(6))
+    assert [records[i] for i in range(6)] == built
+    assert records[-1] == built[-1] and records[-1].context_id == 5
+    assert records[-6].context_id == 0
+    for index in (6, -7):
+        with pytest.raises(IndexError):
+            records[index]
+    # a slice is a tuple of built records, context ids kept
+    assert records[1:4] == tuple(built[1:4])
+    assert records[::-2] == tuple(built[::-2])
+    assert records[10:] == ()
+    assert ds.example_count == sum(len(r.baselines) for r in built)
+    assert ds.questions() == [b.question for r in built for b in r.baselines]
+    # a read builds a new record, equal to every other read of its index
+    assert records[0] == records[0] == built[0]
+    with pytest.raises(TypeError):
+        records[0] = built[0]
+
+
+def test_datasets_differing_in_one_record_are_unequal():
+    def dataset(question):
+        return parse_squad(doc_bytes(make_squad_doc(
+            [("T", [("Alpha beta.", [("What?", "Alpha")]), ("Gamma.", [(question, "Gamma")])])]
+        )))
+
+    assert dataset("Which?") == dataset("Which?")
+    assert dataset("Which?") != dataset("Why?")
+    # an unread key of the JSON is not part of a record, so not of equality
+    doc = make_squad_doc([("T", [("Alpha beta.", [("What?", "Alpha")])])])
+    plain = parse_squad(doc_bytes(doc))
+    doc["data"][0]["paragraphs"][0]["extra"] = 1
+    assert parse_squad(doc_bytes(doc)) == plain
 
 
 def test_parse_unicode_offsets_count_scalar_values():

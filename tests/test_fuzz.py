@@ -15,8 +15,9 @@ text must give the same table or the same error. The dataset parser and
 the config loader, given demos/data/mini_squad.json or a valid config
 with 1 to 3 mutations (a value replaced, a key dropped or added, a list
 item dropped or appended) or a document nested too deep to decode, may
-raise only QgenError subclasses. The seeds are fixed, so
-the suite stays deterministic.
+raise only QgenError subclasses, and every record of a dataset the
+parser accepts must read back equal to one built eagerly from the same
+JSON. The seeds are fixed, so the suite stays deterministic.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import shutil
 from pathlib import Path
 
 from qgen.cli import main
-from qgen.corpus import parse_squad
+from qgen.corpus import Answer, BaselineQuestion, ContextRecord, parse_squad, reverse_dataset
 from qgen.errors import QgenError
 from qgen.pipeline import RunConfig, load_config
 from qgen.similarity import load_vectors, load_vectors_path
@@ -269,9 +270,46 @@ def escapes(read, texts) -> list:
     return found
 
 
+def eager_records(text: str) -> list[ContextRecord]:
+    """The records of an accepted dataset text, built all at once from its
+    JSON as the parser once did."""
+    records: list[ContextRecord] = []
+    for article in json.loads(text)["data"]:
+        for para in article["paragraphs"]:
+            baselines = tuple(
+                BaselineQuestion(
+                    id=qa["id"],
+                    question=qa["question"],
+                    answers=tuple(Answer(a["text"], a["answer_start"]) for a in qa["answers"]),
+                )
+                for qa in para["qas"]
+            )
+            records.append(ContextRecord(len(records), article["title"], para["context"], baselines))
+    return records
+
+
 def test_parse_squad_on_mutated_dataset_raises_only_qgen_errors():
     doc = json.loads((DATA / "mini_squad.json").read_text(encoding="utf-8"))
-    assert escapes(parse_squad, mutated_texts(doc, SQUAD_KEYS)) == []
+    accepted = []
+
+    def parse_and_read(text):
+        # every record of an accepted text is read: a check the parser
+        # missed would surface here as a late KeyError or TypeError
+        ds = parse_squad(text)
+        expected = eager_records(text)
+        accepted.append(
+            list(ds.records) == expected
+            and [ds.records[i] for i in range(len(ds.records))] == expected
+            and ds.example_count == sum(len(r.baselines) for r in expected)
+            and ds.questions() == [b.question for r in expected for b in r.baselines]
+            and [(e.context, e.input_answer, e.target_question) for e in reverse_dataset(ds)]
+            == [(r.text, b.answers[0].text, b.question) for r in expected for b in r.baselines]
+        )
+
+    assert escapes(parse_and_read, mutated_texts(doc, SQUAD_KEYS)) == []
+    # the count pins the mutations, so the read check cannot go vacuous
+    assert len(accepted) == 110
+    assert all(accepted)
 
 
 def test_load_config_on_mutated_config_raises_only_qgen_errors(tmp_path):

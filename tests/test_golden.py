@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from qgen.cli import main
+from qgen.corpus import ContextRecord
 from qgen.pipeline import RunConfig, load_run, run_pipeline
 from qgen.scoring import ScoreRecord
 
@@ -30,20 +31,22 @@ def _stable_manifest(path: Path) -> dict:
     return doc
 
 
-def test_golden_run_reproduces_byte_for_byte(tmp_path):
-    # the config of demos/04_full_run.py
-    out = tmp_path / "full_run"
-    run_pipeline(
-        RunConfig(
-            dataset=str(DEMOS / "data" / "mini_squad.json"),
-            vectors=str(DEMOS / "data" / "vectors_50d.txt"),
-            out=str(out),
-            backend="mock",
-            seed=7,
-            sample_size=4,
-            threshold=0.7,
-        )
+def golden_config(out: Path) -> RunConfig:
+    """The config of demos/04_full_run.py, writing to out."""
+    return RunConfig(
+        dataset=str(DEMOS / "data" / "mini_squad.json"),
+        vectors=str(DEMOS / "data" / "vectors_50d.txt"),
+        out=str(out),
+        backend="mock",
+        seed=7,
+        sample_size=4,
+        threshold=0.7,
     )
+
+
+def test_golden_run_reproduces_byte_for_byte(tmp_path):
+    out = tmp_path / "full_run"
+    run_pipeline(golden_config(out))
     names = sorted(p.name for p in GOLDEN.iterdir())
     assert sorted(p.name for p in out.iterdir()) == names
     for name in names:
@@ -51,6 +54,22 @@ def test_golden_run_reproduces_byte_for_byte(tmp_path):
             assert _stable_manifest(out / name) == _stable_manifest(GOLDEN / name)
         else:
             assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_run_builds_only_sampled_records(tmp_path, monkeypatch):
+    # the dataset has 6 contexts; only the 4 sampled ones become records
+    built = []
+    init = ContextRecord.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("context_id"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ContextRecord, "__init__", counted)
+    run = run_pipeline(golden_config(tmp_path / "full_run"))
+    assert len(built) == 4
+    # each built once, in the sorted order of the sample
+    assert built == sorted({cell.context_id for cell in run.results})
 
 
 def test_scores_line_keys_are_score_record_fields():

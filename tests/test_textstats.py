@@ -7,6 +7,7 @@ import random
 import pytest
 
 from qgen.errors import EmptyInput
+from qgen.similarity import tokenize
 from qgen.textstats import (
     Histogram,
     bundled_stopwords,
@@ -107,6 +108,37 @@ def test_frequent_words_ties_break_lexicographically():
 def test_frequent_words_lowercases_and_strips_punctuation():
     kw = frequent_words(["What? WHAT! (what)"], set(), top_k=1)
     assert kw == (("what", 3),)
+
+
+def per_question_counts(questions, stopwords, top_k):
+    """frequent_words as each question tokenized on its own."""
+    counts = {}
+    for q in questions:
+        for tok in tokenize(q):
+            if tok not in stopwords:
+                counts[tok] = counts.get(tok, 0) + 1
+    return tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k])
+
+
+def test_frequent_words_repeated_texts_match_per_question_count():
+    pool = [
+        "What is the capital of France?",
+        "what is THE capital of france",
+        "Who wrote it?",
+        "the the a",
+        "Why did the war end in 1945?",
+        "",
+    ]
+    stop = bundled_stopwords()
+    rng = random.Random(11)
+    for _ in range(50):
+        questions = [rng.choice(pool) for _ in range(rng.randint(1, 40))]
+        if not per_question_counts(questions, stop, 1):
+            continue
+        for top_k in (1, 3, 100):
+            assert frequent_words(questions, stop, top_k) == per_question_counts(
+                questions, stop, top_k
+            )
 
 
 def test_frequent_words_top_k_truncates():
