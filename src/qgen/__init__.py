@@ -81,6 +81,7 @@ from .similarity import (
     load_vectors_path,
     sentence_vector,
     tokenize,
+    vocabulary,
 )
 from .textstats import (
     Histogram,

@@ -34,7 +34,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from importlib import resources
-from itertools import groupby
+from itertools import chain, groupby
 from pathlib import Path
 from string import Template
 from typing import Iterable, Iterator, get_args, get_type_hints
@@ -63,7 +63,7 @@ from .scoring import (
     assemble_run,
     score_cell,
 )
-from .similarity import load_vectors_path
+from .similarity import load_vectors_path, vocabulary
 from .textstats import (
     bundled_stopwords,
     csv_quote,
@@ -274,7 +274,12 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
     while the calls run stops them the same way: the calls in flight
     finish, no thread is left running, and the KeyboardInterrupt passes
     through. A sampled context without baseline questions fails at stage
-    "sample", before any call. The jobs, and so every output, are in
+    "sample", before any call. The vector file is parsed and checked in
+    full at stage "load", before any call, but only its index is kept:
+    once the calls are done, at stage "score", the rows of the tokens of
+    the sampled baselines and the returned questions are read back from
+    it, and a file edited since the load fails the run there with
+    VectorFileChanged. The jobs, and so every output, are in
     (context_id, prompt_id) order, and every artifact is written line by
     line, never held whole in memory.
 
@@ -383,10 +388,17 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
                 if worker.ident is not None:
                     done.wait()
                     worker.join()
+        stage = "score"
+        # only the rows of the tokens the run scores are read back from the
+        # file; the full index goes with the table this one replaces. The
+        # texts are streamed, repeats and all: a set of the distinct ones
+        # raised large-mock's peak RSS by 0.8 MB
+        baselines = (b.question for record in sampled for b in record.baselines)
+        questions = (q for slot in slots if isinstance(slot, list) for q in slot)
+        table = table.select(vocabulary(chain(baselines, questions)))
         # every question list that came back is scored, in job order, before
         # the first failed job's error is raised; a context's cells share
         # one dict of sentence vectors, dropped when the next context starts
-        stage = "score"
         for _, context_jobs in groupby(zip(jobs, slots), key=lambda js: js[0][0].context_id):
             vectors: dict = {}
             for (record, pid), questions in context_jobs:

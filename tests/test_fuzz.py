@@ -1,5 +1,5 @@
 """Seeded fuzzing of the run-directory reader, the vector-file readers,
-the dataset parser and the config loader.
+the dataset parser, the config loader, the question parser and `qgen run`.
 
 For `qgen report`, each case copies the golden run in demos/out/full_run/ and makes one
 mutation drawn from random.Random(seed): a JSON value replaced, deleted
@@ -11,13 +11,20 @@ Python's own text for a value of the wrong kind instead of naming the
 field. For the vector readers, each case mutates a small regular vector
 file, written once with \\n and once with \\r\\n line ends, and the
 path loader, the line parser on the open file and the line parser on the
-text must give the same table or the same error. The dataset parser and
+text must give the same table or the same error, read in blocks of a
+seeded size, and a seeded subset of the tokens of a file that loads must
+read back the per-line parser's rows. The dataset parser and
 the config loader, given demos/data/mini_squad.json or a valid config
 with 1 to 3 mutations (a value replaced, a key dropped or added, a list
 item dropped or appended) or a document nested too deep to decode, may
 raise only QgenError subclasses, and every record of a dataset the
 parser accepts must read back equal to one built eagerly from the same
-JSON. The seeds are fixed, so the suite stays deterministic.
+JSON. `parse_questions` given numbered, bulleted and inline items and
+blank lines, joined by every line break, must return 1 to n non-empty
+strings or raise NoQuestionsFound. `qgen run` on a mutated copy of
+demos/data/vectors_50d.txt must exit 0 with a complete run, or 2 with a
+failed manifest at stage "load" and no backend call. The seeds are fixed,
+so the suite stays deterministic.
 """
 
 from __future__ import annotations
@@ -27,10 +34,12 @@ import random
 import shutil
 from pathlib import Path
 
+from qgen import similarity
 from qgen.cli import main
 from qgen.corpus import Answer, BaselineQuestion, ContextRecord, parse_squad, reverse_dataset
-from qgen.errors import QgenError
+from qgen.errors import NoQuestionsFound, QgenError
 from qgen.pipeline import RunConfig, load_config
+from qgen.promptgen import parse_questions
 from qgen.similarity import load_vectors, load_vectors_path
 from test_similarity import load_outcome
 
@@ -184,14 +193,17 @@ def mutate_vectors(lines: list[str], rng: random.Random) -> list[str]:
     return lines
 
 
-def test_vector_readers_agree_on_mutated_files(tmp_path):
+def test_vector_readers_agree_on_mutated_files(tmp_path, monkeypatch):
     path = tmp_path / "vectors.txt"
     disagreements = []
+    selects = 0
     for seed in VECTOR_SEEDS:
         rng = random.Random(seed)
         lines = regular_vectors(rng)
         for _ in range(rng.randint(1, 3)):
             lines = mutate_vectors(lines, rng)
+        # drawn after the mutations, so they are those of every seed before
+        monkeypatch.setattr(similarity, "BLOCK_LINES", rng.choice((1, 2, 3, 1024)))
         for end in ("\n", "\r\n"):
             text = "".join(line + end for line in lines)
             path.write_text(text, encoding="utf-8", newline="")
@@ -201,7 +213,21 @@ def test_vector_readers_agree_on_mutated_files(tmp_path):
             from_text = load_outcome(lambda: load_vectors(text))
             if not from_path == from_file == from_text:
                 disagreements.append((seed, text, from_path, from_file, from_text))
+            elif isinstance(from_path[0], int):
+                # the rows a seeded subset of tokens reads back are the
+                # per-line parser's
+                reference = load_vectors(text)
+                tokens = list(reference.index)
+                wanted = rng.sample(tokens, rng.randint(0, len(tokens))) + ["not-a-token"]
+                chosen = load_vectors_path(path).select(wanted)
+                rows = sorted(reference.index[t] for t in wanted if t in reference.index)
+                got = (list(chosen.index), chosen.matrix.tobytes())
+                if got != ([tokens[r] for r in rows], reference.matrix[rows].tobytes()):
+                    disagreements.append((seed, text, wanted, got))
+                selects += 1
     assert disagreements == []
+    # the count pins the mutations, so the select check cannot go vacuous
+    assert selects == 1366
 
 
 # -- dataset and config ------------------------------------------------------------
@@ -341,3 +367,97 @@ def test_load_config_on_mutated_config_raises_only_qgen_errors(tmp_path):
 
     load(json.dumps(doc))  # the unmutated config is valid
     assert escapes(load, mutated_texts(doc, CONFIG_KEYS)) == []
+
+
+# -- completions -------------------------------------------------------------------
+
+QUESTION_SEEDS = range(3000)
+# every code point str.splitlines() ends a line at
+LINE_BREAKS = (
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+)
+MARKERS = ("1. ", "2) ", "10.", "999) ", "1000. ", "- ", "* ", "-", "\u2022 ", "Q: ", "")
+WORDS = (
+    "What", "is", "the", "name", "?", "??", "!?", ".", "...", "1.", "2)", "-", "*", " ", "\t", "\u00e9",
+)
+
+
+def completion(rng: random.Random) -> str:
+    """A completion text: lines with numbered or bulleted markers or none,
+    inline numbered items, blank lines, joined by any line break."""
+    lines = []
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.choice(("item", "inline", "blank", "bare"))
+        if kind == "blank":
+            lines.append(rng.choice(("", " ", "\t")))
+            continue
+        words = " ".join(rng.choice(WORDS) for _ in range(rng.randint(0, 6)))
+        if kind == "item":
+            lines.append(rng.choice(MARKERS) + words)
+        elif kind == "inline":
+            items = range(1, rng.randint(2, 4))
+            lines.append(" ".join(f"{n}{rng.choice('.)')} {words}" for n in items))
+        else:
+            lines.append(words)
+    return "".join(line + rng.choice(LINE_BREAKS) for line in lines)
+
+
+def test_parse_questions_returns_at_most_n_nonempty_strings():
+    wrong = []
+    refused = 0
+    for seed in QUESTION_SEEDS:
+        rng = random.Random(seed)
+        raw, n = completion(rng), rng.randint(1, 6)
+        try:
+            got = parse_questions(raw, n)
+        except NoQuestionsFound:
+            refused += 1
+            continue
+        if not (
+            isinstance(got, list)
+            and 1 <= len(got) <= n
+            and all(isinstance(q, str) and q for q in got)
+        ):
+            wrong.append((seed, raw, n, got))
+    assert wrong == []
+    # the count pins the texts, so neither outcome can go vacuous
+    assert refused == 781
+
+
+# -- qgen run on mutated vector files ----------------------------------------------
+
+RUN_SEEDS = range(200)
+
+
+def test_run_on_mutated_vector_file_exits_0_or_2(tmp_path, capsys):
+    lines = (DATA / "vectors_50d.txt").read_text(encoding="utf-8").split("\n")[:-1]
+    vectors = tmp_path / "vectors.txt"
+    config = tmp_path / "config.json"
+    doc = {
+        "dataset": str(DATA / "mini_squad.json"),
+        "vectors": str(vectors),
+        "out": "out",
+        "sample_size": 2,
+    }
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    manifest = tmp_path / "out" / "manifest.json"
+    escapes, codes = [], []
+    for seed in RUN_SEEDS:
+        rng = random.Random(seed)
+        mutated = lines
+        for _ in range(rng.randint(1, 3)):
+            mutated = mutate_vectors(mutated, rng)
+        vectors.write_text("".join(line + "\n" for line in mutated), encoding="utf-8")
+        try:
+            code = main(["run", "--config", str(config)])
+        except Exception as exc:
+            code = f"{type(exc).__name__}: {exc}"
+        capsys.readouterr()
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        outcome = (doc["status"], doc.get("stage"), doc["backend_calls"])
+        if (code, outcome) not in ((0, ("complete", None, 8)), (2, ("failed", "load", 0))):
+            escapes.append((seed, code, outcome))
+        codes.append(code)
+    assert escapes == []
+    # the counts pin the mutations, so neither outcome can go vacuous
+    assert (codes.count(0), codes.count(2)) == (56, 144)

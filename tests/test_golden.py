@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from qgen import similarity
 from qgen.cli import main
-from qgen.corpus import ContextRecord
+from qgen.corpus import ContextRecord, load_squad
 from qgen.pipeline import RunConfig, load_run, run_pipeline
 from qgen.scoring import ScoreRecord
+from qgen.similarity import EmbeddingTable, tokenize
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 GOLDEN = DEMOS / "out" / "full_run"
@@ -70,6 +72,38 @@ def test_run_builds_only_sampled_records(tmp_path, monkeypatch):
     assert len(built) == 4
     # each built once, in the sorted order of the sample
     assert built == sorted({cell.context_id for cell in run.results})
+
+
+def test_run_reads_back_only_the_rows_it_scores(tmp_path, monkeypatch):
+    # the 167-row demo file is parsed once whole at load, then only the
+    # rows of the distinct in-vocabulary tokens of the sampled baselines
+    # and the generated questions are read back; matrix is never built
+    parsed, selected = [], []
+    parse_block, select = similarity._parse_block, EmbeddingTable.select
+
+    def counting(lines, dim):
+        parsed.append(len(lines))
+        return parse_block(lines, dim)
+
+    def spying(self, tokens):
+        chosen = select(self, tokens)
+        selected.append((self, chosen))
+        return chosen
+
+    monkeypatch.setattr(similarity, "_parse_block", counting)
+    monkeypatch.setattr(EmbeddingTable, "select", spying)
+    config = golden_config(tmp_path / "full_run")
+    run = run_pipeline(config)
+    (loaded, chosen), = selected
+    records = {r.context_id: r for r in load_squad(config.dataset).records}
+    texts = [rec.question for cell in run.results for rec in cell.records]
+    sampled = {cell.context_id for cell in run.results}
+    texts += [b.question for cid in sampled for b in records[cid].baselines]
+    tokens = {tok for text in texts for tok in tokenize(text)}
+    assert set(chosen.index) == tokens & loaded.index.keys()
+    assert (len(loaded), len(chosen)) == (167, 73)
+    assert parsed == [167, 73]
+    assert "matrix" not in vars(loaded)
 
 
 def test_scores_line_keys_are_score_record_fields():

@@ -198,6 +198,38 @@ def test_run_pipeline_shapes_and_artifacts(config_path, tmp_path):
     assert keys == sorted(keys)
 
 
+def test_vector_file_edited_during_run_fails_at_score(
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, capsys
+):
+    # the rows are read back after the calls: a file edited in place by
+    # then, same length and modification time, fails the run there
+    vectors = tmp_path / "vectors.txt"
+    shutil.copy(demo_vectors_path, vectors)
+    load = pipeline.load_vectors_path
+
+    def load_then_edit(path):
+        table = load(path)
+        stat = vectors.stat()
+        text = vectors.read_text(encoding="utf-8")
+        vectors.write_text(text.replace("1", "2"), encoding="utf-8", newline="")
+        os.utime(vectors, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        return table
+
+    monkeypatch.setattr(pipeline, "load_vectors_path", load_then_edit)
+    config = write_config(tmp_path, mini_squad_path, vectors)
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'score': ")
+    assert "differ from the file as it was loaded" in err
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert (manifest["status"], manifest["stage"]) == ("failed", "score")
+    assert manifest["error"].startswith("VectorFileChanged: ")
+    assert (manifest["backend_calls"], manifest["cells"]) == (8, 0)
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "scores.jsonl"]
+    assert (out / "scores.jsonl").read_text(encoding="utf-8") == ""
+
+
 class SlowFirstCallsBackend(MockBackend):
     """Its first three calls take 60, 40 and 20 ms, the rest no time, so
     with more than one call in flight completions come back out of job

@@ -3,23 +3,34 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import shutil
 import sys
 import unicodedata
+import warnings
 
 import numpy as np
 import pytest
 
 from qgen import similarity
 from qgen.cli import main
-from qgen.errors import BadEncoding, BadFloat, DimensionMismatch, DuplicateToken
+from qgen.errors import (
+    BadEncoding,
+    BadFloat,
+    DimensionMismatch,
+    DuplicateToken,
+    VectorFileChanged,
+)
 from qgen.similarity import (
     EmbeddingTable,
+    VectorRows,
     cosine_similarity,
     load_vectors,
     load_vectors_path,
     sentence_vector,
     tokenize,
+    vocabulary,
 )
 
 
@@ -180,6 +191,7 @@ def test_regular_file_skips_line_parser(monkeypatch, tmp_path, demo_vectors_path
     monkeypatch.setattr(similarity, "load_vectors", line_parser)
     table = load_vectors_path(demo_vectors_path)
     assert table.dim == 50 and table.matrix.shape == (len(table), 50)
+    assert table.matrix is table.matrix
     with pytest.raises(ValueError):
         table.matrix[0, 0] = 1.0
 
@@ -205,6 +217,140 @@ def test_regular_file_skips_line_parser(monkeypatch, tmp_path, demo_vectors_path
     tabbed.write_text(text.replace(" ", "\t", 1), encoding="utf-8")
     with pytest.raises(AssertionError, match="per-line parser reached"):
         load_vectors_path(tabbed)
+
+
+# (file bytes, read in blocks of 2 lines; None for a successful load, or
+# (error class, text in message))
+BLOCK_CASES = {
+    "duplicate-across-blocks": (b"cat 1 2\ndog 3 4\nCAT 5 6\n", (DuplicateToken, "line 3")),
+    "nan-first-row-of-block-2": (
+        b"cat 1 2\ndog 3 4\nfox nan 6\nemu 7 8\n", (BadFloat, "line 3: non-finite")
+    ),
+    "blank-line-ends-block": (b"cat 1 2\n\ndog 3 4\nfox 5 6\nemu 7 8\n", None),
+    "blank-block": (b"cat 1 2\ndog 3 4\n\n\nfox 5 6\n", None),
+    "header-and-one-block": (b"2 2\ncat 1 2\ndog 3 4\n", None),
+    "tab-in-block-2": (b"cat 1 2\ndog 3 4\nfox\t5 6\n", None),
+}
+
+
+@pytest.mark.parametrize("content, error", BLOCK_CASES.values(), ids=BLOCK_CASES)
+def test_block_boundaries(monkeypatch, tmp_path, content, error):
+    monkeypatch.setattr(similarity, "BLOCK_LINES", 2)
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(content)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = load_outcome(lambda: load_vectors_path(path))
+    # loadtxt warns "input contained no data" when handed no rows
+    assert [str(w.message) for w in caught] == []
+    assert got == load_outcome(lambda: load_vectors(content.decode("utf-8")))
+    if error is not None:
+        assert got[0] is error[0] and error[1] in got[1]
+        return
+    reference = load_vectors(content.decode("utf-8"))
+    table = load_vectors_path(path)
+    for token, row in reference.index.items():
+        chosen = table.select([token])
+        assert chosen.matrix.tobytes() == reference.matrix[row].tobytes(), token
+
+
+def test_refused_block_is_parsed_per_line_from_its_first_line(monkeypatch, tmp_path):
+    monkeypatch.setattr(similarity, "BLOCK_LINES", 2)
+    starts = []
+    parse_lines = similarity._parse_lines
+
+    def spying(lines, lineno, index, dim):
+        starts.append((lineno, sorted(index), dim))
+        return parse_lines(lines, lineno, index, dim)
+
+    monkeypatch.setattr(similarity, "_parse_lines", spying)
+    path = tmp_path / "vectors.txt"
+    # blocks: lines 2-3 and 4-5 after the header, then line 6 with a nan
+    path.write_bytes(b"4 2\ncat 1 2\ndog 3 4\n\nemu 5 6\nfox nan 8\n")
+    with pytest.raises(BadFloat, match="line 6: non-finite"):
+        load_vectors_path(path)
+    assert starts == [(6, ["cat", "dog", "emu"], 2)]
+    # a block the per-line parser accepts: the whole file is parsed again
+    starts.clear()
+    path.write_bytes(b"cat 1 2\ndog 3 4\nemu 5\t6\nfox 7 8\n")
+    table = load_vectors_path(path)
+    assert starts == [(3, ["cat", "dog"], 2), (1, [], None)]
+    assert isinstance(table.source, np.ndarray)
+    assert list(table.index) == ["cat", "dog", "emu", "fox"]
+
+
+def test_select_reads_back_only_the_given_rows(demo_vectors_path):
+    with open(demo_vectors_path, encoding="utf-8") as fh:
+        reference = load_vectors(fh)
+    table = load_vectors_path(demo_vectors_path)
+    assert isinstance(table.source, VectorRows) and len(table) == len(reference)
+    tokens = list(reference.index)
+    wanted = [tokens[100], tokens[0], tokens[5], "not-a-token", tokens[5]]
+    for source in (table, reference):
+        chosen = source.select(wanted)
+        # an in-memory table of the known tokens, in row order
+        assert list(chosen.index) == [tokens[0], tokens[5], tokens[100]]
+        assert isinstance(chosen.source, np.ndarray) and chosen.dim == 50
+        for token, row in chosen.index.items():
+            expected = reference.matrix[reference.index[token]]
+            assert chosen.matrix[row].tobytes() == expected.tobytes()
+        with pytest.raises(ValueError):
+            chosen.matrix[0, 0] = 1.0
+        assert len(source.select([])) == 0
+    assert "matrix" not in vars(table)
+    # matrix reads every row back once and keeps it
+    assert table.matrix is table.matrix
+    assert table.matrix.tobytes() == reference.matrix.tobytes()
+
+
+def edit_in_place(path, old: str, new: str) -> None:
+    """Replace old with new in the file at path, keeping its byte length
+    and its modification time."""
+    stat = path.stat()
+    text = path.read_text(encoding="utf-8")
+    assert len(old.encode()) == len(new.encode()) and old in text
+    path.write_text(text.replace(old, new, 1), encoding="utf-8", newline="")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size
+    assert path.stat().st_mtime_ns == stat.st_mtime_ns
+
+
+def test_file_edited_after_load_fails_its_read_back(tmp_path, demo_vectors_path):
+    path = tmp_path / "vectors.txt"
+    shutil.copy(demo_vectors_path, path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    tokens = [line.split(" ")[0] for line in lines[:3]]
+    table = load_vectors_path(path)
+    # a component of row 1, then the token of row 2
+    row1 = lines[1]
+    digit = next(c for c in row1.split(" ", 2)[1] if c.isdigit())
+    edited = row1.replace(digit, "7" if digit != "7" else "3", 1)
+    edit_in_place(path, row1, edited)
+    with pytest.raises(VectorFileChanged, match="differ from the file as it was loaded"):
+        table.select([tokens[1]])
+    with pytest.raises(VectorFileChanged):
+        table.matrix
+    # rows that are not read are not checked
+    assert list(table.select([tokens[0], tokens[2]]).index) == [tokens[0], tokens[2]]
+    edit_in_place(path, edited, row1)
+    assert list(table.select(tokens).index) == tokens
+    edit_in_place(path, f"\n{tokens[2]} ", f"\n{'x' * len(tokens[2])} ")
+    with pytest.raises(VectorFileChanged):
+        table.select([tokens[2]])
+    path.write_text(lines[0] + "\n", encoding="utf-8")
+    with pytest.raises(VectorFileChanged):
+        table.select([tokens[1]])
+
+
+def test_vocabulary_is_the_tokens_of_the_texts():
+    rng = random.Random(11)
+    alphabet = "aZ9 \t\n.,!?'-\u00a0\u2028\u0130\u03a3\u00e9\u201c\u3002"
+    for _ in range(300):
+        texts = [
+            "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
+            for _ in range(rng.randint(0, 6))
+        ]
+        assert vocabulary(texts) == {tok for text in texts for tok in tokenize(text)}, texts
 
 
 # -- tokenization ----------------------------------------------------------------
