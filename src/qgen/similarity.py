@@ -13,12 +13,15 @@ the file in text mode, so ``\r\n`` and ``\r`` end a line as ``\n`` does.
 A regular file (``token v1 ... vd`` with single spaces, printable tokens
 unique after lowercasing, finite components, blank lines only after the
 first row, an optional word2vec header on line 1) is read in one pass of
-blocks of :data:`BLOCK_LINES` lines, each parsed by ``np.loadtxt`` and
-checked in full. The pass keeps only the index and one check value per
+blocks of :data:`BLOCK_LINES` lines, whose non-empty lines are parsed by
+``np.loadtxt`` and checked in full: row r is the r-th non-empty line
+after the header. The pass keeps only the index and one check value per
 row, not the matrix: :meth:`EmbeddingTable.select` reads back the rows of
 the tokens a caller will score, and ``matrix`` reads back every row on
-first use. A read-back row gets the bits it got at load, and a row whose
-token or check value differs raises :class:`VectorFileChanged`.
+first use, counting non-empty lines and parsing the lines it picks
+BLOCK_LINES at a time. A read-back row gets the bits it got at load; a
+row that is missing or whose token or check value differs, and a file
+that no longer opens or decodes, raise :class:`VectorFileChanged`.
 
 Any other file (a tab or double space, a short row, a duplicate, a
 ``nan``, a value such as ``1_000`` that loadtxt does not read) goes to
@@ -39,7 +42,6 @@ import math
 import os
 import unicodedata
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
@@ -57,60 +59,53 @@ from .errors import BadEncoding, BadFloat, DimensionMismatch, DuplicateToken, Ve
 BLOCK_LINES = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorRows:
     """Where the rows of a path-loaded table are, and what each held.
 
-    The file's lines after the header fall into blocks of ``block_lines``;
-    block k holds rows ``starts[k]`` to ``starts[k + 1]``, and when
-    ``mapped[k]`` (no blank line in it) its line i is row ``starts[k] + i``.
-    ``checks`` holds each row's check value at load.
+    Row r is the r-th non-empty line of the file after the header, as it
+    is at load; ``checks`` holds each row's check value at load.
     """
 
     path: str
     header: bool
     dim: int
-    block_lines: int
-    starts: tuple[int, ...]
-    mapped: tuple[bool, ...]
     checks: np.ndarray
 
-    def read(self, rows: Sequence[int], tokens: Sequence[str]) -> np.ndarray:
+    def read(self, rows: Sequence[int], tokens: list[str]) -> np.ndarray:
         """The vectors of the ascending ``rows``, whose tokens are
-        ``tokens``, in one pass that stops after the last block holding
-        one; a block without blank lines parses only the wanted lines.
-        A row whose token or check value is not the one loaded, or that
-        is missing or no longer parses, raises VectorFileChanged."""
+        ``tokens``, in one pass that stops at the last of them; the lines
+        picked are parsed BLOCK_LINES at a time. A row that is missing, no
+        longer parses, or whose token or check value is not the one
+        loaded, and a file that no longer opens or decodes, raise
+        VectorFileChanged."""
         out = np.empty((len(rows), self.dim))
-        done = 0
-        with open(self.path, "r", encoding="utf-8") as fh:
-            if self.header:
-                fh.readline()
-            for k, start in enumerate(self.starts[:-1]):
-                if done == len(rows):
-                    break
-                end = bisect_left(rows, self.starts[k + 1], done)
-                if end == done:
-                    # skip the block's lines without keeping them
-                    next(islice(fh, self.block_lines, self.block_lines), None)
-                    continue
-                lines = list(islice(fh, self.block_lines))
-                want = rows[done:end]
-                try:
-                    if self.mapped[k]:
-                        got = _parse_block([lines[r - start] for r in want], self.dim)
-                    else:
-                        got = _parse_block(lines, self.dim)[[r - start for r in want]]
-                except (ValueError, IndexError) as exc:
-                    raise self._changed(want[0]) from exc
-                if got["token"].tolist() != list(tokens[done:end]):
-                    raise self._changed(want[0])
-                if not np.array_equal(_check_values(got["vector"]), self.checks[want]):
-                    raise self._changed(want[0])
-                out[done:end] = got["vector"]
-                done = end
-        if done != len(rows):
-            raise self._changed(rows[done])
+        try:
+            with open(self.path, "r", encoding="utf-8") as fh:
+                if self.header:
+                    fh.readline()
+                lines = filter("\n".__ne__, fh)
+                # the line of each row, or None past the end of the file
+                gaps = (row - last - 1 for row, last in zip(rows, chain([-1], rows)))
+                picks = (next(islice(lines, gap, None), None) for gap in gaps)
+                for done in range(0, len(rows), BLOCK_LINES):
+                    want = rows[done : done + BLOCK_LINES]
+                    picked = list(islice(picks, BLOCK_LINES))
+                    if None in picked:
+                        raise self._changed(want[picked.index(None)])
+                    try:
+                        got = _parse_block(picked, self.dim)
+                    except ValueError as exc:
+                        raise self._changed(want[0]) from exc
+                    if got["token"].tolist() != tokens[done : done + len(want)] or not (
+                        np.array_equal(_check_values(got["vector"]), self.checks[want])
+                    ):
+                        raise self._changed(want[0])
+                    out[done : done + len(want)] = got["vector"]
+        except (UnicodeDecodeError, OSError) as exc:
+            raise VectorFileChanged(
+                f"{self.path}: can no longer be read as it was loaded: {exc}"
+            ) from exc
         return out
 
     def _changed(self, row: int) -> VectorFileChanged:
@@ -119,7 +114,7 @@ class VectorRows:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingTable:
     """Row ``index[token]`` of the read-only ``matrix`` is the token's vector.
 
@@ -160,7 +155,7 @@ class EmbeddingTable:
         return _table(dict(zip(names, range(len(names)))), self.dim, matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SentenceVector:
     values: np.ndarray
     covered: int
@@ -258,10 +253,13 @@ def _parse_lines(
 def _parse_block(lines: list[str], dim: int) -> np.ndarray:
     """loadtxt's rows of lines, each a lowered token and dim floats.
 
-    loadtxt skips a line that is only a line end, and raises on a row
-    with another field count, on a field that str.split() would cut
-    differently (empty, blank, inner whitespace), on 1_000 and non-ASCII
-    digits, which float() reads; a field it accepts gets float()'s bits.
+    The load passes a block's non-empty lines and a read-back at most
+    BLOCK_LINES picked lines, so neither holds more rows at once.
+    loadtxt would skip a line that is only a line end (neither passes
+    one), and raises on a row with another field count, on a field that
+    str.split() would cut differently (empty, blank, inner whitespace),
+    on 1_000 and non-ASCII digits, which float() reads; a field it
+    accepts gets float()'s bits.
     The encoding keeps numpy < 2 from handing the converter latin1 bytes.
     """
     return np.loadtxt(
@@ -294,62 +292,46 @@ def _load_regular(fh, path) -> EmbeddingTable | None:
     accepts the rest, None is returned, as it is for a file that does not
     decode or whose first row shows no dimension.
 
-    loadtxt skips blank lines, so a row index is not a line number; but a
-    block's first line is, as every block before it has BLOCK_LINES lines.
+    A block's rows are its non-empty lines, so row r is the r-th non-empty
+    line after the header, as :meth:`VectorRows.read` counts it; a block's
+    first line number is known, as every block before it has BLOCK_LINES
+    lines.
     """
-    block_lines = BLOCK_LINES
     try:
         line = fh.readline()
         header = _parse_header(line)
         dim = (fh.readline() if header else line).count(" ")
-    except UnicodeDecodeError:
-        return None
-    if dim == 0:
-        return None
-    fh.seek(0)
-    if header:
-        fh.readline()
-    index: dict[str, int] = {}
-    checks = []
-    starts = [0]
-    mapped = []
-    lineno = 1 + header
-    while True:
-        try:
-            lines = list(islice(fh, block_lines))
-        except UnicodeDecodeError:
-            # where the per-line parser stops depends on lines not kept
+        if dim == 0:
             return None
-        if not lines:
-            break
-        if lines[0] == "\n" and lines.count("\n") == len(lines):
-            # only blank lines, which loadtxt would warn it found no data in
-            vectors = np.empty((0, dim))
-        else:
-            vectors = _accept(lines, dim, index)
-            if vectors is None:
-                _parse_lines(chain(lines, fh), lineno, index, dim if index else None)
-                return None
-        checks.append(_check_values(vectors))
-        starts.append(len(index))
-        mapped.append(len(vectors) == len(lines))
-        lineno += len(lines)
+        fh.seek(0)
+        if header:
+            fh.readline()
+        index: dict[str, int] = {}
+        checks = []
+        lineno = 1 + header
+        for lines in iter(lambda: list(islice(fh, BLOCK_LINES)), []):
+            nonempty = list(filter("\n".__ne__, lines))
+            if nonempty:
+                vectors = _accept(nonempty, dim, index)
+                if vectors is None:
+                    _parse_lines(chain(lines, fh), lineno, index, dim if index else None)
+                    return None
+                checks.append(_check_values(vectors))
+            lineno += len(lines)
+    except UnicodeDecodeError:
+        # where the per-line parser stops depends on lines not kept
+        return None
     rows = VectorRows(
-        path=os.path.abspath(path),
-        header=header,
-        dim=dim,
-        block_lines=block_lines,
-        starts=tuple(starts),
-        mapped=tuple(mapped),
-        checks=np.concatenate(checks),
+        path=os.path.abspath(path), header=header, dim=dim, checks=np.concatenate(checks)
     )
     return EmbeddingTable(dim=dim, index=index, source=rows)
 
 
 def _accept(lines: list[str], dim: int, index: dict[str, int]) -> np.ndarray | None:
-    """The vectors of a block's rows, its tokens added to index, or None,
-    index unchanged, when loadtxt refuses the block or a token is empty,
-    not printable or seen before, or a component is not finite."""
+    """The vectors of lines, the rows of a block, their tokens added to
+    index, or None, index unchanged, when loadtxt refuses them or a token
+    is empty, not printable or seen before, or a component is not
+    finite."""
     try:
         rows = _parse_block(lines, dim)
     except ValueError:

@@ -198,29 +198,27 @@ def test_run_pipeline_shapes_and_artifacts(config_path, tmp_path):
     assert keys == sorted(keys)
 
 
-def test_vector_file_edited_during_run_fails_at_score(
-    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, capsys
-):
-    # the rows are read back after the calls: a file edited in place by
-    # then, same length and modification time, fails the run there
+def run_with_vectors_changed_after_load(
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, capsys, change
+) -> tuple[str, dict]:
+    """Run the CLI on a copy of the demo vectors that change(path) alters
+    once the load has read and digested it; assert the run fails at stage
+    "score" after its calls, with VectorFileChanged and no scores, and
+    return its stderr and manifest."""
     vectors = tmp_path / "vectors.txt"
     shutil.copy(demo_vectors_path, vectors)
-    load = pipeline.load_vectors_path
+    digest = pipeline._sha256_file
 
-    def load_then_edit(path):
-        table = load(path)
-        stat = vectors.stat()
-        text = vectors.read_text(encoding="utf-8")
-        vectors.write_text(text.replace("1", "2"), encoding="utf-8", newline="")
-        os.utime(vectors, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-        return table
+    def digest_then_change(path):
+        value = digest(path)
+        change(vectors)
+        return value
 
-    monkeypatch.setattr(pipeline, "load_vectors_path", load_then_edit)
+    monkeypatch.setattr(pipeline, "_sha256_file", digest_then_change)
     config = write_config(tmp_path, mini_squad_path, vectors)
     assert main(["run", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: stage 'score': ")
-    assert "differ from the file as it was loaded" in err
     out = tmp_path / "out"
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert (manifest["status"], manifest["stage"]) == ("failed", "score")
@@ -228,6 +226,44 @@ def test_vector_file_edited_during_run_fails_at_score(
     assert (manifest["backend_calls"], manifest["cells"]) == (8, 0)
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "scores.jsonl"]
     assert (out / "scores.jsonl").read_text(encoding="utf-8") == ""
+    return err, manifest
+
+
+def test_vector_file_edited_during_run_fails_at_score(
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, capsys
+):
+    # the rows are read back after the calls: a file edited in place by
+    # then, same length and modification time, fails the run there
+    def edit(vectors):
+        stat = vectors.stat()
+        text = vectors.read_text(encoding="utf-8")
+        vectors.write_text(text.replace("1", "2"), encoding="utf-8", newline="")
+        os.utime(vectors, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+
+    err, _ = run_with_vectors_changed_after_load(
+        tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, capsys, edit
+    )
+    assert "differ from the file as it was loaded" in err
+
+
+def put_bad_byte_in_row_2(vectors):
+    data = vectors.read_bytes()
+    at = data.index(b"\n", data.index(b"\n") + 1) + 1
+    vectors.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+
+
+@pytest.mark.parametrize(
+    "change", [put_bad_byte_in_row_2, Path.unlink], ids=["not-utf8", "removed"]
+)
+def test_unreadable_vector_file_fails_run_at_score(
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, capsys, change
+):
+    err, manifest = run_with_vectors_changed_after_load(
+        tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, capsys, change
+    )
+    path = tmp_path / "vectors.txt"
+    assert f"{path}: can no longer be read as it was loaded" in err
+    assert manifest["error"].startswith(f"VectorFileChanged: {path}: ")
 
 
 class SlowFirstCallsBackend(MockBackend):

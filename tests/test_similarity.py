@@ -342,6 +342,76 @@ def test_file_edited_after_load_fails_its_read_back(tmp_path, demo_vectors_path)
         table.select([tokens[1]])
 
 
+def test_unreadable_file_fails_its_read_back(tmp_path, demo_vectors_path):
+    path = tmp_path / "vectors.txt"
+    shutil.copy(demo_vectors_path, path)
+    data = path.read_bytes()
+    tokens = [line.split(b" ")[0].decode() for line in data.split(b"\n")[:3]]
+    table = load_vectors_path(path)
+    # a byte that does not decode in row 2 fails a read-back of row 1 too,
+    # as text mode decodes the file in chunks
+    at = data.index(b"\n", data.index(b"\n") + 1) + 1
+    path.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+    for wanted in ([tokens[1]], [tokens[2]]):
+        with pytest.raises(VectorFileChanged, match=f"^{path}: ") as err:
+            table.select(wanted)
+        assert isinstance(err.value.__cause__, UnicodeDecodeError)
+    path.unlink()
+    with pytest.raises(VectorFileChanged, match=f"^{path}: ") as err:
+        table.select([tokens[0]])
+    assert isinstance(err.value.__cause__, FileNotFoundError)
+
+
+def test_read_back_parses_block_lines_rows_at_a_time(monkeypatch, tmp_path, demo_vectors_path):
+    # read-back holds at most BLOCK_LINES picked lines and their rows; the
+    # file has a header, blank lines and CRLF, so rows are not line numbers
+    monkeypatch.setattr(similarity, "BLOCK_LINES", 2)
+    lines = demo_vectors_path.read_text(encoding="utf-8").splitlines()
+    text = f"{len(lines)} 50\r\n" + "".join(
+        line + "\r\n" + "\r\n" * (i % 3 == 1) + "\n" * (i % 7 == 3)
+        for i, line in enumerate(lines)
+    )
+    path = tmp_path / "vectors.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    reference = load_vectors(text)
+    table = load_vectors_path(path)
+    assert isinstance(table.source, VectorRows)
+    parsed = []
+    parse_block = similarity._parse_block
+
+    def counting(lines, dim):
+        parsed.append(len(lines))
+        return parse_block(lines, dim)
+
+    monkeypatch.setattr(similarity, "_parse_block", counting)
+    tokens = list(reference.index)
+    chosen = table.select(tokens)
+    assert chosen.matrix.tobytes() == reference.matrix.tobytes()
+    assert table.matrix.tobytes() == reference.matrix.tobytes()
+    # two passes over the 167 rows: 83 calls of 2 lines and one of 1 each
+    assert parsed == ([2] * 83 + [1]) * 2 and len(tokens) == 167
+    # a row the file no longer holds fails before any line is parsed
+    parsed.clear()
+    path.write_text(text[: len(text) // 2], encoding="utf-8", newline="")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(VectorFileChanged, match=f"rows from {len(tokens) - 1} on"):
+            table.select([tokens[-1]])
+    assert [str(w.message) for w in caught] == []
+    assert parsed == []
+
+
+def test_tables_and_vectors_compare_by_identity(demo_vectors_path):
+    # each holds a numpy array, which == would compare element by element
+    a, b = load_vectors("cat 1 2\ndog 3 4\n"), load_vectors("cat 1 2\ndog 3 4\n")
+    rows_a = load_vectors_path(demo_vectors_path).source
+    rows_b = load_vectors_path(demo_vectors_path).source
+    va, vb = sentence_vector("cat dog", a), sentence_vector("cat dog", b)
+    for x, y in ((a, b), (rows_a, rows_b), (va, vb)):
+        assert x == x and x != y
+        assert len({x, y, x}) == 2
+
+
 def test_vocabulary_is_the_tokens_of_the_texts():
     rng = random.Random(11)
     alphabet = "aZ9 \t\n.,!?'-\u00a0\u2028\u0130\u03a3\u00e9\u201c\u3002"
