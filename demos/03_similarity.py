@@ -24,8 +24,9 @@ pairs = [
 MIXED = "Who visited Zanzibar wearing chartreuse snowshoes?"
 UNKNOWN = "zxqv qqvz vqzx"
 
-# Loading checks every row but keeps only the token index; select reads
-# back from the file the rows of just the tokens the sentences use.
+# Loading checks every row but keeps no token and no vector, only a hash
+# of each token with its row; select reads back from the file the rows
+# of just the tokens the sentences use, into an in-memory table.
 loaded = load_vectors_path(VECTORS)
 table = loaded.select(vocabulary([text for pair in pairs for text in pair] + [MIXED, UNKNOWN]))
 print(f"loaded {len(loaded)} vectors of dimension {loaded.dim}, read back {len(table)}")

@@ -76,6 +76,7 @@ from .scoring import (
 from .similarity import (
     EmbeddingTable,
     SentenceVector,
+    VectorIndex,
     cosine_similarity,
     load_vectors,
     load_vectors_path,

@@ -14,25 +14,25 @@ A regular file (``token v1 ... vd`` with single spaces, printable tokens
 unique after lowercasing, finite components, blank lines only after the
 first row, an optional word2vec header on line 1) is read in one pass of
 blocks of :data:`BLOCK_LINES` lines, whose non-empty lines are parsed by
-``np.loadtxt`` and checked in full: row r is the r-th non-empty line
-after the header. The pass keeps only the index and one check value per
-row, not the matrix: :meth:`EmbeddingTable.select` reads back the rows of
-the tokens a caller will score, and ``matrix`` reads back every row on
-first use, counting non-empty lines and parsing the lines it picks
-BLOCK_LINES at a time. A read-back row gets the bits it got at load; a
-row that is missing or whose token or check value differs, and a file
-that no longer opens or decodes, raise :class:`VectorFileChanged`.
+``np.loadtxt`` and checked in full; row r is the r-th non-empty line
+after the header. A token twice in a block is found there, one in two
+blocks by a repeated hash. The pass keeps a :class:`VectorIndex` of each
+row's token hash and check value (of token and components), whose
+``select`` reads back the rows of the tokens a caller will score, with
+the bits they had at load. A row that is missing or whose check value
+differs, and a file that no longer opens or decodes, raise
+:class:`VectorFileChanged`.
 
 Any other file (a tab or double space, a short row, a duplicate, a
 ``nan``, a value such as ``1_000`` that loadtxt does not read) goes to
-the per-line parser :func:`load_vectors`, from the first line of the
-first block it refuses, with the tokens already accepted: an error is
-raised from there, and a file it accepts is parsed again whole, into an
-in-memory table. So every file loads to the same table, and fails with
-the same error class, message and line number, whichever path reads it.
-A ``nan`` or ``inf`` component is a :class:`BadFloat`: its cosine would
-be clamped to 1.0 and score as a match. A byte-order mark is a
-:class:`BadEncoding`: it would hide the first token.
+the per-line parser :func:`load_vectors` from the first line of the
+first block it refuses; an error is raised from there, and a file it
+accepts, or one two of whose tokens share a hash, is read again whole.
+So every file loads to the same rows and fails with the same error
+class, message and line number, whichever path reads it. A ``nan`` or
+``inf`` is a :class:`BadFloat`: its cosine would be clamped to 1.0 and
+score as a match. A byte-order mark is a :class:`BadEncoding`: it would
+hide the first token.
 """
 
 from __future__ import annotations
@@ -45,40 +45,79 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Collection, Iterable, Mapping
 
 import numpy as np
 
-from .errors import BadEncoding, BadFloat, DimensionMismatch, DuplicateToken, VectorFileChanged
+from .errors import BadEncoding, BadFloat, DimensionMismatch, DuplicateToken, QgenError
+from .errors import VectorFileChanged
 
 # lines per block of a regular file, whose text and parsed rows (about 1 MB
-# at 50d) are all a load or a read-back holds of the file at once. The
-# load keeps the index, 52 MB at 400k rows; what the blocks allocate comes
-# on top and is not all given back: at 400k x 50d the process grew by
-# 58 MB with 1,024 lines a block, 75 MB with 8,192 and 128 MB with 32,768
+# at 50d) are all a load or a read-back holds of the file at once; the load
+# keeps the index, 24 bytes a row (9.6 MB at 400k rows)
 BLOCK_LINES = 1024
+
+# a token's 64-bit hash, salted per process: no byte or error may depend on it
+_token_hash = hash
 
 
 @dataclass(frozen=True, eq=False)
-class VectorRows:
-    """Where the rows of a path-loaded table are, and what each held.
+class EmbeddingTable:
+    """Row ``index[token]`` of the read-only ``matrix`` is the token's
+    vector; ``matrix[rows]`` is a copy."""
 
-    Row r is the r-th non-empty line of the file after the header, as it
-    is at load; ``checks`` holds each row's check value at load.
-    """
+    dim: int
+    index: Mapping[str, int]
+    matrix: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        self.matrix.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def select(self, tokens: Iterable[str]) -> EmbeddingTable:
+        """A table of the given tokens that are in the index, in row
+        order, each with the vector it has here."""
+        named = sorted((self.index[token], token) for token in self.index.keys() & set(tokens))
+        index = {token: i for i, (_, token) in enumerate(named)}
+        return EmbeddingTable(self.dim, index, self.matrix[[row for row, _ in named]])
+
+
+@dataclass(frozen=True, eq=False)
+class VectorIndex:
+    """What :func:`load_vectors_path` keeps of a regular file, no token
+    and no vector. Row r is the r-th non-empty line after the header, as
+    at load, and ``checks[r]`` its check value then; row ``rows[i]`` holds
+    the token whose hash is ``hashes[i]``, in ascending order."""
 
     path: str
     header: bool
     dim: int
-    checks: np.ndarray
+    checks: np.ndarray = field(repr=False)
+    hashes: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
 
-    def read(self, rows: Sequence[int], tokens: list[str]) -> np.ndarray:
-        """The vectors of the ascending ``rows``, whose tokens are
-        ``tokens``, in one pass that stops at the last of them; the lines
-        picked are parsed BLOCK_LINES at a time. A row that is missing, no
-        longer parses, or whose token or check value is not the one
-        loaded, and a file that no longer opens or decodes, raise
-        VectorFileChanged."""
+    def __len__(self) -> int:
+        return len(self.hashes)
+
+    def select(self, tokens: Iterable[str]) -> EmbeddingTable:
+        """As EmbeddingTable.select, reading the rows back from the file.
+        A token whose hash only meets that of another token is absent;
+        VectorFileChanged if a row read is not as it was at load."""
+        wanted = set(tokens)
+        keys = _hashes(wanted)
+        at = np.searchsorted(self.hashes, keys).clip(max=len(self) - 1)
+        table = self._read(np.unique(self.rows[at[self.hashes[at] == keys]]).tolist())
+        # the rows read are copied only if one is of a token not wanted
+        return table if table.index.keys() <= wanted else table.select(wanted)
+
+    def _read(self, rows: list[int]) -> EmbeddingTable:
+        """A table of the ascending ``rows``, read in one pass that stops
+        at the last, parsing the lines picked BLOCK_LINES at a time. A row
+        missing, unparsable or with another check value, or a file that
+        no longer opens or decodes, raises VectorFileChanged."""
+        tokens: list[str] = []
         out = np.empty((len(rows), self.dim))
         try:
             with open(self.path, "r", encoding="utf-8") as fh:
@@ -97,62 +136,21 @@ class VectorRows:
                         got = _parse_block(picked, self.dim)
                     except ValueError as exc:
                         raise self._changed(want[0]) from exc
-                    if got["token"].tolist() != tokens[done : done + len(want)] or not (
-                        np.array_equal(_check_values(got["vector"]), self.checks[want])
-                    ):
+                    tokens += got["token"].tolist()
+                    checks = _check_values(got["vector"], _hashes(tokens[done:]))
+                    if not np.array_equal(checks, self.checks[want]):
                         raise self._changed(want[0])
                     out[done : done + len(want)] = got["vector"]
         except (UnicodeDecodeError, OSError) as exc:
             raise VectorFileChanged(
                 f"{self.path}: can no longer be read as it was loaded: {exc}"
             ) from exc
-        return out
+        return EmbeddingTable(self.dim, dict(zip(tokens, range(len(tokens)))), out)
 
     def _changed(self, row: int) -> VectorFileChanged:
         return VectorFileChanged(
             f"{self.path}: rows from {row} on differ from the file as it was loaded"
         )
-
-
-@dataclass(frozen=True, eq=False)
-class EmbeddingTable:
-    """Row ``index[token]`` of the read-only ``matrix`` is the token's vector.
-
-    ``source`` is the matrix, or, for a table :func:`load_vectors_path`
-    read from a regular file, the :class:`VectorRows` it is read back
-    from: there ``matrix`` is a second pass over the whole file on first
-    use, kept from then on, so code that scores sentences calls
-    :meth:`select` first. ``matrix[rows]`` is a copy.
-    """
-
-    dim: int
-    index: Mapping[str, int]
-    source: np.ndarray | VectorRows = field(repr=False)
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        if isinstance(self.source, np.ndarray):
-            return self.source
-        matrix = self.source.read(range(len(self.index)), list(self.index))
-        matrix.flags.writeable = False
-        return matrix
-
-    def select(self, tokens: Iterable[str]) -> EmbeddingTable:
-        """An in-memory table of the given tokens that are in the index,
-        in row order, each with the vector it has here. A path-loaded
-        table reads just their rows back from its file, in one pass;
-        VectorFileChanged if one is not as it was at load."""
-        named = {self.index[token]: token for token in self.index.keys() & set(tokens)}
-        rows = sorted(named)
-        names = [named[row] for row in rows]
-        if isinstance(self.source, np.ndarray):
-            matrix = self.source[rows]
-        else:
-            matrix = self.source.read(rows, names)
-        return _table(dict(zip(names, range(len(names)))), self.dim, matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,11 +167,6 @@ class SentenceVector:
     def norm(self) -> float:
         """The Euclidean norm of values, computed on first use."""
         return float(np.linalg.norm(self.values))
-
-
-def _table(index: dict[str, int], dim: int, matrix: np.ndarray) -> EmbeddingTable:
-    matrix.flags.writeable = False
-    return EmbeddingTable(dim=dim, index=index, source=matrix)
 
 
 def _parse_header(line: str) -> bool:
@@ -200,9 +193,8 @@ def load_vectors(source: str | IO | Iterable[str]) -> EmbeddingTable:
     """
     index: dict[str, int] = {}
     values, dim = _parse_lines(text_lines(source), 1, index, None)
-    dim = dim if dim is not None else 0
-    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(index), dim)
-    return _table(index, dim, matrix)
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(index), dim or 0)
+    return EmbeddingTable(dim or 0, index, matrix)
 
 
 def _parse_lines(
@@ -217,9 +209,7 @@ def _parse_lines(
             line = raw.strip("\n").strip("\r")
             if lineno == 1 and line.startswith("\ufeff"):
                 raise BadEncoding("line 1: starts with a UTF-8 byte-order mark")
-            if not line.strip():
-                continue
-            if lineno == 1 and _parse_header(line):
+            if not line.strip() or (lineno == 1 and _parse_header(line)):
                 continue
             parts = line.split()
             token = parts[0].lower()
@@ -234,8 +224,7 @@ def _parse_lines(
                 raise DimensionMismatch(
                     f"line {lineno}: expected {dim} components, got {len(comps)}"
                 )
-            if token in index:
-                raise DuplicateToken(f"line {lineno}: token {token!r} seen before")
+            _add(index, token, lineno)
             try:
                 row = [float(c) for c in comps]
             except ValueError as exc:
@@ -243,19 +232,23 @@ def _parse_lines(
             if not all(map(math.isfinite, row)):
                 raise BadFloat(f"line {lineno}: non-finite vector component")
             values.extend(row)
-            index[token] = len(index)
     except UnicodeDecodeError as exc:
         # a text stream decodes in chunks, so the failing line is not known
         raise BadEncoding(f"vector file is not valid {exc.encoding}: {exc.reason}") from exc
     return values, dim
 
 
+def _add(index: dict[str, int], token: str, lineno: int) -> None:
+    """Give token the next row of index; DuplicateToken if it has one."""
+    if token in index:
+        raise DuplicateToken(f"line {lineno}: token {token!r} seen before")
+    index[token] = len(index)
+
+
 def _parse_block(lines: list[str], dim: int) -> np.ndarray:
     """loadtxt's rows of lines, each a lowered token and dim floats.
 
-    The load passes a block's non-empty lines and a read-back at most
-    BLOCK_LINES picked lines, so neither holds more rows at once.
-    loadtxt would skip a line that is only a line end (neither passes
+    loadtxt would skip a line that is only a line end (no caller passes
     one), and raises on a row with another field count, on a field that
     str.split() would cut differently (empty, blank, inner whitespace),
     on 1_000 and non-ASCII digits, which float() reads; a field it
@@ -273,30 +266,25 @@ def _parse_block(lines: list[str], dim: int) -> np.ndarray:
     )
 
 
-def _check_values(vectors: np.ndarray) -> np.ndarray:
-    """One uint64 per row of vectors: the sum of the bits of its
-    components times distinct odd weights, modulo 2**64, so a change to
-    any one component changes it."""
+def _hashes(tokens: Collection[str]) -> np.ndarray:
+    return np.fromiter(map(_token_hash, tokens), np.int64, len(tokens))
+
+
+def _check_values(vectors: np.ndarray, hashes: np.ndarray) -> np.ndarray:
+    """One uint64 per row of vectors: the sum of its token's hash and the
+    bits of its components times distinct odd weights, modulo 2**64, so a
+    change to the token or to any one component changes it."""
     weights = np.arange(1, 2 * vectors.shape[1], 2, dtype=np.uint64) * np.uint64(
         0x9E3779B97F4A7C15
     )
-    return np.dot(vectors.view(np.uint64), weights)
+    return np.dot(vectors.view(np.uint64), weights) + hashes.view(np.uint64)
 
 
-def _load_regular(fh, path) -> EmbeddingTable | None:
+def _load_regular(fh, path) -> VectorIndex | None:
     """Load a regular vector file (see the module docstring) from the text
-    handle fh in blocks of BLOCK_LINES lines, keeping the index and the
-    rows' check values. From the first block that is not provably read as
-    :func:`load_vectors` reads it, the per-line parser goes on with the
-    tokens accepted before it: an error it raises is raised, and if it
-    accepts the rest, None is returned, as it is for a file that does not
-    decode or whose first row shows no dimension.
-
-    A block's rows are its non-empty lines, so row r is the r-th non-empty
-    line after the header, as :meth:`VectorRows.read` counts it; a block's
-    first line number is known, as every block before it has BLOCK_LINES
-    lines.
-    """
+    handle fh in blocks of BLOCK_LINES lines, whose rows are their
+    non-empty lines; None for one that does not decode, shows no dim, has
+    two tokens with one hash, or whose rest the per-line parser accepts."""
     try:
         line = fh.readline()
         header = _parse_header(line)
@@ -306,32 +294,43 @@ def _load_regular(fh, path) -> EmbeddingTable | None:
         fh.seek(0)
         if header:
             fh.readline()
-        index: dict[str, int] = {}
-        checks = []
+        blocks = []
         lineno = 1 + header
         for lines in iter(lambda: list(islice(fh, BLOCK_LINES)), []):
             nonempty = list(filter("\n".__ne__, lines))
             if nonempty:
-                vectors = _accept(nonempty, dim, index)
-                if vectors is None:
-                    _parse_lines(chain(lines, fh), lineno, index, dim if index else None)
+                block = _accept(nonempty, dim)
+                if block is None:
+                    later: dict[str, int] = {}
+                    try:
+                        _parse_lines(chain(lines, fh), lineno, later, dim if blocks else None)
+                        return None
+                    except QgenError:
+                        # unless a hash repeats, no token before the error was seen before
+                        seen = np.concatenate([*(hashes for hashes, _ in blocks), _hashes(later)])
+                        if len(np.unique(seen)) == len(seen):
+                            raise
+                    _parse_lines(fh, lineno, _index_lines(fh, header, lineno), dim)
                     return None
-                checks.append(_check_values(vectors))
+                blocks.append(block)
             lineno += len(lines)
+        hashes, checks = (np.concatenate(arrays) for arrays in zip(*blocks))
+        rows = np.argsort(hashes)
+        hashes = hashes[rows]
+        if (hashes[1:] == hashes[:-1]).any():
+            # a token in two blocks, or two tokens with one hash
+            _index_lines(fh, header, lineno)
+            return None
     except UnicodeDecodeError:
         # where the per-line parser stops depends on lines not kept
         return None
-    rows = VectorRows(
-        path=os.path.abspath(path), header=header, dim=dim, checks=np.concatenate(checks)
-    )
-    return EmbeddingTable(dim=dim, index=index, source=rows)
+    return VectorIndex(os.path.abspath(path), header, dim, checks, hashes, rows)
 
 
-def _accept(lines: list[str], dim: int, index: dict[str, int]) -> np.ndarray | None:
-    """The vectors of lines, the rows of a block, their tokens added to
-    index, or None, index unchanged, when loadtxt refuses them or a token
-    is empty, not printable or seen before, or a component is not
-    finite."""
+def _accept(lines: list[str], dim: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The token hashes and check values of lines, the rows of a block,
+    or None when loadtxt refuses them or a token is empty, not printable
+    or twice in the block, or a component is not finite."""
     try:
         rows = _parse_block(lines, dim)
     except ValueError:
@@ -342,33 +341,34 @@ def _accept(lines: list[str], dim: int, index: dict[str, int]) -> np.ndarray | N
     # knows (tab, NBSP, NEL, ...) is not printable, lowered or not; min and
     # max show a nan or inf with no (rows, dim) temporary
     if (
-        not index.keys().isdisjoint(tokens)
+        len(set(tokens)) != len(tokens)
         or "" in tokens
         or not all(map(str.isprintable, tokens))
         or not (math.isfinite(vectors.min()) and math.isfinite(vectors.max()))
     ):
         return None
-    start = len(index)
-    index.update(zip(tokens, range(start, start + len(tokens))))
-    if len(index) != start + len(tokens):
-        # a token twice in the block: none of its tokens was in index before
-        for token in tokens:
-            index.pop(token, None)
-        return None
-    return vectors
+    hashes = _hashes(tokens)
+    return hashes, _check_values(vectors, hashes)
 
 
-def load_vectors_path(path) -> EmbeddingTable:
-    """Load a vector file from disk, UTF-8 in text mode; see the module
-    docstring for the two ways it is read, which give the same table and
-    the same errors. A regular file gives a table that holds its index
-    and reads its rows back from the file: call
-    :meth:`EmbeddingTable.select` before scoring. Any other file gives an
-    in-memory table; it is read again whole if the per-line parser
-    accepts it."""
+def _index_lines(fh, header: bool, lineno: int) -> dict[str, int]:
+    """The token -> row index of the lines of fh before line lineno, which
+    _accept took; DuplicateToken at the first repeat. Leaves fh at lineno."""
+    fh.seek(0)
+    index: dict[str, int] = {}
+    for n, line in enumerate(islice(fh, lineno - 1), start=1):
+        if line != "\n" and n > header:
+            _add(index, line.split(" ", 1)[0].lower(), n)
+    return index
+
+
+def load_vectors_path(path) -> VectorIndex | EmbeddingTable:
+    """Load a vector file from disk, UTF-8 in text mode, into a
+    :class:`VectorIndex` if it is regular, else into an EmbeddingTable
+    (see the module docstring); either one's ``select`` gives the same
+    EmbeddingTable, which sentence_vector reads."""
     with open(path, "r", encoding="utf-8") as fh:
-        table = _load_regular(fh, path)
-        if table is None:
+        if (table := _load_regular(fh, path)) is None:
             fh.seek(0)
             table = load_vectors(fh)
     return table

@@ -41,7 +41,7 @@ from qgen.errors import NoQuestionsFound, QgenError
 from qgen.pipeline import RunConfig, load_config
 from qgen.promptgen import parse_questions
 from qgen.similarity import load_vectors, load_vectors_path
-from test_similarity import load_outcome
+from test_similarity import file_tokens, load_outcome
 
 GOLDEN = Path(__file__).resolve().parent.parent / "demos" / "out" / "full_run"
 SEEDS = range(300)
@@ -207,10 +207,11 @@ def test_vector_readers_agree_on_mutated_files(tmp_path, monkeypatch):
         for end in ("\n", "\r\n"):
             text = "".join(line + end for line in lines)
             path.write_text(text, encoding="utf-8", newline="")
+            tokens = file_tokens(text)
             with open(path, encoding="utf-8") as fh:
-                from_file = load_outcome(lambda: load_vectors(fh))
-            from_path = load_outcome(lambda: load_vectors_path(path))
-            from_text = load_outcome(lambda: load_vectors(text))
+                from_file = load_outcome(lambda: load_vectors(fh), tokens)
+            from_path = load_outcome(lambda: load_vectors_path(path), tokens)
+            from_text = load_outcome(lambda: load_vectors(text), tokens)
             if not from_path == from_file == from_text:
                 disagreements.append((seed, text, from_path, from_file, from_text))
             elif isinstance(from_path[0], int):

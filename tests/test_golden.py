@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
-from dataclasses import fields
+import subprocess
+import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,7 @@ from qgen.cli import main
 from qgen.corpus import ContextRecord, load_squad
 from qgen.pipeline import RunConfig, load_run, run_pipeline
 from qgen.scoring import ScoreRecord
-from qgen.similarity import EmbeddingTable, tokenize
+from qgen.similarity import VectorIndex, load_vectors, tokenize
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 GOLDEN = DEMOS / "out" / "full_run"
@@ -46,9 +49,8 @@ def golden_config(out: Path) -> RunConfig:
     )
 
 
-def test_golden_run_reproduces_byte_for_byte(tmp_path):
-    out = tmp_path / "full_run"
-    run_pipeline(golden_config(out))
+def assert_golden(out: Path) -> None:
+    """The run in out is the golden run, manifest paths and times aside."""
     names = sorted(p.name for p in GOLDEN.iterdir())
     assert sorted(p.name for p in out.iterdir()) == names
     for name in names:
@@ -56,6 +58,29 @@ def test_golden_run_reproduces_byte_for_byte(tmp_path):
             assert _stable_manifest(out / name) == _stable_manifest(GOLDEN / name)
         else:
             assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_golden_run_reproduces_byte_for_byte(tmp_path):
+    out = tmp_path / "full_run"
+    run_pipeline(golden_config(out))
+    assert_golden(out)
+
+
+@pytest.mark.parametrize("salt", ["1", "2"])
+def test_golden_run_does_not_depend_on_the_hash_salt(tmp_path, salt):
+    # the vector index holds str hashes, which are salted per process
+    out = tmp_path / "full_run"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import json, sys; from qgen import RunConfig, run_pipeline; "
+    code += "run_pipeline(RunConfig(**json.loads(sys.argv[1])))"
+    subprocess.run(
+        [sys.executable, "-c", code, json.dumps(asdict(golden_config(out)))],
+        env={**os.environ, "PYTHONHASHSEED": salt, "PYTHONPATH": path},
+        check=True,
+        timeout=120,
+    )
+    assert_golden(out)
 
 
 def test_run_builds_only_sampled_records(tmp_path, monkeypatch):
@@ -77,9 +102,9 @@ def test_run_builds_only_sampled_records(tmp_path, monkeypatch):
 def test_run_reads_back_only_the_rows_it_scores(tmp_path, monkeypatch):
     # the 167-row demo file is parsed once whole at load, then only the
     # rows of the distinct in-vocabulary tokens of the sampled baselines
-    # and the generated questions are read back; matrix is never built
+    # and the generated questions are read back; no full matrix is built
     parsed, selected = [], []
-    parse_block, select = similarity._parse_block, EmbeddingTable.select
+    parse_block, select = similarity._parse_block, VectorIndex.select
 
     def counting(lines, dim):
         parsed.append(len(lines))
@@ -91,7 +116,7 @@ def test_run_reads_back_only_the_rows_it_scores(tmp_path, monkeypatch):
         return chosen
 
     monkeypatch.setattr(similarity, "_parse_block", counting)
-    monkeypatch.setattr(EmbeddingTable, "select", spying)
+    monkeypatch.setattr(VectorIndex, "select", spying)
     config = golden_config(tmp_path / "full_run")
     run = run_pipeline(config)
     (loaded, chosen), = selected
@@ -100,10 +125,12 @@ def test_run_reads_back_only_the_rows_it_scores(tmp_path, monkeypatch):
     sampled = {cell.context_id for cell in run.results}
     texts += [b.question for cid in sampled for b in records[cid].baselines]
     tokens = {tok for text in texts for tok in tokenize(text)}
-    assert set(chosen.index) == tokens & loaded.index.keys()
+    with open(config.vectors, encoding="utf-8") as fh:
+        reference = load_vectors(fh)
+    assert set(chosen.index) == tokens & reference.index.keys()
     assert (len(loaded), len(chosen)) == (167, 73)
     assert parsed == [167, 73]
-    assert "matrix" not in vars(loaded)
+    assert not hasattr(loaded, "matrix")
 
 
 def test_scores_line_keys_are_score_record_fields():

@@ -690,7 +690,8 @@ class InterruptingBackend(MockBackend):
     """Its call number `at` is interrupted: with how "raise" the call
     raises KeyboardInterrupt, with how "signal" it sends SIGINT to the
     process, which the main thread receives, and then takes 0.25 s. Every
-    other call takes 50 ms."""
+    other call takes 50 ms. ``sent_at`` is the monotonic time of the
+    SIGINT, None until it is sent."""
 
     def __init__(self, at: int, how: str) -> None:
         super().__init__(seed=0)
@@ -698,6 +699,7 @@ class InterruptingBackend(MockBackend):
         self.how = how
         self.calls = 0
         self.lock = threading.Lock()
+        self.sent_at = None
 
     def complete(self, request):
         with self.lock:
@@ -706,6 +708,7 @@ class InterruptingBackend(MockBackend):
         if n == self.at and self.how == "raise":
             raise KeyboardInterrupt
         if n == self.at:
+            self.sent_at = time.monotonic()
             os.kill(os.getpid(), signal.SIGINT)
             time.sleep(0.2)
         time.sleep(0.05)
@@ -728,8 +731,30 @@ def test_interrupt_stops_the_calls(
         env={},
     )
     before = set(threading.enumerate())
-    with pytest.raises(KeyboardInterrupt):
+    # when the main thread took the SIGINT, to tell a late signal from a
+    # lost one if the run ends without it
+    received = []
+
+    def on_sigint(signum, frame):
+        received.append(time.monotonic())
+        signal.default_int_handler(signum, frame)
+
+    previous = signal.signal(signal.SIGINT, on_sigint)
+    start = time.monotonic()
+    try:
         run_pipeline(cfg)
+    except KeyboardInterrupt:
+        pass
+    else:
+        ended = time.monotonic() - start
+        sent = "never" if backend.sent_at is None else f"{backend.sent_at - start:.3f} s"
+        got = ", ".join(f"{t - start:.3f} s" for t in received) or "never"
+        pytest.fail(
+            f"DID NOT RAISE {KeyboardInterrupt}: SIGINT sent at {sent}, received "
+            f"at {got}, run ended at {ended:.3f} s"
+        )
+    finally:
+        signal.signal(signal.SIGINT, previous)
     assert set(threading.enumerate()) <= before
     sent = backend.calls
     # a call still running would be counted by now

@@ -7,6 +7,7 @@ import os
 import random
 import shutil
 import sys
+import tracemalloc
 import unicodedata
 import warnings
 
@@ -20,11 +21,12 @@ from qgen.errors import (
     BadFloat,
     DimensionMismatch,
     DuplicateToken,
+    QgenError,
     VectorFileChanged,
 )
 from qgen.similarity import (
     EmbeddingTable,
-    VectorRows,
+    VectorIndex,
     cosine_similarity,
     load_vectors,
     load_vectors_path,
@@ -95,14 +97,46 @@ def test_load_vectors_path(demo_vectors_path):
     assert len(table) > 100
 
 
-def load_outcome(load) -> tuple:
-    """What a load gives, comparable across paths: (dim, tokens in order,
-    matrix bytes) on success, (error class, message) on failure."""
+def test_path_load_keeps_under_48_bytes_a_row(tmp_path):
+    # a hash, a row number and a check value a row; the token -> row dict
+    # a load kept before took about 115 bytes a row here
+    rows = 20_000
+    path = tmp_path / "vectors.txt"
+    path.write_text("".join(f"w{i} {i % 7}.5 -1\n" for i in range(rows)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = load_vectors_path(path)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert isinstance(table, VectorIndex) and len(table) == rows
+    assert kept < 48 * rows, kept / rows
+
+
+# a token no file holds: a token never has a space
+ABSENT = "no such token"
+
+
+def file_tokens(text: str) -> list[str]:
+    """The tokens of text in row order, as the per-line parser reads
+    them, or none if it raises."""
+    try:
+        return list(load_vectors(text).index)
+    except QgenError:
+        return []
+
+
+def load_outcome(load, tokens: list[str]) -> tuple:
+    """What a load gives, comparable across paths and kinds of table:
+    (dim, rows, and the tokens in row order and matrix bytes of a select
+    of tokens and ABSENT) on success, (error class, message) on failure."""
     try:
         table = load()
     except Exception as exc:
         return type(exc), str(exc)
-    return table.dim, list(table.index), table.matrix.tobytes()
+    chosen = table.select([*tokens, ABSENT])
+    return table.dim, len(table), list(chosen.index), chosen.matrix.tobytes()
 
 
 # (file bytes, None for a successful load, (dim, tokens) for a load that
@@ -155,13 +189,14 @@ def test_path_loader_agrees_with_line_parser(tmp_path, content, error):
         with open(path, "r", encoding="utf-8") as fh:
             return load_vectors(fh)
 
-    got = load_outcome(lambda: load_vectors_path(path))
-    assert got == load_outcome(line_parser)
-    assert got == load_outcome(lambda: load_vectors(content.decode("utf-8")))
+    tokens = file_tokens(content.decode("utf-8"))
+    got = load_outcome(lambda: load_vectors_path(path), tokens)
+    assert got == load_outcome(line_parser, tokens)
+    assert got == load_outcome(lambda: load_vectors(content.decode("utf-8")), tokens)
     if error is None:
         assert isinstance(got[0], int)
     elif isinstance(error[0], int):
-        assert got[:2] == error
+        assert (got[0], got[2]) == error
     else:
         assert got[0] is error[0] and error[1] in got[1]
 
@@ -190,16 +225,15 @@ def test_regular_file_skips_line_parser(monkeypatch, tmp_path, demo_vectors_path
 
     monkeypatch.setattr(similarity, "load_vectors", line_parser)
     table = load_vectors_path(demo_vectors_path)
-    assert table.dim == 50 and table.matrix.shape == (len(table), 50)
-    assert table.matrix is table.matrix
-    with pytest.raises(ValueError):
-        table.matrix[0, 0] = 1.0
+    assert isinstance(table, VectorIndex) and table.dim == 50
 
     text = demo_vectors_path.read_text(encoding="utf-8")
     with open(demo_vectors_path, encoding="utf-8") as fh:
         reference = load_vectors(fh)
-    assert table.matrix.tobytes() == reference.matrix.tobytes()
-    assert table.index == reference.index
+    tokens = list(reference.index)
+    expected = load_outcome(lambda: reference, tokens)
+    assert load_outcome(lambda: table, tokens) == expected
+    assert expected[:3] == (50, len(tokens), tokens)
     first, rest = text.split("\n", 1)
     variants = {
         "header": f"{len(table)} 50\n{text}",
@@ -211,8 +245,8 @@ def test_regular_file_skips_line_parser(monkeypatch, tmp_path, demo_vectors_path
         path = tmp_path / f"{name}.txt"
         path.write_text(variant, encoding="utf-8", newline="")
         got = load_vectors_path(path)
-        assert got.matrix.tobytes() == reference.matrix.tobytes(), name
-        assert got.index == reference.index, name
+        assert isinstance(got, VectorIndex), name
+        assert load_outcome(lambda: got, tokens) == expected, name
     tabbed = tmp_path / "tabbed.txt"
     tabbed.write_text(text.replace(" ", "\t", 1), encoding="utf-8")
     with pytest.raises(AssertionError, match="per-line parser reached"):
@@ -238,12 +272,13 @@ def test_block_boundaries(monkeypatch, tmp_path, content, error):
     monkeypatch.setattr(similarity, "BLOCK_LINES", 2)
     path = tmp_path / "vectors.txt"
     path.write_bytes(content)
+    tokens = file_tokens(content.decode("utf-8"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = load_outcome(lambda: load_vectors_path(path))
+        got = load_outcome(lambda: load_vectors_path(path), tokens)
     # loadtxt warns "input contained no data" when handed no rows
     assert [str(w.message) for w in caught] == []
-    assert got == load_outcome(lambda: load_vectors(content.decode("utf-8")))
+    assert got == load_outcome(lambda: load_vectors(content.decode("utf-8")), tokens)
     if error is not None:
         assert got[0] is error[0] and error[1] in got[1]
         return
@@ -269,38 +304,118 @@ def test_refused_block_is_parsed_per_line_from_its_first_line(monkeypatch, tmp_p
     path.write_bytes(b"4 2\ncat 1 2\ndog 3 4\n\nemu 5 6\nfox nan 8\n")
     with pytest.raises(BadFloat, match="line 6: non-finite"):
         load_vectors_path(path)
-    assert starts == [(6, ["cat", "dog", "emu"], 2)]
+    # the tokens before the block are known by their hashes, none of which
+    # repeats, so the error stands without reading those lines again
+    assert starts == [(6, [], 2)]
+    # a token before the error whose hash is an earlier token's: the lines
+    # before the block are read again, and the block parsed with their tokens
+    starts.clear()
+    path.write_bytes(b"4 2\ncat 1 2\ndog 3 4\n\nemu 5 6\nDOG nan 8\n")
+    with pytest.raises(DuplicateToken, match="^line 6: token 'dog' seen before$"):
+        load_vectors_path(path)
+    assert starts == [(6, [], 2), (6, ["cat", "dog", "emu"], 2)]
     # a block the per-line parser accepts: the whole file is parsed again
     starts.clear()
     path.write_bytes(b"cat 1 2\ndog 3 4\nemu 5\t6\nfox 7 8\n")
     table = load_vectors_path(path)
-    assert starts == [(3, ["cat", "dog"], 2), (1, [], None)]
-    assert isinstance(table.source, np.ndarray)
+    assert starts == [(3, [], 2), (1, [], None)]
+    assert isinstance(table, EmbeddingTable)
     assert list(table.index) == ["cat", "dog", "emu", "fox"]
+    # a token twice in one block is found there, before the rest is read
+    starts.clear()
+    path.write_bytes(b"cat 1 2\ndog 3 4\nemu 5 6\nEMU 7 8\nfox 9 1\n")
+    with pytest.raises(DuplicateToken, match="^line 4: token 'emu' seen before$"):
+        load_vectors_path(path)
+    assert starts == [(3, [], 2)]
+
+
+# (file bytes, read in blocks of 2 lines, and the line DuplicateToken
+# names): a token in two blocks is found by its hash, then named by a
+# token pass over the lines before the block that fails, or over the file
+HASH_DUPLICATE_CASES = {
+    "duplicate-then-nan": (b"2 2\ncat 1 2\ndog 3 4\nemu 5 6\nCAT 7 8\nfox 9 1\nyak nan 2\n", 5),
+    "duplicate-across-blocks": (b"cat 1 2\ndog 3 4\n\nemu 5 6\nfox 7 8\nDOG 9 1\nyak 2 3\n", 6),
+    "duplicate-last-row": (b"2 2\ncat 1 2\n\ndog 3 4\nemu 5 6\nfox 7 8\nDOG 9 9", 7),
+}
+
+
+@pytest.mark.parametrize("content, line", HASH_DUPLICATE_CASES.values(), ids=HASH_DUPLICATE_CASES)
+def test_duplicate_across_blocks_names_its_line(monkeypatch, tmp_path, content, line):
+    monkeypatch.setattr(similarity, "BLOCK_LINES", 2)
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(content)
+    with pytest.raises(DuplicateToken, match=f"^line {line}: token '(cat|dog)' seen before$"):
+        load_vectors_path(path)
+    with pytest.raises(DuplicateToken, match=f"^line {line}: "):
+        load_vectors(content.decode("utf-8"))
+
+
+def colliding(pairs: dict[str, str]):
+    """A token hash under which each key of pairs hashes as its value."""
+    return lambda token: hash(pairs.get(token, token))
+
+
+# cat and dog, and emu and fox, in one block; cat and yak in two
+COLLIDING_FILE = b"cat 1 2\ndog 3 4\nemu 5 6\nfox 7 8\nyak 9 1\n"
+
+
+@pytest.mark.parametrize("pairs", [{"dog": "cat"}, {"yak": "cat"}], ids=["in-block", "two-blocks"])
+def test_file_tokens_with_one_hash_load_per_line(monkeypatch, tmp_path, pairs):
+    monkeypatch.setattr(similarity, "BLOCK_LINES", 2)
+    monkeypatch.setattr(similarity, "_token_hash", colliding(pairs))
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(COLLIDING_FILE)
+    table = load_vectors_path(path)
+    assert isinstance(table, EmbeddingTable)
+    tokens = file_tokens(COLLIDING_FILE.decode())
+    assert load_outcome(lambda: table, tokens) == load_outcome(
+        lambda: load_vectors(COLLIDING_FILE.decode()), tokens
+    )
+
+
+def test_token_whose_hash_meets_a_file_token_is_absent(monkeypatch, tmp_path):
+    monkeypatch.setattr(similarity, "BLOCK_LINES", 2)
+    monkeypatch.setattr(similarity, "_token_hash", colliding({"zzz": "cat", "ewe": "yak"}))
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(COLLIDING_FILE)
+    reference = load_vectors(COLLIDING_FILE.decode())
+    table = load_vectors_path(path)
+    assert isinstance(table, VectorIndex)
+    assert len(table.select(["zzz", "ewe"])) == 0
+    chosen = table.select(["zzz", "yak", "cat", "ewe"])
+    assert list(chosen.index) == ["cat", "yak"]
+    assert chosen.matrix.tobytes() == reference.matrix[[0, 4]].tobytes()
+    # an edited row read for a token that only shares its hash still fails
+    edit_in_place(path, "cat 1 2", "cat 1 3")
+    for wanted in (["zzz"], ["cat"]):
+        with pytest.raises(VectorFileChanged, match="rows from 0 on differ"):
+            table.select(wanted)
+    edit_in_place(path, "cat 1 3", "cow 1 2")
+    with pytest.raises(VectorFileChanged, match="rows from 0 on differ"):
+        table.select(["zzz"])
 
 
 def test_select_reads_back_only_the_given_rows(demo_vectors_path):
     with open(demo_vectors_path, encoding="utf-8") as fh:
         reference = load_vectors(fh)
     table = load_vectors_path(demo_vectors_path)
-    assert isinstance(table.source, VectorRows) and len(table) == len(reference)
+    assert isinstance(table, VectorIndex) and len(table) == len(reference)
     tokens = list(reference.index)
     wanted = [tokens[100], tokens[0], tokens[5], "not-a-token", tokens[5]]
     for source in (table, reference):
         chosen = source.select(wanted)
         # an in-memory table of the known tokens, in row order
         assert list(chosen.index) == [tokens[0], tokens[5], tokens[100]]
-        assert isinstance(chosen.source, np.ndarray) and chosen.dim == 50
+        assert isinstance(chosen, EmbeddingTable) and chosen.dim == 50
         for token, row in chosen.index.items():
             expected = reference.matrix[reference.index[token]]
             assert chosen.matrix[row].tobytes() == expected.tobytes()
         with pytest.raises(ValueError):
             chosen.matrix[0, 0] = 1.0
         assert len(source.select([])) == 0
-    assert "matrix" not in vars(table)
-    # matrix reads every row back once and keeps it
-    assert table.matrix is table.matrix
-    assert table.matrix.tobytes() == reference.matrix.tobytes()
+    # the index keeps no vector; every row reads back as the line parser's
+    assert not hasattr(table, "matrix")
+    assert table.select(tokens).matrix.tobytes() == reference.matrix.tobytes()
 
 
 def edit_in_place(path, old: str, new: str) -> None:
@@ -329,7 +444,7 @@ def test_file_edited_after_load_fails_its_read_back(tmp_path, demo_vectors_path)
     with pytest.raises(VectorFileChanged, match="differ from the file as it was loaded"):
         table.select([tokens[1]])
     with pytest.raises(VectorFileChanged):
-        table.matrix
+        table.select(tokens)
     # rows that are not read are not checked
     assert list(table.select([tokens[0], tokens[2]]).index) == [tokens[0], tokens[2]]
     edit_in_place(path, edited, row1)
@@ -375,7 +490,7 @@ def test_read_back_parses_block_lines_rows_at_a_time(monkeypatch, tmp_path, demo
     path.write_text(text, encoding="utf-8", newline="")
     reference = load_vectors(text)
     table = load_vectors_path(path)
-    assert isinstance(table.source, VectorRows)
+    assert isinstance(table, VectorIndex)
     parsed = []
     parse_block = similarity._parse_block
 
@@ -387,7 +502,7 @@ def test_read_back_parses_block_lines_rows_at_a_time(monkeypatch, tmp_path, demo
     tokens = list(reference.index)
     chosen = table.select(tokens)
     assert chosen.matrix.tobytes() == reference.matrix.tobytes()
-    assert table.matrix.tobytes() == reference.matrix.tobytes()
+    assert table.select([*tokens, ABSENT]).matrix.tobytes() == reference.matrix.tobytes()
     # two passes over the 167 rows: 83 calls of 2 lines and one of 1 each
     assert parsed == ([2] * 83 + [1]) * 2 and len(tokens) == 167
     # a row the file no longer holds fails before any line is parsed
@@ -404,10 +519,10 @@ def test_read_back_parses_block_lines_rows_at_a_time(monkeypatch, tmp_path, demo
 def test_tables_and_vectors_compare_by_identity(demo_vectors_path):
     # each holds a numpy array, which == would compare element by element
     a, b = load_vectors("cat 1 2\ndog 3 4\n"), load_vectors("cat 1 2\ndog 3 4\n")
-    rows_a = load_vectors_path(demo_vectors_path).source
-    rows_b = load_vectors_path(demo_vectors_path).source
+    index_a = load_vectors_path(demo_vectors_path)
+    index_b = load_vectors_path(demo_vectors_path)
     va, vb = sentence_vector("cat dog", a), sentence_vector("cat dog", b)
-    for x, y in ((a, b), (rows_a, rows_b), (va, vb)):
+    for x, y in ((a, b), (index_a, index_b), (va, vb)):
         assert x == x and x != y
         assert len({x, y, x}) == 2
 
