@@ -9,30 +9,25 @@ summed in token order, so repeated runs are bit-identical.
 
 An :class:`EmbeddingTable` is a vocabulary index (token -> row) into one
 read-only ``(rows, dim)`` float64 matrix. :func:`load_vectors_path` reads
-the file in text mode, so ``\r\n`` and ``\r`` end a line as ``\n`` does.
-A regular file (``token v1 ... vd`` with single spaces, printable tokens
-unique after lowercasing, finite components, blank lines only after the
-first row, an optional word2vec header on line 1) is read in one pass of
-blocks of :data:`BLOCK_LINES` lines, whose non-empty lines are parsed by
-``np.loadtxt`` and checked in full; row r is the r-th non-empty line
-after the header. A token twice in a block is found there, one in two
-blocks by a repeated hash. The pass keeps a :class:`VectorIndex` of each
-row's token hash and check value (of token and components), whose
+a file in text mode (``\r\n`` and ``\r`` end a line as ``\n`` does) in one
+pass of blocks of :data:`BLOCK_LINES` lines; row r is the r-th line that
+is not blank, after an optional word2vec header. ``np.loadtxt`` parses a
+block whose rows it reads as the per-line parser would (single spaces,
+printable tokens unique in the block after lowercasing, finite
+components); any other block (a tab or double space, a short row, a
+duplicate, a ``nan``, a value such as ``1_000``) is parsed where it
+stands by the per-line parser, which raises its first error. A token in
+two blocks shows as a repeated hash, whose tokens a second pass reads to
+name the line. So a file loads to the rows, and fails with the error
+class, message and line number, of :func:`load_vectors`, the per-line
+parser, over the whole file. The pass keeps a :class:`VectorIndex` of
+each row's token hash and check value (of token and components), whose
 ``select`` reads back the rows of the tokens a caller will score, with
 the bits they had at load. A row that is missing or whose check value
 differs, and a file that no longer opens or decodes, raise
-:class:`VectorFileChanged`.
-
-Any other file (a tab or double space, a short row, a duplicate, a
-``nan``, a value such as ``1_000`` that loadtxt does not read) goes to
-the per-line parser :func:`load_vectors` from the first line of the
-first block it refuses; an error is raised from there, and a file it
-accepts, or one two of whose tokens share a hash, is read again whole.
-So every file loads to the same rows and fails with the same error
-class, message and line number, whichever path reads it. A ``nan`` or
-``inf`` is a :class:`BadFloat`: its cosine would be clamped to 1.0 and
-score as a match. A byte-order mark is a :class:`BadEncoding`: it would
-hide the first token.
+:class:`VectorFileChanged`. A ``nan`` or ``inf`` is a :class:`BadFloat`:
+its cosine would be clamped to 1.0 and score as a match. A byte-order
+mark is a :class:`BadEncoding`: it would hide the first token.
 """
 
 from __future__ import annotations
@@ -44,7 +39,7 @@ import unicodedata
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, filterfalse, islice
 from typing import IO, Collection, Iterable, Mapping
 
 import numpy as np
@@ -86,10 +81,10 @@ class EmbeddingTable:
 
 @dataclass(frozen=True, eq=False)
 class VectorIndex:
-    """What :func:`load_vectors_path` keeps of a regular file, no token
-    and no vector. Row r is the r-th non-empty line after the header, as
-    at load, and ``checks[r]`` its check value then; row ``rows[i]`` holds
-    the token whose hash is ``hashes[i]``, in ascending order."""
+    """What :func:`load_vectors_path` keeps of a file, no token and no
+    vector. Row r is the r-th line after the header that is not blank,
+    and ``checks[r]`` its check value at load; row ``rows[i]`` holds the
+    token whose hash is ``hashes[i]``, in ascending order."""
 
     path: str
     header: bool
@@ -107,23 +102,27 @@ class VectorIndex:
         VectorFileChanged if a row read is not as it was at load."""
         wanted = set(tokens)
         keys = _hashes(wanted)
-        at = np.searchsorted(self.hashes, keys).clip(max=len(self) - 1)
-        table = self._read(np.unique(self.rows[at[self.hashes[at] == keys]]).tolist())
+        # every position of each wanted hash: two file tokens may share one
+        first = np.searchsorted(self.hashes, keys)
+        count = np.searchsorted(self.hashes, keys, "right") - first
+        at = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+        table = self._read(np.unique(self.rows[at]).tolist())
         # the rows read are copied only if one is of a token not wanted
         return table if table.index.keys() <= wanted else table.select(wanted)
 
     def _read(self, rows: list[int]) -> EmbeddingTable:
         """A table of the ascending ``rows``, read in one pass that stops
-        at the last, parsing the lines picked BLOCK_LINES at a time. A row
-        missing, unparsable or with another check value, or a file that
-        no longer opens or decodes, raises VectorFileChanged."""
+        at the last, parsing the lines picked BLOCK_LINES at a time as the
+        load did. VectorFileChanged names the first row missing or with
+        another check value, or of a batch that does not parse, or the
+        file, if it no longer opens or decodes."""
         tokens: list[str] = []
         out = np.empty((len(rows), self.dim))
         try:
             with open(self.path, "r", encoding="utf-8") as fh:
                 if self.header:
                     fh.readline()
-                lines = filter("\n".__ne__, fh)
+                lines = filterfalse(str.isspace, fh)
                 # the line of each row, or None past the end of the file
                 gaps = (row - last - 1 for row, last in zip(rows, chain([-1], rows)))
                 picks = (next(islice(lines, gap, None), None) for gap in gaps)
@@ -133,14 +132,15 @@ class VectorIndex:
                     if None in picked:
                         raise self._changed(want[picked.index(None)])
                     try:
-                        got = _parse_block(picked, self.dim)
-                    except ValueError as exc:
+                        # from line 2, where no line is taken for a header
+                        got, vectors = _parse_rows(picked, 2, self.dim, {})
+                    except QgenError as exc:
                         raise self._changed(want[0]) from exc
-                    tokens += got["token"].tolist()
-                    checks = _check_values(got["vector"], _hashes(tokens[done:]))
-                    if not np.array_equal(checks, self.checks[want]):
-                        raise self._changed(want[0])
-                    out[done : done + len(want)] = got["vector"]
+                    differ = _check_values(vectors, _hashes(got)) != self.checks[want]
+                    if differ.any():
+                        raise self._changed(want[differ.argmax()])
+                    tokens += got
+                    out[done : done + len(want)] = vectors
         except (UnicodeDecodeError, OSError) as exc:
             raise VectorFileChanged(
                 f"{self.path}: can no longer be read as it was loaded: {exc}"
@@ -280,98 +280,97 @@ def _check_values(vectors: np.ndarray, hashes: np.ndarray) -> np.ndarray:
     return np.dot(vectors.view(np.uint64), weights) + hashes.view(np.uint64)
 
 
-def _load_regular(fh, path) -> VectorIndex | None:
-    """Load a regular vector file (see the module docstring) from the text
-    handle fh in blocks of BLOCK_LINES lines, whose rows are their
-    non-empty lines; None for one that does not decode, shows no dim, has
-    two tokens with one hash, or whose rest the per-line parser accepts."""
-    try:
-        line = fh.readline()
-        header = _parse_header(line)
-        dim = (fh.readline() if header else line).count(" ")
-        if dim == 0:
-            return None
+def _load_index(fh, path) -> VectorIndex:
+    """Load a vector file from the text handle fh in one pass of blocks of
+    BLOCK_LINES lines, each parsed with the dimension known so far."""
+    if not (header := _parse_header(fh.readline())):
         fh.seek(0)
-        if header:
-            fh.readline()
-        blocks = []
-        lineno = 1 + header
-        for lines in iter(lambda: list(islice(fh, BLOCK_LINES)), []):
-            nonempty = list(filter("\n".__ne__, lines))
-            if nonempty:
-                block = _accept(nonempty, dim)
-                if block is None:
-                    later: dict[str, int] = {}
-                    try:
-                        _parse_lines(chain(lines, fh), lineno, later, dim if blocks else None)
-                        return None
-                    except QgenError:
-                        # unless a hash repeats, no token before the error was seen before
-                        seen = np.concatenate([*(hashes for hashes, _ in blocks), _hashes(later)])
-                        if len(np.unique(seen)) == len(seen):
-                            raise
-                    _parse_lines(fh, lineno, _index_lines(fh, header, lineno), dim)
-                    return None
-                blocks.append(block)
-            lineno += len(lines)
-        hashes, checks = (np.concatenate(arrays) for arrays in zip(*blocks))
-        rows = np.argsort(hashes)
-        hashes = hashes[rows]
-        if (hashes[1:] == hashes[:-1]).any():
-            # a token in two blocks, or two tokens with one hash
-            _index_lines(fh, header, lineno)
-            return None
-    except UnicodeDecodeError:
-        # where the per-line parser stops depends on lines not kept
-        return None
-    return VectorIndex(os.path.abspath(path), header, dim, checks, hashes, rows)
+    dim, lineno = None, 1 + header
+    hashes, checks = [np.empty(0, np.int64)], [np.empty(0, np.uint64)]
+    for lines in iter(lambda: list(islice(fh, BLOCK_LINES)), []):
+        index: dict[str, int] = {}
+        try:
+            tokens, vectors = _parse_rows(lines, lineno, dim, index)
+        except QgenError:
+            # earlier tokens are known only by hash: unless one repeats up to
+            # the error, it stands; else parse again knowing those tokens
+            seen = np.sort(np.concatenate([*hashes, _hashes(index)]))
+            if repeated := _repeats(seen):
+                seed = _repeated_tokens(fh, header, repeated, lineno - 1)
+                _parse_lines(lines, lineno, seed, dim)
+            raise
+        dim = vectors.shape[1] or dim
+        hashes.append(_hashes(tokens))
+        checks.append(_check_values(vectors, hashes[-1]))
+        lineno += len(lines)
+        del tokens, vectors  # not held through the next block, or the sort
+    hashes, checks = np.concatenate(hashes), np.concatenate(checks)
+    rows = np.argsort(hashes)
+    hashes = hashes[rows]
+    if repeated := _repeats(hashes):
+        # a token in two blocks, or two tokens with one hash
+        _repeated_tokens(fh, header, repeated, None)
+    return VectorIndex(os.path.abspath(path), header, dim or 0, checks, hashes, rows)
 
 
-def _accept(lines: list[str], dim: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The token hashes and check values of lines, the rows of a block,
-    or None when loadtxt refuses them or a token is empty, not printable
-    or twice in the block, or a component is not finite."""
-    try:
-        rows = _parse_block(lines, dim)
-    except ValueError:
-        return None
-    tokens = rows["token"].tolist()
-    vectors = rows["vector"]
-    # an empty token (leading space) or one holding whitespace str.split()
-    # knows (tab, NBSP, NEL, ...) is not printable, lowered or not; min and
-    # max show a nan or inf with no (rows, dim) temporary
-    if (
-        len(set(tokens)) != len(tokens)
-        or "" in tokens
-        or not all(map(str.isprintable, tokens))
-        or not (math.isfinite(vectors.min()) and math.isfinite(vectors.max()))
-    ):
-        return None
-    hashes = _hashes(tokens)
-    return hashes, _check_values(vectors, hashes)
+def _parse_rows(lines: list[str], lineno: int, dim: int | None, index: dict[str, int]):
+    """The tokens and (rows, dim) vectors of the rows of lines, the first
+    of them line lineno, whose dimension is dim if not None: loadtxt's
+    when it reads every row as the per-line parser would, else the per-line
+    parser's, which adds the tokens it meets to index, up to its error."""
+    rows = list(filterfalse(str.isspace, lines))
+    if guess := (dim or rows[0].count(" ")) if rows else 0:
+        try:
+            got = _parse_block(rows, guess)
+        except ValueError:
+            pass
+        else:
+            tokens, vectors = got["token"].tolist(), got["vector"]
+            # a token that is empty (leading space) or holds whitespace str.split() knows
+            # is not printable, lowered or not; min and max find a nan or inf with no temporary
+            if (
+                len(set(tokens)) == len(tokens)
+                and "" not in tokens
+                and all(map(str.isprintable, tokens))
+                and math.isfinite(vectors.min())
+                and math.isfinite(vectors.max())
+            ):
+                return tokens, vectors
+    values, dim = _parse_lines(lines, lineno, index, dim)
+    return list(index), np.frombuffer(values).reshape(len(index), dim or 0)
 
 
-def _index_lines(fh, header: bool, lineno: int) -> dict[str, int]:
-    """The token -> row index of the lines of fh before line lineno, which
-    _accept took; DuplicateToken at the first repeat. Leaves fh at lineno."""
+def _repeats(hashes: np.ndarray) -> set[int]:
+    """The values that occur more than once in the sorted hashes."""
+    return set(hashes[1:][hashes[1:] == hashes[:-1]].tolist())
+
+
+def _repeated_tokens(fh, header: bool, repeated: set[int], count: int | None) -> dict[str, int]:
+    """The tokens of the rows in the first count lines of fh (every line
+    if None) whose hash is in repeated, as a dict; DuplicateToken at the
+    first token seen twice. Only these tokens can repeat."""
     fh.seek(0)
     index: dict[str, int] = {}
-    for n, line in enumerate(islice(fh, lineno - 1), start=1):
-        if line != "\n" and n > header:
-            _add(index, line.split(" ", 1)[0].lower(), n)
+    for n, line in enumerate(islice(fh, count), start=1):
+        if n > header and not line.isspace():
+            token = line.split(None, 1)[0].lower()
+            if _token_hash(token) in repeated:
+                _add(index, token, n)
     return index
 
 
-def load_vectors_path(path) -> VectorIndex | EmbeddingTable:
+def load_vectors_path(path) -> VectorIndex:
     """Load a vector file from disk, UTF-8 in text mode, into a
-    :class:`VectorIndex` if it is regular, else into an EmbeddingTable
-    (see the module docstring); either one's ``select`` gives the same
-    EmbeddingTable, which sentence_vector reads."""
+    :class:`VectorIndex`, as the module docstring says."""
     with open(path, "r", encoding="utf-8") as fh:
-        if (table := _load_regular(fh, path)) is None:
+        try:
+            return _load_index(fh, path)
+        except UnicodeDecodeError:
+            # text mode decodes in chunks, so where the per-line parser stops
+            # depends on lines this pass read ahead: it raises, on the whole file
             fh.seek(0)
-            table = load_vectors(fh)
-    return table
+            load_vectors(fh)
+            raise
 
 
 def tokenize(text: str) -> list[str]:

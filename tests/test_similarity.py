@@ -114,6 +114,35 @@ def test_path_load_keeps_under_48_bytes_a_row(tmp_path):
     assert kept < 48 * rows, kept / rows
 
 
+@pytest.mark.parametrize(
+    "last, end", [("W0 1.5 -1\n", "\n"), ("", " \n")], ids=["duplicate-last-row", "trailing-space"]
+)
+def test_path_load_peaks_under_64_bytes_a_row(tmp_path, last, end):
+    # a token repeated in the last row is named by a pass that keeps only
+    # the tokens whose hash repeats, and a block loadtxt refuses is parsed
+    # per line where it stands; each once held a token -> row dict of
+    # every row, about 146 and 124 bytes a row here
+    rows = 20_000
+    path = tmp_path / "vectors.txt"
+    text = "".join(f"w{i} {i % 7}.5 -1{end}" for i in range(rows)) + last
+    path.write_text(text, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            table = load_vectors_path(path)
+        except DuplicateToken as exc:
+            table = exc
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    if last:
+        assert str(table) == f"line {rows + 1}: token 'w0' seen before"
+    else:
+        assert isinstance(table, VectorIndex) and len(table) == rows
+    assert peak < 64 * rows, peak / rows
+
+
 # a token no file holds: a token never has a space
 ABSENT = "no such token"
 
@@ -175,6 +204,10 @@ LOADER_CASES = {
     "long-row": (b"cat 1 2\ndog 3 4 5\n", (DimensionMismatch, "line 2")),
     "bad-float-last-line": (b"cat 1 2\ndog 3 4\nfox 5 oops\n", (BadFloat, "line 3")),
     "empty": (b"", None),
+    # a line of spaces and tabs is blank, not a row
+    "whitespace-only-line": (b"cat 1 2\n \t \ndog 3 4\n", (2, ["cat", "dog"])),
+    # fastText's .vec files: a count dim header, a space after every line
+    "fasttext-vec": (b"2 2 \ncat 1 2 \ndog 3 4 \n", (2, ["cat", "dog"])),
     # a byte-order mark would hide the first token, "the" in GloVe
     "utf8-bom": ("\ufeffthe 1 2\ncat 3 4\n".encode(), (BadEncoding, "line 1")),
 }
@@ -193,6 +226,8 @@ def test_path_loader_agrees_with_line_parser(tmp_path, content, error):
     got = load_outcome(lambda: load_vectors_path(path), tokens)
     assert got == load_outcome(line_parser, tokens)
     assert got == load_outcome(lambda: load_vectors(content.decode("utf-8")), tokens)
+    if error is None or isinstance(error[0], int):
+        assert isinstance(load_vectors_path(path), VectorIndex)
     if error is None:
         assert isinstance(got[0], int)
     elif isinstance(error[0], int):
@@ -220,16 +255,25 @@ def test_non_utf8_vector_file_is_bad_encoding(tmp_path, mini_squad_path):
 
 
 def test_regular_file_skips_line_parser(monkeypatch, tmp_path, demo_vectors_path):
-    def line_parser(source):
-        raise AssertionError("per-line parser reached")
-
-    monkeypatch.setattr(similarity, "load_vectors", line_parser)
-    table = load_vectors_path(demo_vectors_path)
-    assert isinstance(table, VectorIndex) and table.dim == 50
-
+    # the per-line parser reads no block of a regular file, and the
+    # whole-file parser no file that decodes
     text = demo_vectors_path.read_text(encoding="utf-8")
     with open(demo_vectors_path, encoding="utf-8") as fh:
         reference = load_vectors(fh)
+    starts = []
+    parse_lines = similarity._parse_lines
+
+    def line_parser(lines, lineno, index, dim):
+        starts.append(lineno)
+        return parse_lines(lines, lineno, index, dim)
+
+    def whole_file_parser(source):
+        raise AssertionError("whole-file parser reached")
+
+    monkeypatch.setattr(similarity, "_parse_lines", line_parser)
+    monkeypatch.setattr(similarity, "load_vectors", whole_file_parser)
+    table = load_vectors_path(demo_vectors_path)
+    assert isinstance(table, VectorIndex) and table.dim == 50
     tokens = list(reference.index)
     expected = load_outcome(lambda: reference, tokens)
     assert load_outcome(lambda: table, tokens) == expected
@@ -247,10 +291,15 @@ def test_regular_file_skips_line_parser(monkeypatch, tmp_path, demo_vectors_path
         got = load_vectors_path(path)
         assert isinstance(got, VectorIndex), name
         assert load_outcome(lambda: got, tokens) == expected, name
+    assert starts == []
+    # a tab in row 1: its block, the whole file here, is read per line
     tabbed = tmp_path / "tabbed.txt"
     tabbed.write_text(text.replace(" ", "\t", 1), encoding="utf-8")
-    with pytest.raises(AssertionError, match="per-line parser reached"):
-        load_vectors_path(tabbed)
+    got = load_vectors_path(tabbed)
+    assert isinstance(got, VectorIndex) and starts == [1]
+    # and so is the batch of read-back lines that holds the tab
+    assert load_outcome(lambda: got, tokens) == expected
+    assert starts == [1, 2]
 
 
 # (file bytes, read in blocks of 2 lines; None for a successful load, or
@@ -264,6 +313,9 @@ BLOCK_CASES = {
     "blank-block": (b"cat 1 2\ndog 3 4\n\n\nfox 5 6\n", None),
     "header-and-one-block": (b"2 2\ncat 1 2\ndog 3 4\n", None),
     "tab-in-block-2": (b"cat 1 2\ndog 3 4\nfox\t5 6\n", None),
+    "refused-block-then-regular-ones": (
+        b"cat 1 2\ndog 3 4\nemu\t5 6\nfox 7 8\nyak 9 1\newe 2 3\nCOW 4 5\n", None
+    ),
 }
 
 
@@ -313,14 +365,18 @@ def test_refused_block_is_parsed_per_line_from_its_first_line(monkeypatch, tmp_p
     path.write_bytes(b"4 2\ncat 1 2\ndog 3 4\n\nemu 5 6\nDOG nan 8\n")
     with pytest.raises(DuplicateToken, match="^line 6: token 'dog' seen before$"):
         load_vectors_path(path)
-    assert starts == [(6, [], 2), (6, ["cat", "dog", "emu"], 2)]
-    # a block the per-line parser accepts: the whole file is parsed again
+    assert starts == [(6, [], 2), (6, ["dog"], 2)]
+    # a block the per-line parser accepts: the pass goes on to the next
     starts.clear()
-    path.write_bytes(b"cat 1 2\ndog 3 4\nemu 5\t6\nfox 7 8\n")
+    content = b"cat 1 2\ndog 3 4\nemu 5\t6\nfox 7 8\nyak 9 1\n"
+    path.write_bytes(content)
     table = load_vectors_path(path)
-    assert starts == [(3, [], 2), (1, [], None)]
-    assert isinstance(table, EmbeddingTable)
-    assert list(table.index) == ["cat", "dog", "emu", "fox"]
+    assert starts == [(3, [], 2)]
+    assert isinstance(table, VectorIndex)
+    tokens = ["cat", "dog", "emu", "fox", "yak"]
+    got = load_outcome(lambda: table, tokens)
+    assert got == load_outcome(lambda: load_vectors(content.decode()), tokens)
+    assert got[2] == tokens
     # a token twice in one block is found there, before the rest is read
     starts.clear()
     path.write_bytes(b"cat 1 2\ndog 3 4\nemu 5 6\nEMU 7 8\nfox 9 1\n")
@@ -360,17 +416,21 @@ COLLIDING_FILE = b"cat 1 2\ndog 3 4\nemu 5 6\nfox 7 8\nyak 9 1\n"
 
 
 @pytest.mark.parametrize("pairs", [{"dog": "cat"}, {"yak": "cat"}], ids=["in-block", "two-blocks"])
-def test_file_tokens_with_one_hash_load_per_line(monkeypatch, tmp_path, pairs):
+def test_file_tokens_with_one_hash_both_read_back(monkeypatch, tmp_path, pairs):
     monkeypatch.setattr(similarity, "BLOCK_LINES", 2)
     monkeypatch.setattr(similarity, "_token_hash", colliding(pairs))
     path = tmp_path / "vectors.txt"
     path.write_bytes(COLLIDING_FILE)
     table = load_vectors_path(path)
-    assert isinstance(table, EmbeddingTable)
+    assert isinstance(table, VectorIndex)
     tokens = file_tokens(COLLIDING_FILE.decode())
     assert load_outcome(lambda: table, tokens) == load_outcome(
         lambda: load_vectors(COLLIDING_FILE.decode()), tokens
     )
+    # a token is read back alone, though its row is read with the other's
+    (token, other), = pairs.items()
+    for wanted in ([token], [other], [token, other]):
+        assert sorted(table.select(wanted).index) == sorted(wanted)
 
 
 def test_token_whose_hash_meets_a_file_token_is_absent(monkeypatch, tmp_path):
@@ -455,6 +515,20 @@ def test_file_edited_after_load_fails_its_read_back(tmp_path, demo_vectors_path)
     path.write_text(lines[0] + "\n", encoding="utf-8")
     with pytest.raises(VectorFileChanged):
         table.select([tokens[1]])
+
+
+def test_changed_row_is_named(tmp_path, demo_vectors_path):
+    # the first row whose check value differs, not the first of its batch
+    path = tmp_path / "vectors.txt"
+    shutil.copy(demo_vectors_path, path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    tokens = [line.split(" ")[0] for line in lines if line]
+    table = load_vectors_path(path)
+    token, rest = lines[5].split(" ", 1)
+    digit = next(c for c in rest if c.isdigit())
+    edit_in_place(path, lines[5], f"{token} {rest.replace(digit, '7' if digit != '7' else '3', 1)}")
+    with pytest.raises(VectorFileChanged, match="rows from 5 on differ"):
+        table.select(tokens)
 
 
 def test_unreadable_file_fails_its_read_back(tmp_path, demo_vectors_path):
