@@ -615,9 +615,7 @@ def load_run(out_dir: str | Path) -> EvalRun:
         counts = (_count(manifest, "cells"), _count(manifest, "questions"))
     with _reading(out / "run.json") as path:
         doc = _object(loads_json(path.read_text(encoding="utf-8")), "the file")
-        # run files written before rng_algorithm was recorded lack it
-        doc = {"rng_algorithm": RunInfo.rng_algorithm, **_object(doc["info"], "'info'")}
-        info = RunInfo(**_checked(doc, _INFO_TYPES))
+        info = RunInfo(**_checked(_object(doc["info"], "'info'"), _INFO_TYPES))
         if not 0.0 <= info.threshold <= 1.0:
             raise TypeError(f"'threshold' must be in [0, 1], got {info.threshold!r}")
     cells: list[PromptContextResult] = []

@@ -102,7 +102,7 @@ class RunInfo:
     sample_size: int
     backend: dict
     vector_digest: str
-    rng_algorithm: str = ""
+    rng_algorithm: str
 
 
 @dataclass

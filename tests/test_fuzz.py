@@ -13,7 +13,11 @@ file, written once with \\n and once with \\r\\n line ends, and the
 path loader, the line parser on the open file and the line parser on the
 text must give the same table or the same error, read in blocks of a
 seeded size, and a seeded subset of the tokens of a file that loads must
-read back the per-line parser's rows. The dataset parser and
+read back the per-line parser's rows. A longer mutated file, spanning
+several 8 KiB decode chunks, with a byte sequence UTF-8 does not decode
+spliced in, must fail in the path loader as the per-line parser fails on
+the lines a text-mode read yields before that byte, or else with
+BadEncoding and the codec's reason. The dataset parser and
 the config loader, given demos/data/mini_squad.json or a valid config
 with 1 to 3 mutations (a value replaced, a key dropped or added, a list
 item dropped or appended) or a document nested too deep to decode, may
@@ -32,12 +36,13 @@ from __future__ import annotations
 import json
 import random
 import shutil
+from collections import Counter
 from pathlib import Path
 
 from qgen import similarity
 from qgen.cli import main
 from qgen.corpus import Answer, BaselineQuestion, ContextRecord, parse_squad, reverse_dataset
-from qgen.errors import NoQuestionsFound, QgenError
+from qgen.errors import BadEncoding, NoQuestionsFound, QgenError
 from qgen.pipeline import RunConfig, load_config
 from qgen.promptgen import parse_questions
 from qgen.similarity import load_vectors, load_vectors_path
@@ -229,6 +234,58 @@ def test_vector_readers_agree_on_mutated_files(tmp_path, monkeypatch):
     assert disagreements == []
     # the count pins the mutations, so the select check cannot go vacuous
     assert selects == 1366
+
+
+UNDECODABLE_SEEDS = range(300)
+# 2,000 rows of 27 bytes, 6.6 decode chunks of 8 KiB; a file takes the
+# first 800 (2.6 chunks) or more
+LONG_FILE = [f"tok{i:05} {i % 7}.25 -{i % 5}.5 0.{i:05}" for i in range(2000)]
+# UTF-8 that does not decode: a byte no character starts with, a lone
+# continuation byte, and a 2-byte and a 3-byte character cut short
+BAD_BYTES = (b"\xff", b"\x80", b"\xc3", b"\xe2\x82")
+
+
+def decoded_lines(path: Path) -> tuple[list[str], UnicodeDecodeError | None]:
+    """The lines a strict text-mode iteration of path yields, and the error
+    that ends it, if one does."""
+    lines: list[str] = []
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for line in fh:
+                lines.append(line)
+        except UnicodeDecodeError as exc:
+            return lines, exc
+    return lines, None
+
+
+def test_path_loader_stops_at_a_byte_that_does_not_decode(tmp_path, monkeypatch):
+    # the oracle: the per-line parser over the lines text mode yields before
+    # the byte, then BadEncoding if they load; files span several 8 KiB
+    # decode chunks, and the byte may fall in any block of a seeded size
+    path = tmp_path / "vectors.txt"
+    disagreements, outcomes = [], Counter()
+    for seed in UNDECODABLE_SEEDS:
+        rng = random.Random(seed)
+        lines = LONG_FILE[: rng.randint(800, 2000)]
+        for _ in range(rng.randint(1, 3)):
+            lines = mutate_vectors(lines, rng)
+        data = "".join(line + "\n" for line in lines).encode()
+        at = rng.randint(0, len(data))
+        path.write_bytes(data[:at] + rng.choice(BAD_BYTES) + data[at:])
+        monkeypatch.setattr(similarity, "BLOCK_LINES", rng.choice((1, 2, 3, 1024)))
+        decoded, error = decoded_lines(path)
+        expected = load_outcome(lambda: load_vectors(decoded), [])
+        if isinstance(expected[0], int):
+            expected = (BadEncoding, f"vector file is not valid utf-8: {error.reason}")
+        got = load_outcome(lambda: load_vectors_path(path), [])
+        if got != expected:
+            disagreements.append((seed, at, got, expected))
+        outcomes[got[0].__name__] += 1
+    assert disagreements == []
+    # the counts pin the files, so no outcome class can go vacuous
+    assert outcomes == {
+        "BadEncoding": 204, "BadFloat": 20, "DimensionMismatch": 51, "DuplicateToken": 25
+    }
 
 
 # -- dataset and config ------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 from qgen import similarity
 from qgen.cli import main
 from qgen.corpus import ContextRecord, load_squad
+from qgen.errors import SchemaError
 from qgen.pipeline import RunConfig, load_run, run_pipeline
 from qgen.scoring import ScoreRecord
 from qgen.similarity import VectorIndex, load_vectors, tokenize
@@ -139,15 +140,14 @@ def test_scores_line_keys_are_score_record_fields():
 
 
 def test_load_run_without_rng_algorithm(tmp_path):
-    # run files written before rng_algorithm was recorded load with ""
+    # every run file records rng_algorithm, so one without it is malformed
     run_dir = tmp_path / "old_run"
     shutil.copytree(GOLDEN, run_dir)
     doc = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
     del doc["info"]["rng_algorithm"]
     (run_dir / "run.json").write_text(json.dumps(doc), encoding="utf-8")
-    run = load_run(run_dir)
-    assert run.info.rng_algorithm == ""
-    assert run.info.seed == 7
+    with pytest.raises(SchemaError, match="run.json: missing or malformed field: 'rng_algorithm'$"):
+        load_run(run_dir)
 
 
 def score_line(**fields) -> str:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import shutil
 import sys
 import tracemalloc
@@ -115,29 +116,36 @@ def test_path_load_keeps_under_48_bytes_a_row(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "last, end", [("W0 1.5 -1\n", "\n"), ("", " \n")], ids=["duplicate-last-row", "trailing-space"]
+    "last, end, error",
+    [
+        (b"W0 1.5 -1\n", "\n", "line 20001: token 'w0' seen before"),
+        (b"", " \n", None),
+        (b"w 1.5 \xff1\n", "\n", "vector file is not valid utf-8: invalid start byte"),
+    ],
+    ids=["duplicate-last-row", "trailing-space", "bad-byte-last-row"],
 )
-def test_path_load_peaks_under_64_bytes_a_row(tmp_path, last, end):
+def test_path_load_peaks_under_64_bytes_a_row(tmp_path, last, end, error):
     # a token repeated in the last row is named by a pass that keeps only
-    # the tokens whose hash repeats, and a block loadtxt refuses is parsed
-    # per line where it stands; each once held a token -> row dict of
-    # every row, about 146 and 124 bytes a row here
+    # the tokens whose hash repeats, a block loadtxt refuses is parsed per
+    # line where it stands, and a byte that does not decode ends the pass;
+    # each once held a token -> row dict of every row, about 146, 124 and
+    # 139 bytes a row here
     rows = 20_000
     path = tmp_path / "vectors.txt"
-    text = "".join(f"w{i} {i % 7}.5 -1{end}" for i in range(rows)) + last
-    path.write_text(text, encoding="utf-8")
+    text = "".join(f"w{i} {i % 7}.5 -1{end}" for i in range(rows))
+    path.write_bytes(text.encode() + last)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         try:
             table = load_vectors_path(path)
-        except DuplicateToken as exc:
+        except QgenError as exc:
             table = exc
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    if last:
-        assert str(table) == f"line {rows + 1}: token 'w0' seen before"
+    if error:
+        assert str(table) == error
     else:
         assert isinstance(table, VectorIndex) and len(table) == rows
     assert peak < 64 * rows, peak / rows
@@ -256,7 +264,7 @@ def test_non_utf8_vector_file_is_bad_encoding(tmp_path, mini_squad_path):
 
 def test_regular_file_skips_line_parser(monkeypatch, tmp_path, demo_vectors_path):
     # the per-line parser reads no block of a regular file, and the
-    # whole-file parser no file that decodes
+    # whole-file parser no file, even one that does not decode
     text = demo_vectors_path.read_text(encoding="utf-8")
     with open(demo_vectors_path, encoding="utf-8") as fh:
         reference = load_vectors(fh)
@@ -284,6 +292,8 @@ def test_regular_file_skips_line_parser(monkeypatch, tmp_path, demo_vectors_path
         "crlf": text.replace("\n", "\r\n"),
         "blank-line": f"{first}\n\n{rest}",
         "no-final-newline": text.rstrip("\n"),
+        # fastText's .vec layout
+        "trailing-space": text.replace("\n", " \n"),
     }
     for name, variant in variants.items():
         path = tmp_path / f"{name}.txt"
@@ -291,6 +301,11 @@ def test_regular_file_skips_line_parser(monkeypatch, tmp_path, demo_vectors_path
         got = load_vectors_path(path)
         assert isinstance(got, VectorIndex), name
         assert load_outcome(lambda: got, tokens) == expected, name
+    # a byte that does not decode in the last row ends the one pass
+    broken = tmp_path / "broken.txt"
+    broken.write_bytes(text.encode()[:-2] + b"\xff\n")
+    with pytest.raises(BadEncoding, match="^vector file is not valid utf-8: invalid start byte$"):
+        load_vectors_path(broken)
     assert starts == []
     # a tab in row 1: its block, the whole file here, is read per line
     tabbed = tmp_path / "tabbed.txt"
@@ -431,6 +446,12 @@ def test_file_tokens_with_one_hash_both_read_back(monkeypatch, tmp_path, pairs):
     (token, other), = pairs.items()
     for wanted in ([token], [other], [token, other]):
         assert sorted(table.select(wanted).index) == sorted(wanted)
+    # a byte that does not decode past the first 8 KiB chunk: the tokens of
+    # the repeated hash are read again only up to the lines the pass read
+    filler = "".join(f"w{i} 1 2\n" for i in range(1000)).encode()
+    path.write_bytes(COLLIDING_FILE + filler + b"\xff")
+    with pytest.raises(BadEncoding, match="^vector file is not valid utf-8: invalid start byte$"):
+        load_vectors_path(path)
 
 
 def test_token_whose_hash_meets_a_file_token_is_absent(monkeypatch, tmp_path):
@@ -529,6 +550,26 @@ def test_changed_row_is_named(tmp_path, demo_vectors_path):
     edit_in_place(path, lines[5], f"{token} {rest.replace(digit, '7' if digit != '7' else '3', 1)}")
     with pytest.raises(VectorFileChanged, match="rows from 5 on differ"):
         table.select(tokens)
+
+
+@pytest.mark.parametrize(
+    "blank, error", [("nan", BadFloat), ("", DimensionMismatch)], ids=["nan", "lost-component"]
+)
+def test_batch_that_no_longer_parses_fails_its_read_back(tmp_path, demo_vectors_path, blank, error):
+    # row 1 edited in place to hold a nan, or to lose a component: its
+    # batch goes to the per-line parser, whose error the failure carries
+    path = tmp_path / "vectors.txt"
+    shutil.copy(demo_vectors_path, path)
+    row0, row1 = path.read_text(encoding="utf-8").split("\n")[:2]
+    token, first, rest = row1.split(" ", 2)
+    table = load_vectors_path(path)
+    edit_in_place(path, row1, f"{token} {blank.ljust(len(first))} {rest}")
+    with pytest.raises(VectorFileChanged, match=f"^{re.escape(str(path))}: rows from 1 on") as err:
+        table.select([token])
+    assert type(err.value.__cause__) is error
+    # a row read back alone, in a batch of its own, still parses
+    other = row0.split(" ")[0]
+    assert list(table.select([other]).index) == [other]
 
 
 def test_unreadable_file_fails_its_read_back(tmp_path, demo_vectors_path):
