@@ -17,9 +17,7 @@ import json
 import re
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -145,20 +143,12 @@ class MockBackend:
 
 # -- HTTP backends -----------------------------------------------------------
 
-class _NoRedirect(urllib.request.HTTPRedirectHandler):
-    # following a 301/302/303 would resend the bearer token to any host as
-    # a GET without the prompt; every 3xx comes back as an HTTPError instead
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        return None
-
-
-_OPENER = urllib.request.build_opener(_NoRedirect)
-
-
 class HttpBackend:
     """Minimal wire contract: POST {prompt, temperature, max_tokens} -> {text}.
 
-    Only http and https URLs with a host are accepted. Transport errors
+    Only http(s) URLs with a host and no user info, in printable ASCII,
+    and printable ASCII tokens are accepted. Each attempt connects to that
+    host itself: no proxy is read from the environment. Transport errors
     and 5xx are retried with exponential backoff; any other non-2xx
     answer, a 3xx included, raises BackendRejected at once. Subclasses
     adapt the wire format through ``_payload`` and ``_extract``.
@@ -173,10 +163,21 @@ class HttpBackend:
         backoff_base_s: float = 1.0,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        # urlopen would also read file:, ftp: and data: URLs; no host, no server
-        parts = urllib.parse.urlsplit(url)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ConfigError(f"backend URL must be http(s)://host/..., got {url!r}")
+        # a URL that could never be sent fails here, not after every retry
+        try:
+            parts = urllib.parse.urlsplit(url)
+            port = parts.port  # ValueError unless a number in 0-65535
+        except ValueError:
+            parts, port = urllib.parse.urlsplit(""), None  # refused below
+        sendable = re.fullmatch(r"[!-~]+", url) and "@" not in parts.netloc
+        if parts.scheme not in ("http", "https") or not parts.hostname or not sendable:
+            # the message reaches the log; a password in the URL must not
+            shown = "a URL with '@'" if "@" in url else repr(url)
+            raise ConfigError(
+                f"backend URL must be http(s)://host[:port]/... of printable ASCII, got {shown}"
+            )
+        if token is not None and not re.fullmatch(r"[ -~]*", token):
+            raise ConfigError("backend token must be printable ASCII (no newline)")
         self.url = url
         self.token = token
         self.timeout_s = timeout_s
@@ -184,6 +185,13 @@ class HttpBackend:
         self.backoff_base_s = backoff_base_s
         self.sleep = sleep
         self._local = threading.local()
+        https = parts.scheme == "https"
+        self._conn_class = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        self._address = (parts.hostname, port)
+        self._path = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        self._headers = {"Content-Type": "application/json", "Connection": "close"}
+        if token:
+            self._headers["Authorization"] = f"Bearer {token}"
 
     @property
     def last_retries(self) -> int:
@@ -203,40 +211,33 @@ class HttpBackend:
     def complete(self, request: BackendRequest) -> str:
         """POST the request with bounded retries and return the completion.
 
-        Each attempt opens a new connection. The retries used so far are
-        recorded per thread for ``last_retries``. Exhausted retries raise
-        BackendTimeout for timeouts and BackendUnavailable otherwise.
+        Each attempt opens a new connection, closed after it. The retries
+        used so far are recorded per thread for ``last_retries``. Exhausted
+        retries raise BackendTimeout for timeouts and BackendUnavailable otherwise.
         """
         data = json.dumps(self._payload(request), allow_nan=False).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
-        req = urllib.request.Request(self.url, data, headers, method="POST")
         last_exc: Exception | None = None
         for attempt in range(self.attempts):
             self._local.retries = attempt
             if attempt > 0:
                 self.sleep(self.backoff_base_s * (2 ** (attempt - 1)))
+            conn = self._conn_class(*self._address, timeout=self.timeout_s)
             try:
-                try:
-                    resp = _OPENER.open(req, timeout=self.timeout_s)
-                except urllib.error.HTTPError as exc:
-                    resp = exc  # a non-2xx answer, still a response with a body
-                with resp:
-                    status, body = resp.status, resp.read()
+                conn.request("POST", self._path, data, self._headers)
+                resp = conn.getresponse()
+                status, body = resp.status, resp.read()
             except (OSError, http.client.HTTPException) as exc:
                 last_exc = exc
                 continue
+            finally:
+                conn.close()
             if status >= 500:
                 last_exc = BackendUnavailable(f"HTTP {status}")
                 continue
             if status >= 300:
                 raise BackendRejected(f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}")
             return self._extract(body)
-        # urllib wraps a connect timeout in URLError, not a read timeout
-        if isinstance(last_exc, TimeoutError) or isinstance(
-            getattr(last_exc, "reason", None), TimeoutError
-        ):
+        if isinstance(last_exc, TimeoutError):
             raise BackendTimeout(
                 f"no answer from {self.url} within {self.timeout_s}s "
                 f"after {self.attempts} attempts"

@@ -64,9 +64,9 @@ def frequent_words(
 ) -> tuple[tuple[str, int], ...]:
     """Top-k (token, count) pairs of all questions, stopwords and empties removed.
 
-    Ordered by count descending, ties broken lexicographically. Each
-    distinct text is tokenized once and its tokens counted as often as the
-    text occurs.
+    Ordered by count descending, ties broken lexicographically; empty when
+    no token survives. Each distinct text is tokenized once and its tokens
+    counted as often as the text occurs.
     """
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
@@ -76,8 +76,6 @@ def frequent_words(
             if tok in stopwords:
                 continue
             counts[tok] = counts.get(tok, 0) + times
-    if not counts:
-        raise EmptyInput("no tokens survive stopword filtering")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return tuple(ranked[:top_k])
 

@@ -368,6 +368,29 @@ def test_shortfall_run_end_to_end(tmp_path, mini_squad_path, demo_vectors_path):
     assert (out / "report.md").read_bytes() == report
 
 
+class StopwordsBackend(MockBackend):
+    """Answers every call with questions made of stopwords only."""
+
+    def complete(self, request):
+        return "1. What is it?\n2. Who was he?"
+
+
+def test_run_whose_questions_are_all_stopwords_completes(config_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "make_backend", lambda cfg: StopwordsBackend())
+    cfg = load_config(config_path, env={})
+    run = run_pipeline(cfg)
+    out = Path(cfg.out)
+    assert json.loads((out / "manifest.json").read_text())["status"] == "complete"
+    assert (out / "fig2_keywords.csv").read_text() == "token,count\n"
+    assert load_run(out) == run
+    names = [name for name in pipeline._COMPLETE_RUN_ONLY if name.startswith(("fig", "report"))]
+    originals = {name: (out / name).read_bytes() for name in names}
+    for name in names:
+        (out / name).unlink()
+    assert main(["report", "--run", str(out)]) == 0
+    assert {name: (out / name).read_bytes() for name in names} == originals
+
+
 def test_line_separator_in_baseline_id_round_trips(
     tmp_path, mini_squad_path, demo_vectors_path
 ):
@@ -1049,6 +1072,28 @@ def test_cli_exit_config_error_before_reading_input(
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     assert (tmp_path / "file").read_bytes() == b"kept"
+
+
+@pytest.mark.parametrize(
+    "token, netloc",
+    [("SECRET\n", "{host}"), (None, "user:SECRET@{host}"), (None, "user:SECRET@{host}:x")],
+    ids=["token-with-newline", "password-in-url", "password-and-bad-port"],
+)
+def test_cli_unsendable_secret_is_config_error_never_echoed(
+    tmp_path, mini_squad_path, demo_vectors_path, capsys, monkeypatch, token, netloc
+):
+    if token is not None:
+        monkeypatch.setenv(ENV_TOKEN, token)
+    with scripted_server([]) as (url, state):
+        host = url.split("/")[2]
+        url = url.replace(host, netloc.format(host=host))
+        path = http_config(tmp_path, mini_squad_path, demo_vectors_path, url)
+        assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "backend" in err and "SECRET" not in err
+    # refused before the output directory is made, so no file holds it
+    assert not (tmp_path / "out").exists()
+    assert state["captured"] == []
 
 
 def test_cli_exit_config_error_on_empty_out_flag(

@@ -83,9 +83,9 @@ def test_frequent_words_example():
     assert kw == (("cat", 2), ("dog", 1))
 
 
-def test_frequent_words_all_stopwords_raises():
-    with pytest.raises(EmptyInput):
-        frequent_words(["the the", "a an"], {"the", "a", "an"}, top_k=5)
+def test_frequent_words_all_stopwords_is_empty():
+    assert frequent_words(["the the", "a an"], {"the", "a", "an"}, top_k=5) == ()
+    assert frequent_words([], {"the"}, top_k=5) == ()
 
 
 def test_frequent_words_permutation_invariant():
@@ -133,8 +133,6 @@ def test_frequent_words_repeated_texts_match_per_question_count():
     rng = random.Random(11)
     for _ in range(50):
         questions = [rng.choice(pool) for _ in range(rng.randint(1, 40))]
-        if not per_question_counts(questions, stop, 1):
-            continue
         for top_k in (1, 3, 100):
             assert frequent_words(questions, stop, top_k) == per_question_counts(
                 questions, stop, top_k
