@@ -68,6 +68,7 @@ from .scoring import (
     RunInfo,
     ScoreRecord,
     assemble_run,
+    context_cosines,
     count_matches,
     prompt_max,
     score_cell,

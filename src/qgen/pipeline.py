@@ -61,6 +61,7 @@ from .scoring import (
     RunInfo,
     ScoreRecord,
     assemble_run,
+    context_cosines,
     score_cell,
 )
 from .similarity import load_vectors_path, vocabulary
@@ -279,7 +280,9 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
     once the calls are done, at stage "score", the rows of the tokens of
     the sampled baselines and the returned questions are read back from
     it, and a file edited since the load fails the run there with
-    VectorFileChanged. The jobs, and so every output, are in
+    VectorFileChanged. Each context whose calls returned any question
+    list gets one context_cosines map, over those lists, which scores all
+    its cells. The jobs, and so every output, are in
     (context_id, prompt_id) order, and every artifact is written line by
     line, never held whole in memory.
 
@@ -398,16 +401,16 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
         table = table.select(vocabulary(chain(baselines, questions)))
         # every question list that came back is scored, in job order, before
         # the first failed job's error is raised; a context's cells share
-        # one dict of sentence vectors, dropped when the next context starts
-        for _, context_jobs in groupby(zip(jobs, slots), key=lambda js: js[0][0].context_id):
-            vectors: dict = {}
-            for (record, pid), questions in context_jobs:
-                if isinstance(questions, list):
-                    cells.append(
-                        score_cell(
-                            record.context_id, pid, questions, record.baselines, table, vectors
-                        )
-                    )
+        # one map of cosines, taken over the lists of the context that came
+        # back and dropped when the next context starts
+        for record, context_jobs in groupby(zip(jobs, slots), key=lambda js: js[0][0]):
+            returned = [(pid, qs) for (_, pid), qs in context_jobs if isinstance(qs, list)]
+            if returned:
+                cosines = context_cosines(record.baselines, [qs for _, qs in returned], table)
+            for pid, questions in returned:
+                cells.append(
+                    score_cell(record.context_id, pid, questions, record.baselines, table, cosines)
+                )
         stage = "generate"
         for slot in slots:
             if isinstance(slot, BaseException):

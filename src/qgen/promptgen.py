@@ -15,6 +15,7 @@ import hashlib
 import http.client
 import json
 import re
+import ssl
 import threading
 import time
 import urllib.parse
@@ -149,9 +150,10 @@ class HttpBackend:
     Only http(s) URLs with a host and no user info, in printable ASCII,
     and printable ASCII tokens are accepted. Each attempt connects to that
     host itself: no proxy is read from the environment. Transport errors
-    and 5xx are retried with exponential backoff; any other non-2xx
-    answer, a 3xx included, raises BackendRejected at once. Subclasses
-    adapt the wire format through ``_payload`` and ``_extract``.
+    and 5xx are retried with exponential backoff, except a certificate
+    that fails verification, which raises BackendUnavailable at once; any
+    other non-2xx answer, a 3xx included, raises BackendRejected at once.
+    Subclasses adapt the wire format through ``_payload`` and ``_extract``.
     """
 
     def __init__(
@@ -226,6 +228,11 @@ class HttpBackend:
                 conn.request("POST", self._path, data, self._headers)
                 resp = conn.getresponse()
                 status, body = resp.status, resp.read()
+            except ssl.SSLCertVerificationError as exc:
+                # the same certificate fails every attempt
+                raise BackendUnavailable(
+                    f"{self.url} unavailable, its certificate failed verification: {exc}"
+                ) from exc
             except (OSError, http.client.HTTPException) as exc:
                 last_exc = exc
                 continue

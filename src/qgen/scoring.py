@@ -1,12 +1,10 @@
 """Similarity scoring of generated questions against baselines.
 
-A (context, prompt) cell is scored by one function, :func:`score_cell`.
-It takes the sentence vector of each baseline question of the context
-and of each generated question from a dict keyed by the text, building
-only those not in it, then compares every question with every baseline.
-The cells of one context share that dict, so each distinct sentence of a
-context is built and normed once, however many prompts it has. The
-maximum of a question's cosine similarities is the
+A (context, prompt) cell is scored by one function, :func:`score_cell`,
+from the cosines :func:`context_cosines` takes for the whole context: it
+pools each distinct sentence of the context once, however many prompts
+it has, and compares every one with every baseline question in one
+stacked product. The maximum of a question's cosine similarities is the
 question's score (``question_max``), and ``prompt_max`` is the maximum
 over the cell's questions. A question "matches" when its question_max
 strictly exceeds the threshold, and per-prompt distributions of
@@ -18,11 +16,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import EmptyInput, EmptyRecords, MissingCell
-from .similarity import EmbeddingTable, SentenceVector, cosine_similarity, sentence_vector
+from .similarity import EmbeddingTable, cosine_similarity, sentence_vector
 
 DEFAULT_THRESHOLD = 0.7
 
@@ -123,44 +122,57 @@ class EvalRun:
     shortfalls: list[dict]
 
 
+def context_cosines(
+    baselines, question_lists: Sequence[Sequence[str]], table: EmbeddingTable
+) -> dict[str, tuple[list[float], bool]]:
+    """Map each distinct text of a context to its cosines and its zero
+    vector flag.
+
+    ``baselines`` is the context's BaselineQuestion sequence, and the
+    texts are their questions and those of ``question_lists``. Each text
+    is pooled once in ``table``, the baselines' first, and one
+    :func:`cosine_similarity` call takes the cosines of every text against
+    every baseline, in baseline order. The flag is set when the text's
+    vector or any baseline's had no in-vocabulary tokens; those
+    comparisons are 0.0.
+    """
+    texts = dict.fromkeys(chain((b.question for b in baselines), *question_lists))
+    vectors = {text: sentence_vector(text, table) for text in texts}
+    bvecs = [vectors[b.question] for b in baselines]
+    any_zero_baseline = any(bvec.is_zero for bvec in bvecs)
+    rows = cosine_similarity(list(vectors.values()), bvecs)
+    return {
+        text: (row, vec.is_zero or any_zero_baseline)
+        for (text, vec), row in zip(vectors.items(), rows)
+    }
+
+
 def score_cell(
     context_id: int,
     prompt_id: str,
     questions: list[str],
     baselines,
     table: EmbeddingTable,
-    vectors: dict[str, SentenceVector] | None = None,
+    cosines: dict[str, tuple[list[float], bool]] | None = None,
 ) -> PromptContextResult:
     """Score a cell's question texts against its context's baselines.
 
-    ``baselines`` is the context's BaselineQuestion sequence. ``vectors``
-    maps a text to its sentence vector in ``table``: each baseline's and
-    each question's vector is looked up there, and built and added only
-    when it is missing, so one dict passed to all the cells of a context
-    builds each distinct sentence once. None means a fresh dict. A
-    question's ``per_baseline`` holds its cosines in baseline order and
-    its ``question_max`` is their maximum. The zero vector flag is set when
-    the question's vector or any baseline's had no in-vocabulary tokens;
-    those comparisons contribute 0.0.
+    ``baselines`` is the context's BaselineQuestion sequence. ``cosines``
+    is :func:`context_cosines`' map for the context, over lists that hold
+    ``questions``: one map serves all the cells of a context, which pools
+    each distinct sentence once. None means the map of this cell alone.
+    A question's ``per_baseline`` holds its cosines in baseline order, its
+    ``question_max`` is their maximum, and its zero vector flag is the
+    map's.
     """
     if not baselines:
         raise EmptyRecords(f"context {context_id} has no baseline questions")
-    if vectors is None:
-        vectors = {}
-
-    def vector(text: str) -> SentenceVector:
-        vec = vectors.get(text)
-        if vec is None:
-            vec = vectors[text] = sentence_vector(text, table)
-        return vec
-
+    if cosines is None:
+        cosines = context_cosines(baselines, [questions], table)
     ids = [b.id for b in baselines]
-    bvecs = [vector(b.question) for b in baselines]
-    any_zero_baseline = any(bvec.is_zero for bvec in bvecs)
     records = []
     for i, text in enumerate(questions):
-        qvec = vector(text)
-        sims = [cosine_similarity(qvec, bvec) for bvec in bvecs]
+        sims, zero = cosines[text]
         records.append(
             ScoreRecord(
                 context_id=context_id,
@@ -169,7 +181,7 @@ def score_cell(
                 question=text,
                 per_baseline=tuple(zip(ids, sims)),
                 question_max=max(sims),
-                zero_vector_flag=qvec.is_zero or any_zero_baseline,
+                zero_vector_flag=zero,
             )
         )
     return PromptContextResult(

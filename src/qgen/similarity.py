@@ -28,8 +28,11 @@ each row's token hash and check value (of token and components), whose
 the bits they had at load. A row that is missing or whose check value
 differs, and a file that no longer opens or decodes, raise
 :class:`VectorFileChanged`. A ``nan`` or ``inf`` is a :class:`BadFloat`:
-its cosine would be clamped to 1.0 and score as a match. A byte-order
-mark is a :class:`BadEncoding`: it would hide the first token.
+its cosine would be clamped to 1.0 and score as a match. So is a
+component of magnitude :data:`COMPONENT_BOUND` or more, whose dot
+products could overflow and score as a match whatever their direction.
+A byte-order mark is a :class:`BadEncoding`: it would hide the first
+token.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, filterfalse, islice
-from typing import IO, Collection, Iterable, Mapping
+from typing import IO, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -54,6 +57,12 @@ from .errors import VectorFileChanged
 # at 50d) are all a load or a read-back holds of the file at once; the load
 # keeps the index, 24 bytes a row (9.6 MB at 400k rows)
 BLOCK_LINES = 1024
+
+# a component's magnitude is below this, so the row sum of a sentence of
+# fewer than 10**158 tokens, and a norm or dot product of vectors of fewer
+# than 10**8 components (at most d * 1e300 before its square root), is
+# finite; a component at or above it is a BadFloat
+COMPONENT_BOUND = 1e150
 
 # a token's 64-bit hash, salted per process: no byte or error may depend on it
 _token_hash = hash
@@ -248,6 +257,8 @@ def _parse_lines(
             raise BadFloat(f"line {lineno}: {exc}") from exc
         if not all(map(math.isfinite, row)):
             raise BadFloat(f"line {lineno}: non-finite vector component")
+        if max(map(abs, row)) >= COMPONENT_BOUND:
+            raise BadFloat(f"line {lineno}: vector component too large")
         values.extend(row)
     return values, dim
 
@@ -309,12 +320,13 @@ def _parse_rows(lines: list[str], lineno: int, dim: int | None, index: dict[str,
         else:
             tokens, vectors = got["token"].tolist(), got["vector"]
             # a token that holds whitespace str.split() knows is not printable, lowered
-            # or not; min and max find a nan or inf with no temporary
+            # or not; min and max find a nan, an inf or a component too large with no
+            # temporary, as a nan fails both comparisons
             if (
                 len(set(tokens)) == len(tokens)
                 and all(map(str.isprintable, tokens))
-                and math.isfinite(vectors.min())
-                and math.isfinite(vectors.max())
+                and -COMPONENT_BOUND < vectors.min()
+                and vectors.max() < COMPONENT_BOUND
             ):
                 return tokens, vectors
     values, dim = _parse_lines(lines, lineno, index, dim)
@@ -433,19 +445,45 @@ def sentence_vector(sentence: str | list[str], table: EmbeddingTable) -> Sentenc
     return SentenceVector(values=acc, covered=len(rows), total=len(tokens))
 
 
-def cosine_similarity(a: SentenceVector, b: SentenceVector) -> float:
-    """Cosine of two sentence vectors, clamped to [-1, 1].
+def cosine_similarity(
+    a: SentenceVector | Sequence[SentenceVector], b: SentenceVector | Sequence[SentenceVector]
+) -> float | list[list[float]]:
+    """Cosines of sentence vectors, clamped to [-1, 1]: a float for two
+    SentenceVectors; for two sequences, for each vector of a the list of
+    its cosines against every vector of b.
 
-    Returns 0.0 when either vector has zero norm, so fully-OOV sentences
-    score as non-matches instead of aborting a run.
+    The values are stacked, the norms taken as one row·row reduction and
+    the dot products as row·column ``np.matmul`` products of stacks shaped
+    ``(n, 1, 1, d) @ (1, m, d, 1)``, each of which numpy hands to the
+    BLAS dot kernel, so a cosine has the bits of ``np.dot(va, vb) /
+    (norm_a * norm_b)`` with the norms of ``np.linalg.norm``; a matrix
+    product (``A @ B.T``) sums in another order. The cosine is 0.0 where
+    either vector has zero norm, so fully-OOV sentences score as
+    non-matches instead of aborting a run.
     """
-    va, vb = a.values, b.values
-    if va.shape[0] != vb.shape[0]:
-        raise DimensionMismatch(
-            f"sentence vectors have dims {va.shape[0]} and {vb.shape[0]}"
-        )
-    norm_a, norm_b = a.norm, b.norm
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    value = float(np.dot(va, vb)) / (norm_a * norm_b)
-    return max(-1.0, min(1.0, value))
+    if isinstance(a, SentenceVector) and isinstance(b, SentenceVector):
+        return cosine_similarity([a], [b])[0][0]
+    if not (len(a) and len(b)):
+        return [[] for _ in a]
+    va, vb = _stack(a), _stack(b)
+    if va.shape[1] != vb.shape[1]:
+        raise DimensionMismatch(f"sentence vectors have dims {va.shape[1]} and {vb.shape[1]}")
+    norm_a, norm_b = _row_norms(va), _row_norms(vb)
+    dots = np.matmul(va[:, None, None, :], vb[None, :, :, None])[..., 0, 0]
+    zero = (norm_a == 0.0)[:, None] | (norm_b == 0.0)[None, :]
+    cos = np.divide(dots, np.outer(norm_a, norm_b), out=np.zeros_like(dots), where=~zero)
+    # fmin and fmax take 1.0 over a nan, as max(-1.0, min(1.0, nan)) does
+    return np.fmax(-1.0, np.fmin(1.0, cos)).tolist()
+
+
+def _stack(vectors: Sequence[SentenceVector]) -> np.ndarray:
+    """The values of vectors as the rows of one array."""
+    try:
+        return np.stack([v.values for v in vectors])
+    except ValueError as exc:
+        raise DimensionMismatch(f"sentence vectors differ in dimension: {exc}") from None
+
+
+def _row_norms(stack: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row, with SentenceVector.norm's bits."""
+    return np.sqrt(np.matmul(stack[:, None, :], stack[:, :, None])[:, 0, 0])

@@ -115,7 +115,8 @@ def test_golden_run_calls_every_traced_name(tmp_path, monkeypatch):
         "question_length_histogram": 1,
         "frequent_words": 1,
         "sentence_vector": 53,
-        "cosine_similarity": 240,
+        # one stacked call per scored context
+        "cosine_similarity": 4,
     }
     assert len(sentences) == 46
     # what bench/child.py reads from a run and from the loaders' results
@@ -166,7 +167,6 @@ def test_traced_call_counts_follow_the_work(
         )
     )
     baselines = {r.context_id: [b.question for b in r.baselines] for r in datasets[0].records}
-    sizes = [(len(baselines[cell.context_id]), len(cell.records)) for cell in run.results]
     # a context's cells share its sentence vectors: one per distinct text
     # among its baselines and its cells' questions
     texts = {cell.context_id: set(baselines[cell.context_id]) for cell in run.results}
@@ -175,5 +175,6 @@ def test_traced_call_counts_follow_the_work(
     expected = {attr: 1 for _, attr, _ in TRACED}
     expected.update(dict.fromkeys(PER_CELL, contexts * len(prompts)))
     expected["sentence_vector"] = sum(map(len, texts.values()))
-    expected["cosine_similarity"] = sum(b * q for b, q in sizes)
+    # one stacked call per context that has a returned cell
+    expected["cosine_similarity"] = len(texts)
     assert dict(calls) == expected

@@ -631,6 +631,53 @@ def test_completion_in_flight_beside_failed_call_is_scored(
     assert len((out / "scores.jsonl").read_text().splitlines()) == 5
 
 
+class FailAtCallBackend(MockBackend):
+    """Its call number ``at``, counting from 1, raises BackendRejected."""
+
+    def __init__(self, at: int) -> None:
+        super().__init__(seed=0)
+        self.at = at
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def complete(self, request):
+        with self.lock:
+            self.calls += 1
+            failing = self.calls == self.at
+        if failing:
+            raise BackendRejected("rejected")
+        return super().complete(request)
+
+
+@pytest.mark.parametrize(
+    "at, lists", [(5, [4]), (7, [4, 2])], ids=["context-without-lists", "context-with-two"]
+)
+def test_cosines_taken_once_per_context_with_a_returned_list(
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, at, lists
+):
+    # one call at a time, so the calls before call ``at`` come back and
+    # none is sent after it; a context none of whose lists came back is
+    # skipped, and the others get one map over the lists that did
+    monkeypatch.setattr(pipeline, "make_backend", lambda cfg: FailAtCallBackend(at))
+    taken = []
+    context_cosines = pipeline.context_cosines
+
+    def spying(baselines, question_lists, table):
+        taken.append((baselines, len(question_lists)))
+        return context_cosines(baselines, question_lists, table)
+
+    monkeypatch.setattr(pipeline, "context_cosines", spying)
+    path = write_config(
+        tmp_path, mini_squad_path, demo_vectors_path, sample_size=3, max_in_flight=1
+    )
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(load_config(path, env={}))
+    assert (err.value.stage, err.value.cells_done) == ("generate", sum(lists))
+    assert [n for _, n in taken] == lists
+    # each map is of another context's baselines
+    assert len({baselines for baselines, _ in taken}) == len(lists)
+
+
 def test_failed_call_counted_in_manifest_totals(
     tmp_path, mini_squad_path, demo_vectors_path, monkeypatch
 ):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from qgen.cli import _exit_code
 from qgen.errors import (
     BackendRejected,
     BackendTimeout,
@@ -334,6 +337,51 @@ def test_http_dropped_connection_retried_then_unavailable():
     assert len(state["captured"]) == 3
     assert sleeps == [1.0, 2.0]
     assert backend.last_retries == 2
+
+
+CERT_REASON = "[SSL: CERTIFICATE_VERIFY_FAILED] certificate verify failed: self-signed certificate"
+
+
+class FailingConnection:
+    """An HTTPSConnection stand-in whose every request raises ``error``,
+    counting the connections made."""
+
+    error: OSError
+    made = 0
+
+    def __init__(self, host, port=None, timeout=None) -> None:
+        type(self).made += 1
+
+    def request(self, method, url, body=None, headers=None) -> None:
+        raise self.error
+
+    def close(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize(
+    "error, attempts, sleeps",
+    [
+        (ssl.SSLCertVerificationError(1, CERT_REASON), 1, []),
+        (ssl.SSLError(1, "[SSL: WRONG_VERSION_NUMBER] wrong version number"), 3, [1.0, 2.0]),
+        (ConnectionResetError(104, "Connection reset by peer"), 3, [1.0, 2.0]),
+    ],
+    ids=["certificate-not-verified", "other-tls-error", "connection-reset"],
+)
+def test_https_certificate_failure_is_not_retried(monkeypatch, error, attempts, sleeps):
+    # no attempt can pass a certificate check that one failed; other
+    # transport errors keep their retries
+    connection = type("Connection", (FailingConnection,), {"error": error})
+    monkeypatch.setattr(http.client, "HTTPSConnection", connection)
+    slept: list[float] = []
+    backend = HttpBackend("https://127.0.0.1:8443/complete", sleep=slept.append)
+    with pytest.raises(BackendUnavailable) as err:
+        backend.complete(REQ)
+    assert (connection.made, slept) == (attempts, sleeps)
+    assert err.value.__cause__ is error
+    if attempts == 1:
+        assert CERT_REASON in str(err.value)
+        assert _exit_code(err.value) == 3
 
 
 @pytest.mark.parametrize(

@@ -47,3 +47,47 @@ def test_package_imports_only_stdlib_and_numpy():
                 if name.partition(".")[0] not in allowed
             ]
     assert foreign == []
+
+
+# numpy names added in 2.0; pyproject.toml declares numpy>=1.24, which no
+# test here runs
+NUMPY_2_NAMES = {
+    "vecdot", "matvec", "vecmat", "unstack", "cumulative_sum", "cumulative_prod",
+    "concat", "permute_dims", "bitwise_count", "isdtype", "astype", "matrix_transpose",
+    "pow", "acos", "asin", "atan", "atan2", "acosh", "asinh", "atanh",
+    "bitwise_left_shift", "bitwise_right_shift", "bitwise_invert",
+}
+
+
+def test_package_uses_no_numpy_2_name():
+    """A numpy-2 function such as np.vecdot fails here, not on numpy 1.x.
+
+    Every attribute reached from a name bound to numpy (``np.vecdot``,
+    ``np.linalg.vecdot``), and every name imported from numpy or one of its
+    modules, counts; an attribute of an array (``a.astype``) does not."""
+    found = []
+    for path in sorted((ROOT / "src" / "qgen").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {"numpy"} | {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name == "numpy"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                names = [node.attr] if isinstance(root, ast.Name) and root.id in aliases else []
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [alias.name for alias in node.names]
+                if node.module.partition(".")[0] != "numpy":
+                    continue
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}: {name}" for name in names if name in NUMPY_2_NAMES
+            ]
+    assert found == []

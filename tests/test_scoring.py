@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
-from qgen import scoring
+from qgen import scoring, similarity
 from qgen.corpus import Answer, BaselineQuestion
 from qgen.errors import EmptyInput, EmptyRecords, MissingCell
 from qgen.scoring import (
@@ -17,12 +18,13 @@ from qgen.scoring import (
     RunInfo,
     ScoreRecord,
     assemble_run,
+    context_cosines,
     count_matches,
     prompt_max,
     score_cell,
     summarize,
 )
-from qgen.similarity import load_vectors, sentence_vector, cosine_similarity
+from qgen.similarity import SentenceVector, cosine_similarity, load_vectors, sentence_vector
 
 WORDS = {
     "what": (0.6, 0.1, 0.2),
@@ -65,6 +67,16 @@ def cell_with_maxes(context_id: int, prompt_id: str, values: list[float]):
         record_with_max(v, context_id, prompt_id, i) for i, v in enumerate(values)
     )
     return PromptContextResult(context_id=context_id, prompt_id=prompt_id, records=records)
+
+
+def reference_cosine(a: SentenceVector, b: SentenceVector) -> float:
+    """The per-pair formula the stacked products replaced: np.dot over
+    np.linalg.norm, 0.0 for a zero norm, clamped in Python."""
+    norm_a, norm_b = float(np.linalg.norm(a.values)), float(np.linalg.norm(b.values))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    value = float(np.dot(a.values, b.values)) / (norm_a * norm_b)
+    return max(-1.0, min(1.0, value))
 
 
 # -- score_cell -----------------------------------------------------------------
@@ -121,10 +133,10 @@ def test_score_cell_matches_brute_force():
         for qtext, rec in zip(questions, cell.records):
             qvec = sentence_vector(qtext, TABLE)
             expected = [
-                cosine_similarity(qvec, sentence_vector(b.question, TABLE))
+                reference_cosine(qvec, sentence_vector(b.question, TABLE))
                 for b in baselines
             ]
-            assert [v for _, v in rec.per_baseline] == expected
+            assert [v.hex() for _, v in rec.per_baseline] == [v.hex() for v in expected]
             assert rec.question_max == max(expected)
 
 
@@ -182,8 +194,9 @@ def record_bits(records) -> list:
 
 
 def test_shared_vectors_score_as_fresh_ones():
-    # a context's cells share one dict in run_pipeline; each cell scored
-    # with its own fresh dict gives the same records, bit for bit
+    # a context's cells share one map of cosines in run_pipeline, taken
+    # over all their question lists; each cell scored with a map of its
+    # own gives the same records, bit for bit
     rng = random.Random(47)
     vocab = [*WORDS, "zz", "what?"]
 
@@ -193,28 +206,90 @@ def test_shared_vectors_score_as_fresh_ones():
     for context_id in range(30):
         baselines = [baseline(f"b{i}", sentence()) for i in range(rng.randint(1, 4))]
         pool = [b.question for b in baselines] + [sentence() for _ in range(3)]
-        vectors: dict = {}
-        texts = {b.question for b in baselines}
-        for pid in "ABCD":
-            questions = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
-            texts.update(questions)
-            shared = score_cell(context_id, pid, questions, baselines, TABLE, vectors)
+        cells = {
+            pid: [rng.choice(pool) for _ in range(rng.randint(0, 5))] for pid in "ABCD"
+        }
+        shared_map = context_cosines(baselines, list(cells.values()), TABLE)
+        for pid, questions in cells.items():
+            shared = score_cell(context_id, pid, questions, baselines, TABLE, shared_map)
             fresh = score_cell(context_id, pid, questions, baselines, TABLE)
             assert shared == fresh
             assert record_bits(shared.records) == record_bits(fresh.records)
-        assert vectors.keys() == texts
+        texts = {b.question for b in baselines}.union(*cells.values())
+        assert shared_map.keys() == texts
+
+
+def cosine_bits(cosines: dict) -> dict:
+    """A context_cosines map with every float as its bits."""
+    return {text: ([v.hex() for v in row], zero) for text, (row, zero) in cosines.items()}
 
 
 def test_vectors_left_from_another_context_score_the_same():
+    # a map is taken per context, so one taken before for another context
+    # that shares texts with this one changes neither this context's map
+    # nor its records
     first = [baseline("b0", "what is the capital"), baseline("b1", "the long river")]
     second = [baseline("c0", "who built the city"), baseline("c1", "what is the capital")]
     questions = ["the long river", "who built the city", "what is the capital zz"]
-    vectors: dict = {}
-    score_cell(1, "A", questions, first, TABLE, vectors)
-    left = score_cell(2, "A", questions, second, TABLE, vectors)
+    left = context_cosines(first, [questions], TABLE)
+    after = context_cosines(second, [questions], TABLE)
+    scored = score_cell(2, "A", questions, second, TABLE, after)
     fresh = score_cell(2, "A", questions, second, TABLE)
-    assert record_bits(left.records) == record_bits(fresh.records)
-    assert set(vectors) == {b.question for b in first + second} | set(questions)
+    assert record_bits(scored.records) == record_bits(fresh.records)
+    assert cosine_bits(after) == cosine_bits(context_cosines(second, [questions], TABLE))
+    # each map holds its own context's texts, against its own baselines
+    assert set(left) == {b.question for b in first} | set(questions)
+    assert set(after) == {b.question for b in second} | set(questions)
+    assert [rec.per_baseline[0][0] for rec in scored.records] == ["c0"] * 3
+
+
+def test_cell_without_questions_has_no_records():
+    baselines = [baseline("b0", "what is the capital")]
+    assert score_cell(4, "B", [], baselines, TABLE).records == ()
+    cosines = context_cosines(baselines, [[], ["the long river"]], TABLE)
+    assert score_cell(4, "B", [], baselines, TABLE, cosines).records == ()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 50])
+def test_stacked_cosines_match_the_per_pair_formula_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    words = [f"w{i}" for i in range(30)]
+    # magnitudes over six decades, so a change in the order of the sums shows
+    rows = rng.normal(size=(len(words), dim)) * 10.0 ** rng.uniform(-3, 3, (len(words), 1))
+    rows[0] = -0.0
+    rows[2] = -rows[1]
+    table = load_vectors(
+        "\n".join(f"{w} " + " ".join(repr(v) for v in row) for w, row in zip(words, rows.tolist()))
+    )
+    vocab = words + ["oov"]
+    sentences = [["oov"], ["w0"], ["w1", "w2"], ["w1"], ["w2"]] + [
+        [vocab[i] for i in rng.integers(0, len(vocab), size=int(rng.integers(1, 8)))]
+        for _ in range(40)
+    ]
+    vectors = [sentence_vector(tokens, table) for tokens in sentences]
+    # a covered sentence whose mean is exactly zero, and -0.0 components
+    assert not vectors[2].is_zero and not vectors[2].values.any()
+    vectors.append(SentenceVector(np.full(dim, -0.0), covered=1, total=1))
+    vectors.append(SentenceVector(np.where(np.arange(dim) % 2, -0.0, 1.5), covered=1, total=1))
+    expected = [[reference_cosine(a, b).hex() for b in vectors] for a in vectors]
+    assert [[cosine_similarity(a, b).hex() for b in vectors] for a in vectors] == expected
+    got = cosine_similarity(vectors, vectors)
+    assert [[v.hex() for v in row] for row in got] == expected
+    some = vectors[7:12]
+    got = cosine_similarity(vectors, some)
+    assert [[v.hex() for v in row] for row in got] == [row[7:12] for row in expected]
+    norms = similarity._row_norms(np.stack([v.values for v in vectors]))
+    assert [v.hex() for v in norms.tolist()] == [v.norm.hex() for v in vectors]
+    # and through a context: per_baseline is the formula's, flag and all
+    baselines = [baseline(f"b{i}", " ".join(tokens)) for i, tokens in enumerate(sentences[:6])]
+    questions = [" ".join(tokens) for tokens in sentences[6:]]
+    cell = score_cell(0, "A", questions, baselines, table)
+    bvecs = [sentence_vector(b.question, table) for b in baselines]
+    for text, rec in zip(questions, cell.records):
+        qvec = sentence_vector(text, table)
+        want = [reference_cosine(qvec, bvec) for bvec in bvecs]
+        assert [v.hex() for _, v in rec.per_baseline] == [v.hex() for v in want]
+        assert rec.zero_vector_flag  # baseline b0 has no known token
 
 
 # -- prompt_max -------------------------------------------------------------------

@@ -201,6 +201,14 @@ LOADER_CASES = {
     "nan-after-header": (b"2 2\ncat 1 2\ndog nan 1\n", (BadFloat, "line 3: non-finite")),
     "nan-after-blank-line": (b"cat 1 2\n\ndog nan 1\n", (BadFloat, "line 3: non-finite")),
     "minus-inf-last-row": (b"cat 1 2\ndog 3 4\nfox -inf 5\n", (BadFloat, "line 3: non-finite")),
+    # a finite component whose dot products overflow would score as a match too
+    "too-large-first-row": (
+        b"big 1e200 1e200\nneg -1e200 -1e200\n", (BadFloat, "line 1: vector component too large")
+    ),
+    "too-large-last-row": (
+        b"cat 1 2\ndog 3 4\nfox 5 -1e150\n", (BadFloat, "line 3: vector component too large")
+    ),
+    "just-under-component-bound": (b"cat 9.999999999999998e+149 -9.999999999999998e149\n", None),
     "non-ascii-tokens": ("caf\u00e9 1 2\n\u0130stanbul 3 4\n".encode(), None),
     "nbsp-token": ("7\u00a01 2\ndog 3\n".encode(), (DimensionMismatch, "line 2")),
     "nel-token": ("7\u00851 2\ndog 3\n".encode(), (DimensionMismatch, "line 2")),
@@ -328,6 +336,14 @@ BLOCK_CASES = {
     "blank-block": (b"cat 1 2\ndog 3 4\n\n\nfox 5 6\n", None),
     "header-and-one-block": (b"2 2\ncat 1 2\ndog 3 4\n", None),
     "tab-in-block-2": (b"cat 1 2\ndog 3 4\nfox\t5 6\n", None),
+    "too-large-in-block-2": (
+        b"cat 1 2\ndog 3 4\nfox 5 6\nemu 1e300 8\n",
+        (BadFloat, "line 4: vector component too large"),
+    ),
+    "too-large-in-refused-block": (
+        b"cat 1 2\ndog 3 4\nfox\t5 6\nemu 7 -1e308\n",
+        (BadFloat, "line 4: vector component too large"),
+    ),
     "refused-block-then-regular-ones": (
         b"cat 1 2\ndog 3 4\nemu\t5 6\nfox 7 8\nyak 9 1\newe 2 3\nCOW 4 5\n", None
     ),
@@ -553,7 +569,9 @@ def test_changed_row_is_named(tmp_path, demo_vectors_path):
 
 
 @pytest.mark.parametrize(
-    "blank, error", [("nan", BadFloat), ("", DimensionMismatch)], ids=["nan", "lost-component"]
+    "blank, error",
+    [("nan", BadFloat), ("", DimensionMismatch), ("1e200", BadFloat)],
+    ids=["nan", "lost-component", "too-large"],
 )
 def test_batch_that_no_longer_parses_fails_its_read_back(tmp_path, demo_vectors_path, blank, error):
     # row 1 edited in place to hold a nan, or to lose a component: its
@@ -807,8 +825,16 @@ def test_cosine_zero_vector_policy():
 def test_cosine_dimension_mismatch():
     a = sentence_vector(["a"], table_of(a=(1.0, 0.0)))
     b = sentence_vector(["b"], table_of(b=(1.0, 0.0, 0.0)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="dims 2 and 3"):
         cosine_similarity(a, b)
+    # and in the sequence form, between the sequences or within one
+    with pytest.raises(DimensionMismatch, match="dims 2 and 3"):
+        cosine_similarity([a, a], [b])
+    for first, second in (([a, b], [a]), ([a], [a, b])):
+        with pytest.raises(DimensionMismatch):
+            cosine_similarity(first, second)
+    assert cosine_similarity([a], []) == [[]]
+    assert cosine_similarity([], [b]) == []
 
 
 def random_vector(rng: random.Random, dim: int) -> tuple[float, ...]:
