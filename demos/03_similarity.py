@@ -3,8 +3,8 @@
 Loads a small deterministic vector file, builds mean-pooled sentence
 vectors, and walks through the properties the scoring layer relies on:
 self-similarity, symmetry, tokenization behavior, out-of-vocabulary
-handling, and the zero-vector policy. The file's vectors are read back
-only for the tokens of the sentences scored here, as a run does.
+handling, and the zero-vector policy. Of the file's vectors, only those
+of the tokens of the sentences scored here are selected, as a run does.
 """
 
 from pathlib import Path
@@ -24,12 +24,13 @@ pairs = [
 MIXED = "Who visited Zanzibar wearing chartreuse snowshoes?"
 UNKNOWN = "zxqv qqvz vqzx"
 
-# Loading checks every row but keeps no token and no vector, only a hash
-# of each token with its row; select reads back from the file the rows
-# of just the tokens the sentences use, into an in-memory table.
+# Loading checks every row but keeps in memory no token and no vector,
+# only a hash of each token with its row, and spools the rows to an
+# unlinked temporary file; select reads from the spool the rows of just
+# the tokens the sentences use, into an in-memory table.
 loaded = load_vectors_path(VECTORS)
 table = loaded.select(vocabulary([text for pair in pairs for text in pair] + [MIXED, UNKNOWN]))
-print(f"loaded {len(loaded)} vectors of dimension {loaded.dim}, read back {len(table)}")
+print(f"loaded {len(loaded)} vectors of dimension {loaded.dim}, selected {len(table)}")
 print()
 
 # Tokenization lowercases, splits on whitespace, and strips edge

@@ -85,11 +85,6 @@ class BadEncoding(QgenError):
     """A vector file is not valid UTF-8 text."""
 
 
-class VectorFileChanged(QgenError):
-    """A vector file read back after its load no longer holds the rows it
-    held then."""
-
-
 # -- promptgen -------------------------------------------------------------
 
 class BackendError(QgenError):

@@ -276,15 +276,20 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
     finish, no thread is left running, and the KeyboardInterrupt passes
     through. A sampled context without baseline questions fails at stage
     "sample", before any call. The vector file is parsed and checked in
-    full at stage "load", before any call, but only its index is kept:
-    once the calls are done, at stage "score", the rows of the tokens of
-    the sampled baselines and the returned questions are read back from
-    it, and a file edited since the load fails the run there with
-    VectorFileChanged. Each context whose calls returned any question
-    list gets one context_cosines map, over those lists, which scores all
-    its cells. The jobs, and so every output, are in
-    (context_id, prompt_id) order, and every artifact is written line by
-    line, never held whole in memory.
+    full at stage "load", before any call, and its rows and tokens are
+    copied to a private spool of unlinked temporary files (rows x dim x 8
+    bytes plus the tokens, in ``tempfile.gettempdir()``; a spool that
+    cannot be written fails the run there). Once the calls are done, at
+    stage "score", the rows of the tokens of the sampled baselines and
+    the returned questions are read from the spool, never from the file
+    again: a file edited, truncated or removed after the load changes no
+    artifact. The recorded digest is that of a read of the file just
+    after the load, so an edit during the load itself goes undetected.
+    Each context whose calls returned any question list gets one
+    context_cosines map, over those lists, which scores all its cells.
+    The jobs, and so every output, are in (context_id, prompt_id) order,
+    and every artifact is written line by line, never held whole in
+    memory.
 
     The previous manifest.json is removed before any input is read, and
     the new one is written once, after every other file: by then
@@ -392,10 +397,10 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
                     done.wait()
                     worker.join()
         stage = "score"
-        # only the rows of the tokens the run scores are read back from the
-        # file; the full index goes with the table this one replaces. The
-        # texts are streamed, repeats and all: a set of the distinct ones
-        # raised large-mock's peak RSS by 0.8 MB
+        # only the rows of the tokens the run scores are read from the
+        # spool; the index and its spool go with the table this one
+        # replaces. The texts are streamed, repeats and all: a set of the
+        # distinct ones raised large-mock's peak RSS by 0.8 MB
         baselines = (b.question for record in sampled for b in record.baselines)
         questions = (q for slot in slots if isinstance(slot, list) for q in slot)
         table = table.select(vocabulary(chain(baselines, questions)))

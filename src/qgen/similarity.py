@@ -22,12 +22,14 @@ name the line. A byte that does not decode ends the pass: the lines
 before it are its last block, and BadEncoding follows if they load.
 So a file loads to the rows, and fails with the error class, message
 and line number, of :func:`load_vectors`, the per-line parser, over
-the whole file. The pass keeps a :class:`VectorIndex` of
-each row's token hash and check value (of token and components), whose
-``select`` reads back the rows of the tokens a caller will score, with
-the bits they had at load. A row that is missing or whose check value
-differs, and a file that no longer opens or decodes, raise
-:class:`VectorFileChanged`. A ``nan`` or ``inf`` is a :class:`BadFloat`:
+the whole file. The pass keeps a :class:`VectorIndex` of each row's
+token hash, and copies each block's rows and tokens to a private spool,
+two unlinked temporary files in ``tempfile.gettempdir()`` (rows x dim x 8
+bytes and the tokens, about 166 MB at 400k x 50d), from which ``select``
+reads the rows of the tokens a caller will score. Nothing after the load
+reads the text file: an edit, a truncation or a removal of it after the
+load changes no selected row, and an edit during the load goes
+undetected. A ``nan`` or ``inf`` is a :class:`BadFloat`:
 its cosine would be clamped to 1.0 and score as a match. So is a
 component of magnitude :data:`COMPONENT_BOUND` or more, whose dot
 products could overflow and score as a match whatever their direction.
@@ -39,23 +41,24 @@ from __future__ import annotations
 
 import io
 import math
-import os
+import tempfile
 import unicodedata
+import weakref
 from array import array
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, filterfalse, islice
+from itertools import filterfalse, groupby, islice
+from operator import itemgetter
 from typing import IO, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import BadEncoding, BadFloat, DimensionMismatch, DuplicateToken, QgenError
-from .errors import VectorFileChanged
 
 # lines per block of a regular file, whose text and parsed rows (about 1 MB
-# at 50d) are all a load or a read-back holds of the file at once; the load
-# keeps the index, 24 bytes a row (9.6 MB at 400k rows)
+# at 50d) are all a load holds of the file at once; the load keeps the
+# index, 16 bytes a row (6.4 MB at 400k rows), and spools the rest
 BLOCK_LINES = 1024
 
 # a component's magnitude is below this, so the row sum of a sentence of
@@ -93,76 +96,57 @@ class EmbeddingTable:
 
 @dataclass(frozen=True, eq=False)
 class VectorIndex:
-    """What :func:`load_vectors_path` keeps of a file, no token and no
-    vector. Row r is the r-th line after the header that is not blank,
-    and ``checks[r]`` its check value at load; row ``rows[i]`` holds the
-    token whose hash is ``hashes[i]``, in ascending order."""
+    """What :func:`load_vectors_path` keeps of a file in memory, no token
+    and no vector. Row r is the r-th line after the header that is not
+    blank; row ``rows[i]`` holds the token whose hash is ``hashes[i]``,
+    in ascending order. The rows are in two unlinked files, closed when
+    the index is collected: row r's components from byte ``r * dim * 8``
+    of ``row_spool``, and from byte ``offsets[b]`` of ``token_spool`` the
+    tokens, one a line, of the block of rows from ``starts[b]`` on."""
 
-    path: str
-    header: bool
     dim: int
-    checks: np.ndarray = field(repr=False)
     hashes: np.ndarray = field(repr=False)
     rows: np.ndarray = field(repr=False)
+    starts: list[int] = field(repr=False)
+    offsets: list[int] = field(repr=False)
+    row_spool: IO[bytes] = field(repr=False)
+    token_spool: IO[bytes] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        for spool in (self.row_spool, self.token_spool):
+            weakref.finalize(self, spool.close)
 
     def __len__(self) -> int:
         return len(self.hashes)
 
     def select(self, tokens: Iterable[str]) -> EmbeddingTable:
-        """As EmbeddingTable.select, reading the rows back from the file.
-        A token whose hash only meets that of another token is absent;
-        VectorFileChanged if a row read is not as it was at load."""
+        """As EmbeddingTable.select, reading the rows from the spool. A
+        token whose hash only meets that of another token is absent. Not
+        for two threads at once: they would share the spool's position."""
         wanted = set(tokens)
         keys = _hashes(wanted)
         # every position of each wanted hash: two file tokens may share one
         first = np.searchsorted(self.hashes, keys)
         count = np.searchsorted(self.hashes, keys, "right") - first
         at = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
-        table = self._read(np.unique(self.rows[at]).tolist())
-        # the rows read are copied only if one is of a token not wanted
-        return table if table.index.keys() <= wanted else table.select(wanted)
+        rows = np.unique(self.rows[at]).tolist()
+        named = [(row, token) for row, token in zip(rows, self._tokens(rows)) if token in wanted]
+        matrix = np.empty((len(named), self.dim))
+        for out, (row, _) in zip(matrix, named):
+            self.row_spool.seek(row * self.dim * 8)
+            self.row_spool.readinto(out)
+        return EmbeddingTable(self.dim, {token: i for i, (_, token) in enumerate(named)}, matrix)
 
-    def _read(self, rows: list[int]) -> EmbeddingTable:
-        """A table of the ascending ``rows``, read in one pass that stops
-        at the last, parsing the lines picked BLOCK_LINES at a time as the
-        load did. VectorFileChanged names the first row missing or with
-        another check value, or of a batch that does not parse, or the
-        file, if it no longer opens or decodes."""
+    def _tokens(self, rows: list[int]) -> list[str]:
+        """The spooled tokens of the ascending rows, read a block at a time."""
         tokens: list[str] = []
-        out = np.empty((len(rows), self.dim))
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                if self.header:
-                    fh.readline()
-                lines = filterfalse(str.isspace, fh)
-                # the line of each row, or None past the end of the file
-                gaps = (row - last - 1 for row, last in zip(rows, chain([-1], rows)))
-                picks = (next(islice(lines, gap, None), None) for gap in gaps)
-                for done in range(0, len(rows), BLOCK_LINES):
-                    want = rows[done : done + BLOCK_LINES]
-                    picked = list(islice(picks, BLOCK_LINES))
-                    if None in picked:
-                        raise self._changed(want[picked.index(None)])
-                    try:
-                        # from line 2, where no line is taken for a header
-                        got, vectors = _parse_rows(picked, 2, self.dim, {})
-                    except QgenError as exc:
-                        raise self._changed(want[0]) from exc
-                    differ = _check_values(vectors, _hashes(got)) != self.checks[want]
-                    if differ.any():
-                        raise self._changed(want[differ.argmax()])
-                    tokens += got
-                    out[done : done + len(want)] = vectors
-        except (UnicodeDecodeError, OSError) as exc:
-            raise VectorFileChanged(
-                f"{self.path}: can no longer be read as it was loaded: {exc}"
-            ) from exc
-        return EmbeddingTable(self.dim, dict(zip(tokens, range(len(tokens)))), out)
-
-    def _changed(self, row: int) -> VectorFileChanged:
-        return VectorFileChanged(
-            f"{self.path}: rows from {row} on differ from the file as it was loaded"
-        )
+        blocks = np.searchsorted(self.starts, rows, "right") - 1
+        for block, picks in groupby(zip(blocks.tolist(), rows), key=itemgetter(0)):
+            start, end = self.offsets[block : block + 2]
+            self.token_spool.seek(start)
+            lines = self.token_spool.read(end - start).decode().split("\n")
+            tokens += [lines[row - self.starts[block]] for _, row in picks]
+        return tokens
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,16 +280,6 @@ def _hashes(tokens: Collection[str]) -> np.ndarray:
     return np.fromiter(map(_token_hash, tokens), np.int64, len(tokens))
 
 
-def _check_values(vectors: np.ndarray, hashes: np.ndarray) -> np.ndarray:
-    """One uint64 per row of vectors: the sum of its token's hash and the
-    bits of its components times distinct odd weights, modulo 2**64, so a
-    change to the token or to any one component changes it."""
-    weights = np.arange(1, 2 * vectors.shape[1], 2, dtype=np.uint64) * np.uint64(
-        0x9E3779B97F4A7C15
-    )
-    return np.dot(vectors.view(np.uint64), weights) + hashes.view(np.uint64)
-
-
 def _parse_rows(lines: list[str], lineno: int, dim: int | None, index: dict[str, int]):
     """The tokens and (rows, dim) vectors of the rows of lines, the first
     of them line lineno, whose dimension is dim if not None: loadtxt's of
@@ -352,14 +326,28 @@ def _repeated_tokens(fh, header: bool, repeated: set[int], count: int) -> dict[s
     return index
 
 
+@contextmanager
+def _spools():
+    """Two unlinked temporary files, for rows and for tokens, closed if
+    the with block raises."""
+    with ExitStack() as stack:
+        yield [stack.enter_context(tempfile.TemporaryFile()) for _ in range(2)]
+        stack.pop_all()
+
+
 def load_vectors_path(path) -> VectorIndex:
     """Load a vector file, UTF-8 in text mode, into a :class:`VectorIndex`
-    in one pass of blocks, up to a byte that does not decode (_decoded)."""
-    with open(path, "r", encoding="utf-8") as fh, _decoded(fh) as lines:
+    in one pass of blocks, up to a byte that does not decode (_decoded),
+    spooling each block's rows and tokens as it is parsed."""
+    with (
+        _spools() as (row_spool, token_spool),
+        open(path, "r", encoding="utf-8") as fh,
+        _decoded(fh) as lines,
+    ):
         if not (header := _parse_header(next(lines, ""))):
             fh.seek(0)
         dim, lineno = None, 1 + header
-        hashes, checks = [np.empty(0, np.int64)], [np.empty(0, np.uint64)]
+        hashes, starts, offsets = [np.empty(0, np.int64)], [0], [0]
         for block in iter(lambda: list(islice(lines, BLOCK_LINES)), []):
             index: dict[str, int] = {}
             try:
@@ -374,16 +362,18 @@ def load_vectors_path(path) -> VectorIndex:
                 raise
             dim = vectors.shape[1] or dim
             hashes.append(_hashes(tokens))
-            checks.append(_check_values(vectors, hashes[-1]))
+            row_spool.write(np.ascontiguousarray(vectors))
+            starts.append(starts[-1] + len(tokens))
+            offsets.append(offsets[-1] + token_spool.write(("\n".join(tokens) + "\n").encode()))
             lineno += len(block)
             del tokens, vectors  # not held through the next block, or the sort
-        hashes, checks = np.concatenate(hashes), np.concatenate(checks)
+        hashes = np.concatenate(hashes)
         rows = np.argsort(hashes)
         hashes = hashes[rows]
         if repeated := _repeats(hashes):
             # a token in two blocks, or two tokens with one hash, in the lines read
             _repeated_tokens(fh, header, repeated, lineno - 1)
-        return VectorIndex(os.path.abspath(path), header, dim or 0, checks, hashes, rows)
+        return VectorIndex(dim or 0, hashes, rows, starts, offsets, row_spool, token_spool)
 
 
 def tokenize(text: str) -> list[str]:

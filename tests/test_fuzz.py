@@ -13,9 +13,10 @@ file, written once with \\n and once with \\r\\n line ends, and the
 path loader, the line parser on the open file and the line parser on the
 text must give the same table or the same error, read in blocks of a
 seeded size, and a seeded subset of the tokens of a file that loads must
-read back the per-line parser's rows. A longer mutated file, spanning
-several 8 KiB decode chunks, with a byte sequence UTF-8 does not decode
-spliced in, must fail in the path loader as the per-line parser fails on
+read back the per-line parser's rows, also under a hash that makes two
+file tokens, and a token outside the file and a file token, collide. A
+longer mutated file, spanning several 8 KiB decode chunks, with a byte
+sequence UTF-8 does not decode spliced in, must fail in the path loader as the per-line parser fails on
 the lines a text-mode read yields before that byte, or else with
 BadEncoding and the codec's reason. The dataset parser and
 the config loader, given demos/data/mini_squad.json or a valid config
@@ -46,7 +47,7 @@ from qgen.errors import BadEncoding, NoQuestionsFound, QgenError
 from qgen.pipeline import RunConfig, load_config
 from qgen.promptgen import parse_questions
 from qgen.similarity import load_vectors, load_vectors_path
-from test_similarity import file_tokens, load_outcome
+from test_similarity import colliding, file_tokens, load_outcome
 
 GOLDEN = Path(__file__).resolve().parent.parent / "demos" / "out" / "full_run"
 SEEDS = range(300)
@@ -201,7 +202,7 @@ def mutate_vectors(lines: list[str], rng: random.Random) -> list[str]:
 def test_vector_readers_agree_on_mutated_files(tmp_path, monkeypatch):
     path = tmp_path / "vectors.txt"
     disagreements = []
-    selects = 0
+    selects = shared = 0
     for seed in VECTOR_SEEDS:
         rng = random.Random(seed)
         lines = regular_vectors(rng)
@@ -221,19 +222,32 @@ def test_vector_readers_agree_on_mutated_files(tmp_path, monkeypatch):
                 disagreements.append((seed, text, from_path, from_file, from_text))
             elif isinstance(from_path[0], int):
                 # the rows a seeded subset of tokens reads back are the
-                # per-line parser's
+                # per-line parser's, under a hash by which two file tokens,
+                # in one block or two, share a hash, and the token outside
+                # the file has that of a file token
                 reference = load_vectors(text)
                 tokens = list(reference.index)
                 wanted = rng.sample(tokens, rng.randint(0, len(tokens))) + ["not-a-token"]
+                pairs = dict([rng.sample(tokens, 2)[::-1]] if len(tokens) > 1 else [])
+                if tokens:
+                    met = rng.choice(tokens)
+                    pairs["not-a-token"] = pairs.get(met, met)
+                monkeypatch.setattr(similarity, "_token_hash", colliding(pairs))
                 chosen = load_vectors_path(path).select(wanted)
+                monkeypatch.setattr(similarity, "_token_hash", hash)
                 rows = sorted(reference.index[t] for t in wanted if t in reference.index)
                 got = (list(chosen.index), chosen.matrix.tobytes())
                 if got != ([tokens[r] for r in rows], reference.matrix[rows].tobytes()):
                     disagreements.append((seed, text, wanted, got))
                 selects += 1
+                # a row of a token not wanted shares the hash of one wanted
+                shared += any(
+                    (token in wanted) != (other in wanted) for token, other in pairs.items()
+                )
     assert disagreements == []
-    # the count pins the mutations, so the select check cannot go vacuous
-    assert selects == 1366
+    # the counts pin the mutations and the collisions, so neither the select
+    # check nor the rows it must leave out can go vacuous
+    assert (selects, shared) == (1366, 915)
 
 
 UNDECODABLE_SEEDS = range(300)

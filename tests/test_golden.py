@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import builtins
+import io
 import json
 import os
 import shutil
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from qgen import similarity
+from qgen import pipeline, similarity
 from qgen.cli import main
 from qgen.corpus import ContextRecord, load_squad
 from qgen.errors import SchemaError
@@ -100,10 +102,11 @@ def test_run_builds_only_sampled_records(tmp_path, monkeypatch):
     assert built == sorted({cell.context_id for cell in run.results})
 
 
-def test_run_reads_back_only_the_rows_it_scores(tmp_path, monkeypatch):
+def test_run_parses_the_vector_file_once(tmp_path, monkeypatch):
     # the 167-row demo file is parsed once whole at load, then only the
     # rows of the distinct in-vocabulary tokens of the sampled baselines
-    # and the generated questions are read back; no full matrix is built
+    # and the generated questions are selected, from the spool, with no
+    # second parse; no full matrix is built
     parsed, selected = [], []
     parse_block, select = similarity._parse_block, VectorIndex.select
 
@@ -130,8 +133,31 @@ def test_run_reads_back_only_the_rows_it_scores(tmp_path, monkeypatch):
         reference = load_vectors(fh)
     assert set(chosen.index) == tokens & reference.index.keys()
     assert (len(loaded), len(chosen)) == (167, 73)
-    assert parsed == [167, 73]
+    assert parsed == [167]
     assert not hasattr(loaded, "matrix")
+
+
+def test_run_opens_the_vector_file_only_at_load(tmp_path, monkeypatch):
+    # once to parse it and once to digest it, both before the sample is
+    # drawn: no stage after "load" reads the file
+    config = golden_config(tmp_path / "full_run")
+    events = []
+    real_open, sample = open, pipeline.sample_contexts
+
+    def recording_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == config.vectors:
+            events.append(sys._getframe(1).f_code.co_name)
+        return real_open(file, *args, **kwargs)
+
+    def sampling(*args, **kwargs):
+        events.append("sample")
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(io, "open", recording_open)
+    monkeypatch.setattr(pipeline, "sample_contexts", sampling)
+    run_pipeline(config)
+    assert events == ["load_vectors_path", "_sha256_file", "sample"]
 
 
 def test_scores_line_keys_are_score_record_fields():

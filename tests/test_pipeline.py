@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import errno
+import io
 import json
 import os
 import re
 import shutil
 import signal
 import sys
+import tempfile
 import threading
 import time
 import weakref
@@ -198,52 +200,12 @@ def test_run_pipeline_shapes_and_artifacts(config_path, tmp_path):
     assert keys == sorted(keys)
 
 
-def run_with_vectors_changed_after_load(
-    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, capsys, change
-) -> tuple[str, dict]:
-    """Run the CLI on a copy of the demo vectors that change(path) alters
-    once the load has read and digested it; assert the run fails at stage
-    "score" after its calls, with VectorFileChanged and no scores, and
-    return its stderr and manifest."""
-    vectors = tmp_path / "vectors.txt"
-    shutil.copy(demo_vectors_path, vectors)
-    digest = pipeline._sha256_file
-
-    def digest_then_change(path):
-        value = digest(path)
-        change(vectors)
-        return value
-
-    monkeypatch.setattr(pipeline, "_sha256_file", digest_then_change)
-    config = write_config(tmp_path, mini_squad_path, vectors)
-    assert main(["run", "--config", str(config)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: stage 'score': ")
-    out = tmp_path / "out"
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    assert (manifest["status"], manifest["stage"]) == ("failed", "score")
-    assert manifest["error"].startswith("VectorFileChanged: ")
-    assert (manifest["backend_calls"], manifest["cells"]) == (8, 0)
-    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "scores.jsonl"]
-    assert (out / "scores.jsonl").read_text(encoding="utf-8") == ""
-    return err, manifest
-
-
-def test_vector_file_edited_during_run_fails_at_score(
-    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, capsys
-):
-    # the rows are read back after the calls: a file edited in place by
-    # then, same length and modification time, fails the run there
-    def edit(vectors):
-        stat = vectors.stat()
-        text = vectors.read_text(encoding="utf-8")
-        vectors.write_text(text.replace("1", "2"), encoding="utf-8", newline="")
-        os.utime(vectors, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-
-    err, _ = run_with_vectors_changed_after_load(
-        tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, capsys, edit
-    )
-    assert "differ from the file as it was loaded" in err
+def edit_vectors_in_place(vectors):
+    # same length and modification time
+    stat = vectors.stat()
+    text = vectors.read_text(encoding="utf-8")
+    vectors.write_text(text.replace("1", "2"), encoding="utf-8", newline="")
+    os.utime(vectors, ns=(stat.st_atime_ns, stat.st_mtime_ns))
 
 
 def put_bad_byte_in_row_2(vectors):
@@ -252,18 +214,69 @@ def put_bad_byte_in_row_2(vectors):
     vectors.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
 
 
+def run_artifacts(out: Path) -> dict:
+    """Every file in out by name, with the manifest's wall-clock values
+    left out."""
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    manifest = json.loads(files.pop("manifest.json"))
+    for key in ("started_at", "finished_at", "backend_latency_s"):
+        del manifest[key]
+    return {**files, "manifest.json": manifest}
+
+
 @pytest.mark.parametrize(
-    "change", [put_bad_byte_in_row_2, Path.unlink], ids=["not-utf8", "removed"]
+    "change",
+    [edit_vectors_in_place, put_bad_byte_in_row_2, Path.unlink],
+    ids=["edited", "not-utf8", "removed"],
 )
-def test_unreadable_vector_file_fails_run_at_score(
-    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, capsys, change
+def test_vector_file_changed_after_load_changes_no_artifact(
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, change
 ):
-    err, manifest = run_with_vectors_changed_after_load(
-        tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, capsys, change
-    )
-    path = tmp_path / "vectors.txt"
-    assert f"{path}: can no longer be read as it was loaded" in err
-    assert manifest["error"].startswith(f"VectorFileChanged: {path}: ")
+    # the rows a run scores are those parsed at load, read from its spool:
+    # a file changed once it is loaded and digested changes nothing
+    vectors = tmp_path / "vectors.txt"
+    shutil.copy(demo_vectors_path, vectors)
+    config = write_config(tmp_path, mini_squad_path, vectors)
+    assert main(["run", "--config", str(config)]) == 0
+    unchanged = run_artifacts(tmp_path / "out")
+    digest = pipeline._sha256_file
+
+    def digest_then_change(path):
+        value = digest(path)
+        change(vectors)
+        return value
+
+    monkeypatch.setattr(pipeline, "_sha256_file", digest_then_change)
+    assert main(["run", "--config", str(config)]) == 0
+    assert vectors.exists() is (change is not Path.unlink)
+    got = run_artifacts(tmp_path / "out")
+    assert got["manifest.json"]["status"] == "complete"
+    assert got == unchanged
+
+
+def test_spool_that_cannot_be_written_fails_at_load(
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, capsys
+):
+    # a full disk under the spool fails the run before any call
+    spools = []
+
+    class FullDisk(io.BytesIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def temporary_file(*args, **kwargs):
+        spools.append(FullDisk())
+        return spools[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+    config = write_config(tmp_path, mini_squad_path, demo_vectors_path)
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: stage 'load': ")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert (manifest["status"], manifest["stage"]) == ("failed", "load")
+    assert manifest["error"] == "OSError: [Errno 28] No space left on device"
+    assert (manifest["backend_calls"], manifest["cells"]) == (0, 0)
+    assert len(spools) == 2 and all(spool.closed for spool in spools)
 
 
 class SlowFirstCallsBackend(MockBackend):

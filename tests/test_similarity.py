@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
-import re
-import shutil
 import sys
 import tracemalloc
 import unicodedata
@@ -23,7 +22,6 @@ from qgen.errors import (
     DimensionMismatch,
     DuplicateToken,
     QgenError,
-    VectorFileChanged,
 )
 from qgen.similarity import (
     EmbeddingTable,
@@ -320,9 +318,9 @@ def test_regular_file_skips_line_parser(monkeypatch, tmp_path, demo_vectors_path
     tabbed.write_text(text.replace(" ", "\t", 1), encoding="utf-8")
     got = load_vectors_path(tabbed)
     assert isinstance(got, VectorIndex) and starts == [1]
-    # and so is the batch of read-back lines that holds the tab
+    # select reads the spool, and parses no line
     assert load_outcome(lambda: got, tokens) == expected
-    assert starts == [1, 2]
+    assert starts == [1]
 
 
 # (file bytes, read in blocks of 2 lines; None for a successful load, or
@@ -458,7 +456,7 @@ def test_file_tokens_with_one_hash_both_read_back(monkeypatch, tmp_path, pairs):
     assert load_outcome(lambda: table, tokens) == load_outcome(
         lambda: load_vectors(COLLIDING_FILE.decode()), tokens
     )
-    # a token is read back alone, though its row is read with the other's
+    # a token is selected alone, though the other's row shares its hash
     (token, other), = pairs.items()
     for wanted in ([token], [other], [token, other]):
         assert sorted(table.select(wanted).index) == sorted(wanted)
@@ -482,14 +480,6 @@ def test_token_whose_hash_meets_a_file_token_is_absent(monkeypatch, tmp_path):
     chosen = table.select(["zzz", "yak", "cat", "ewe"])
     assert list(chosen.index) == ["cat", "yak"]
     assert chosen.matrix.tobytes() == reference.matrix[[0, 4]].tobytes()
-    # an edited row read for a token that only shares its hash still fails
-    edit_in_place(path, "cat 1 2", "cat 1 3")
-    for wanted in (["zzz"], ["cat"]):
-        with pytest.raises(VectorFileChanged, match="rows from 0 on differ"):
-            table.select(wanted)
-    edit_in_place(path, "cat 1 3", "cow 1 2")
-    with pytest.raises(VectorFileChanged, match="rows from 0 on differ"):
-        table.select(["zzz"])
 
 
 def test_select_reads_back_only_the_given_rows(demo_vectors_path):
@@ -519,100 +509,36 @@ def edit_in_place(path, old: str, new: str) -> None:
     """Replace old with new in the file at path, keeping its byte length
     and its modification time."""
     stat = path.stat()
-    text = path.read_text(encoding="utf-8")
-    assert len(old.encode()) == len(new.encode()) and old in text
-    path.write_text(text.replace(old, new, 1), encoding="utf-8", newline="")
+    data, old, new = path.read_bytes(), old.encode(), new.encode()
+    assert len(old) == len(new) and old in data
+    path.write_bytes(data.replace(old, new, 1))
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
     assert path.stat().st_size == stat.st_size
     assert path.stat().st_mtime_ns == stat.st_mtime_ns
 
 
-def test_file_edited_after_load_fails_its_read_back(tmp_path, demo_vectors_path):
-    path = tmp_path / "vectors.txt"
-    shutil.copy(demo_vectors_path, path)
-    lines = path.read_text(encoding="utf-8").split("\n")
-    tokens = [line.split(" ")[0] for line in lines[:3]]
-    table = load_vectors_path(path)
-    # a component of row 1, then the token of row 2
-    row1 = lines[1]
-    digit = next(c for c in row1.split(" ", 2)[1] if c.isdigit())
-    edited = row1.replace(digit, "7" if digit != "7" else "3", 1)
-    edit_in_place(path, row1, edited)
-    with pytest.raises(VectorFileChanged, match="differ from the file as it was loaded"):
-        table.select([tokens[1]])
-    with pytest.raises(VectorFileChanged):
-        table.select(tokens)
-    # rows that are not read are not checked
-    assert list(table.select([tokens[0], tokens[2]]).index) == [tokens[0], tokens[2]]
-    edit_in_place(path, edited, row1)
-    assert list(table.select(tokens).index) == tokens
-    edit_in_place(path, f"\n{tokens[2]} ", f"\n{'x' * len(tokens[2])} ")
-    with pytest.raises(VectorFileChanged):
-        table.select([tokens[2]])
-    path.write_text(lines[0] + "\n", encoding="utf-8")
-    with pytest.raises(VectorFileChanged):
-        table.select([tokens[1]])
+def truncate_to_first_row(path) -> None:
+    path.write_text(path.read_text(encoding="utf-8").split("\n", 1)[0] + "\n", encoding="utf-8")
 
 
-def test_changed_row_is_named(tmp_path, demo_vectors_path):
-    # the first row whose check value differs, not the first of its batch
-    path = tmp_path / "vectors.txt"
-    shutil.copy(demo_vectors_path, path)
-    lines = path.read_text(encoding="utf-8").split("\n")
-    tokens = [line.split(" ")[0] for line in lines if line]
-    table = load_vectors_path(path)
-    token, rest = lines[5].split(" ", 1)
+def edit_first_row(path) -> None:
+    """Change a component and a token of the first row, in place."""
+    row = path.read_text(encoding="utf-8").split("\n")[1]
+    token, rest = row.split(" ", 1)
     digit = next(c for c in rest if c.isdigit())
-    edit_in_place(path, lines[5], f"{token} {rest.replace(digit, '7' if digit != '7' else '3', 1)}")
-    with pytest.raises(VectorFileChanged, match="rows from 5 on differ"):
-        table.select(tokens)
+    edited = "x" * len(token) + " " + rest.replace(digit, "7" if digit != "7" else "3", 1)
+    edit_in_place(path, row, edited)
 
 
 @pytest.mark.parametrize(
-    "blank, error",
-    [("nan", BadFloat), ("", DimensionMismatch), ("1e200", BadFloat)],
-    ids=["nan", "lost-component", "too-large"],
+    "change", [edit_first_row, truncate_to_first_row, os.remove], ids=["edit", "truncate", "remove"]
 )
-def test_batch_that_no_longer_parses_fails_its_read_back(tmp_path, demo_vectors_path, blank, error):
-    # row 1 edited in place to hold a nan, or to lose a component: its
-    # batch goes to the per-line parser, whose error the failure carries
-    path = tmp_path / "vectors.txt"
-    shutil.copy(demo_vectors_path, path)
-    row0, row1 = path.read_text(encoding="utf-8").split("\n")[:2]
-    token, first, rest = row1.split(" ", 2)
-    table = load_vectors_path(path)
-    edit_in_place(path, row1, f"{token} {blank.ljust(len(first))} {rest}")
-    with pytest.raises(VectorFileChanged, match=f"^{re.escape(str(path))}: rows from 1 on") as err:
-        table.select([token])
-    assert type(err.value.__cause__) is error
-    # a row read back alone, in a batch of its own, still parses
-    other = row0.split(" ")[0]
-    assert list(table.select([other]).index) == [other]
-
-
-def test_unreadable_file_fails_its_read_back(tmp_path, demo_vectors_path):
-    path = tmp_path / "vectors.txt"
-    shutil.copy(demo_vectors_path, path)
-    data = path.read_bytes()
-    tokens = [line.split(b" ")[0].decode() for line in data.split(b"\n")[:3]]
-    table = load_vectors_path(path)
-    # a byte that does not decode in row 2 fails a read-back of row 1 too,
-    # as text mode decodes the file in chunks
-    at = data.index(b"\n", data.index(b"\n") + 1) + 1
-    path.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
-    for wanted in ([tokens[1]], [tokens[2]]):
-        with pytest.raises(VectorFileChanged, match=f"^{path}: ") as err:
-            table.select(wanted)
-        assert isinstance(err.value.__cause__, UnicodeDecodeError)
-    path.unlink()
-    with pytest.raises(VectorFileChanged, match=f"^{path}: ") as err:
-        table.select([tokens[0]])
-    assert isinstance(err.value.__cause__, FileNotFoundError)
-
-
-def test_read_back_parses_block_lines_rows_at_a_time(monkeypatch, tmp_path, demo_vectors_path):
-    # read-back holds at most BLOCK_LINES picked lines and their rows; the
-    # file has a header, blank lines and CRLF, so rows are not line numbers
+def test_select_reads_the_rows_of_the_load_after_the_file_changes(
+    monkeypatch, tmp_path, demo_vectors_path, change
+):
+    # rows are read from the spool, never from the file: the file has a
+    # header, blank lines and CRLF, so rows are not line numbers, and is
+    # spooled two lines at a time
     monkeypatch.setattr(similarity, "BLOCK_LINES", 2)
     lines = demo_vectors_path.read_text(encoding="utf-8").splitlines()
     text = f"{len(lines)} 50\r\n" + "".join(
@@ -622,31 +548,42 @@ def test_read_back_parses_block_lines_rows_at_a_time(monkeypatch, tmp_path, demo
     path = tmp_path / "vectors.txt"
     path.write_text(text, encoding="utf-8", newline="")
     reference = load_vectors(text)
-    table = load_vectors_path(path)
-    assert isinstance(table, VectorIndex)
-    parsed = []
-    parse_block = similarity._parse_block
-
-    def counting(lines, dim):
-        parsed.append(len(lines))
-        return parse_block(lines, dim)
-
-    monkeypatch.setattr(similarity, "_parse_block", counting)
     tokens = list(reference.index)
-    chosen = table.select(tokens)
+    table = load_vectors_path(path)
+    assert isinstance(table, VectorIndex) and len(table) == len(tokens) == 167
+    change(path)
+    chosen = table.select([*tokens, ABSENT])
+    assert list(chosen.index) == tokens
     assert chosen.matrix.tobytes() == reference.matrix.tobytes()
-    assert table.select([*tokens, ABSENT]).matrix.tobytes() == reference.matrix.tobytes()
-    # two passes over the 167 rows: 83 calls of 2 lines and one of 1 each
-    assert parsed == ([2] * 83 + [1]) * 2 and len(tokens) == 167
-    # a row the file no longer holds fails before any line is parsed
-    parsed.clear()
-    path.write_text(text[: len(text) // 2], encoding="utf-8", newline="")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(VectorFileChanged, match=f"rows from {len(tokens) - 1} on"):
-            table.select([tokens[-1]])
-    assert [str(w.message) for w in caught] == []
-    assert parsed == []
+    wanted = [tokens[166], tokens[0], tokens[83], tokens[84]]
+    chosen = table.select(wanted)
+    assert list(chosen.index) == sorted(wanted, key=tokens.index)
+    assert chosen.matrix.tobytes() == reference.matrix[[0, 83, 84, 166]].tobytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_loads_leave_no_descriptor_open(tmp_path, demo_vectors_path):
+    # a collected index closes its spool, and a failed load closes it
+    # before it raises; a spool left to a file object's __del__ would warn
+    failing = {
+        "bad-float": b"cat 1 2\ndog nan 4\n",
+        "duplicate": b"cat 1 2\nCAT 3 4\n",
+        "dimension": b"cat 1 2\ndog 3\n",
+        "bad-encoding": b"cat 1 2\ndog\xff 3 4\n",
+        "bad-float-block-2": b"".join(b"w%d 1 2\n" % i for i in range(1500)) + b"fox 1 e\n",
+    }
+    for name, content in failing.items():
+        (tmp_path / name).write_bytes(content)
+    tokens = file_tokens(demo_vectors_path.read_text(encoding="utf-8"))[:30]
+    gc.collect()
+    before = len(os.listdir("/proc/self/fd"))
+    for i in range(20):
+        assert len(load_vectors_path(demo_vectors_path).select(tokens[i:])) == 30 - i
+    for name in failing:
+        with pytest.raises(QgenError):
+            load_vectors_path(tmp_path / name)
+    gc.collect()
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_tables_and_vectors_compare_by_identity(demo_vectors_path):
