@@ -39,7 +39,14 @@ from pathlib import Path
 from string import Template
 from typing import Iterable, Iterator, get_args, get_type_hints
 
-from .corpus import ContextRecord, SquadDataset, load_squad, loads_json, sample_contexts
+from .corpus import (
+    ContextRecord,
+    SquadDataset,
+    collector_paused,
+    load_squad,
+    loads_json,
+    sample_contexts,
+)
 from .errors import ConfigError, EmptyRecords, MalformedJson, PipelineError, SchemaError
 from .promptgen import (
     PROMPT_IDS,
@@ -291,6 +298,14 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
     and every artifact is written line by line, never held whole in
     memory.
 
+    The cyclic garbage collector is paused (corpus.collector_paused) over
+    two stretches of the main thread that build no reference cycle: from
+    the dataset's parse until it is dropped after sampling, and from stage
+    "score" through the report. Each restores the state it found, however
+    it ends. It is on while the calls run: an exception kept across a
+    call's retries holds a cycle through its traceback, which only the
+    collector frees.
+
     The previous manifest.json is removed before any input is read, and
     the new one is written once, after every other file: by then
     scores.jsonl holds the scored cells, and the manifest's status is
@@ -317,14 +332,17 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
 
     stage = "load"
     try:
-        dataset = load_squad(cfg.dataset)
-        table = load_vectors_path(cfg.vectors)
-        vector_digest = _sha256_file(cfg.vectors)
-        stage = "sample"
-        sampled = sample_contexts(dataset, cfg.sample_size, cfg.seed)
-        # only the sampled records are read from here on; holding the rest
-        # through generation, scoring and persistence would raise the peak
-        del dataset
+        # the collector would scan the JSON tree, built and freed with no
+        # reference cycle, once more after the parse, and find nothing
+        with collector_paused():
+            dataset = load_squad(cfg.dataset)
+            table = load_vectors_path(cfg.vectors)
+            vector_digest = _sha256_file(cfg.vectors)
+            stage = "sample"
+            sampled = sample_contexts(dataset, cfg.sample_size, cfg.seed)
+            # only the sampled records are read from here on; holding the rest
+            # through generation, scoring and persistence would raise the peak
+            del dataset
         for record in sampled:
             if not record.baselines:
                 raise EmptyRecords(f"context {record.context_id} has no baseline questions")
@@ -397,35 +415,40 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
                     done.wait()
                     worker.join()
         stage = "score"
-        # only the rows of the tokens the run scores are read from the
-        # spool; the index and its spool go with the table this one
-        # replaces. The texts are streamed, repeats and all: a set of the
-        # distinct ones raised large-mock's peak RSS by 0.8 MB
-        baselines = (b.question for record in sampled for b in record.baselines)
-        questions = (q for slot in slots if isinstance(slot, list) for q in slot)
-        table = table.select(vocabulary(chain(baselines, questions)))
-        # every question list that came back is scored, in job order, before
-        # the first failed job's error is raised; a context's cells share
-        # one map of cosines, taken over the lists of the context that came
-        # back and dropped when the next context starts
-        for record, context_jobs in groupby(zip(jobs, slots), key=lambda js: js[0][0]):
-            returned = [(pid, qs) for (_, pid), qs in context_jobs if isinstance(qs, list)]
-            if returned:
-                cosines = context_cosines(record.baselines, [qs for _, qs in returned], table)
-            for pid, questions in returned:
-                cells.append(
-                    score_cell(record.context_id, pid, questions, record.baselines, table, cosines)
-                )
-        stage = "generate"
-        for slot in slots:
-            if isinstance(slot, BaseException):
-                raise slot
-        stage = "aggregate"
-        run = assemble_run(info, cells, cfg.questions_per_prompt)
-        stage = "persist"
-        persist_run(run, out_dir)
-        emit_figures(run, out_dir, top_keywords=cfg.top_keywords)
-        write_report(run, out_dir)
+        # the records, the figures and the report hold no reference cycle:
+        # the collections their objects would trigger find nothing
+        with collector_paused():
+            # only the rows of the tokens the run scores are read from the
+            # spool; the index and its spool go with the table this one
+            # replaces. The texts are streamed, repeats and all: a set of the
+            # distinct ones raised large-mock's peak RSS by 0.8 MB
+            baselines = (b.question for record in sampled for b in record.baselines)
+            questions = (q for slot in slots if isinstance(slot, list) for q in slot)
+            table = table.select(vocabulary(chain(baselines, questions)))
+            # every question list that came back is scored, in job order, before
+            # the first failed job's error is raised; a context's cells share
+            # one map of cosines, taken over the lists of the context that came
+            # back and dropped when the next context starts
+            for record, context_jobs in groupby(zip(jobs, slots), key=lambda js: js[0][0]):
+                returned = [(pid, qs) for (_, pid), qs in context_jobs if isinstance(qs, list)]
+                if returned:
+                    cosines = context_cosines(record.baselines, [qs for _, qs in returned], table)
+                for pid, questions in returned:
+                    cells.append(
+                        score_cell(
+                            record.context_id, pid, questions, record.baselines, table, cosines
+                        )
+                    )
+            stage = "generate"
+            for slot in slots:
+                if isinstance(slot, BaseException):
+                    raise slot
+            stage = "aggregate"
+            run = assemble_run(info, cells, cfg.questions_per_prompt)
+            stage = "persist"
+            persist_run(run, out_dir)
+            emit_figures(run, out_dir, top_keywords=cfg.top_keywords)
+            write_report(run, out_dir)
         outcome = {
             "status": "complete",
             "rng_algorithm": info.rng_algorithm,

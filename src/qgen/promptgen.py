@@ -299,15 +299,14 @@ class OpenAICompletionsBackend(HttpBackend):
 _NUM_LINE_RE = re.compile(r"^\d{1,3}[.)]\s+")
 _NUM_MARKER_RE = re.compile(r"(?:^|(?<=\s))\d{1,3}[.)]\s+")
 _BULLET_RE = re.compile(r"^[-*]\s+")
-_TRAILING_TERMINAL_RE = re.compile(r"[.?!]+$")
 
 
 def _normalize(text: str) -> str:
+    """text stripped, with a trailing run of ``.``, ``?`` and ``!`` cut
+    to its last mark."""
     text = text.strip()
-    match = _TRAILING_TERMINAL_RE.search(text)
-    if match:
-        text = text[: match.start()] + match.group(0)[-1]
-    return text
+    body = text.rstrip(".?!")
+    return body + text[-1] if len(body) < len(text) else text
 
 
 def parse_questions(raw: str, expected: int) -> list[str]:

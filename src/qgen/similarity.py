@@ -74,11 +74,14 @@ _token_hash = hash
 @dataclass(frozen=True, eq=False)
 class EmbeddingTable:
     """Row ``index[token]`` of the read-only ``matrix`` is the token's
-    vector; ``matrix[rows]`` is a copy."""
+    vector; ``matrix[rows]`` is a copy. ``pieces`` is :func:`sentence_vector`'s
+    memo of the lowered whitespace pieces it has met, each mapped to its
+    token's row, :data:`NOT_IN_TABLE` or :data:`NOT_A_TOKEN`."""
 
     dim: int
     index: Mapping[str, int]
     matrix: np.ndarray = field(repr=False)
+    pieces: dict[str, int] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.matrix.flags.writeable = False
@@ -415,24 +418,55 @@ def vocabulary(texts: Iterable[str]) -> set[str]:
     return set(_piece_tokens(pieces))
 
 
+# what a piece of text that gives no row of a table resolves to in its memo
+NOT_IN_TABLE = -1  # a token the table does not hold: counted in total
+NOT_A_TOKEN = -2  # only punctuation, which tokenize drops: not counted
+
+
 def sentence_vector(sentence: str | list[str], table: EmbeddingTable) -> SentenceVector:
     """Mean-pool the vectors of the sentence's in-vocabulary tokens.
 
-    Accepts raw text (tokenized with :func:`tokenize`) or a pre-split
-    token list. The known tokens' rows are gathered from the table and
-    summed along axis 0, which starts from +0.0 and adds whole rows in
-    token order, the same arithmetic as a left-to-right loop (numpy sums
-    a one-column table pairwise instead); the sum is divided once at the
-    end. A sentence with zero known tokens yields the zero vector.
+    Accepts raw text, whose tokens are those of :func:`tokenize`, or a
+    pre-split token list. Text is lowered and split at whitespace as
+    tokenize does, and each piece is resolved once per table, into the
+    table's ``pieces`` memo, to its token's row, to NOT_IN_TABLE or to
+    NOT_A_TOKEN; later texts of the table only look their pieces up. The
+    memo lives as long as the table. The known tokens' rows are gathered
+    with ``take`` and summed by ``np.add.reduce`` along axis 0, which
+    starts from +0.0 and adds whole rows in token order, the same
+    arithmetic as a left-to-right loop (numpy sums a one-column table
+    pairwise instead), and the sum is divided in place, once: the bits of
+    ``table.matrix[rows].sum(axis=0) / len(rows)``. A sentence with zero
+    known tokens yields the zero vector.
     """
-    tokens = tokenize(sentence) if isinstance(sentence, str) else sentence
-    rows = [row for row in map(table.index.get, tokens) if row is not None]
+    if isinstance(sentence, str):
+        codes = _piece_codes(sentence.lower().split(), table)
+        rows = [code for code in codes if code >= 0]
+        total = len(codes) - codes.count(NOT_A_TOKEN)
+    else:
+        rows = [row for row in map(table.index.get, sentence) if row is not None]
+        total = len(sentence)
     if rows:
-        acc = table.matrix[rows].sum(axis=0) / len(rows)
+        acc = np.add.reduce(table.matrix.take(rows, axis=0), axis=0)
+        acc /= len(rows)
     else:
         acc = np.zeros(table.dim, dtype=np.float64)
     acc.flags.writeable = False
-    return SentenceVector(values=acc, covered=len(rows), total=len(tokens))
+    return SentenceVector(values=acc, covered=len(rows), total=total)
+
+
+def _piece_codes(pieces: list[str], table: EmbeddingTable) -> list[int]:
+    """Each lowered whitespace-free piece's row in table, NOT_IN_TABLE or
+    NOT_A_TOKEN, resolving the pieces the table's memo lacks into it."""
+    memo = table.pieces
+    try:
+        return list(map(memo.__getitem__, pieces))
+    except KeyError:
+        for piece in pieces:
+            if piece not in memo:
+                tokens = _piece_tokens([piece])
+                memo[piece] = table.index.get(tokens[0], NOT_IN_TABLE) if tokens else NOT_A_TOKEN
+        return list(map(memo.__getitem__, pieces))
 
 
 def cosine_similarity(

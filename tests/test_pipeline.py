@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import gc
 import io
 import json
 import os
@@ -15,6 +16,7 @@ import threading
 import time
 import weakref
 from collections.abc import Iterator
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,6 +38,8 @@ from qgen.pipeline import (
     run_pipeline,
 )
 
+from conftest import build_synth_articles, corpus_vocab, make_squad_doc, write_vector_file
+from test_corpus import collections  # noqa: F401 (a fixture)
 from test_promptgen import scripted_server
 
 FIVE_QUESTIONS = "\n".join(
@@ -847,6 +851,91 @@ def test_interrupt_stops_the_calls(
     # the main thread a moment after it is sent, so one more may start
     assert sent <= at + in_flight - (how == "raise")
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("outcome", ["complete", "load", "score", "interrupt"])
+def test_run_leaves_the_collector_as_it_found_it(
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, outcome, enabled
+):
+    dataset = mini_squad_path
+    expected = nullcontext()
+    if outcome == "load":
+        dataset = tmp_path / "bad.json"
+        dataset.write_text("{broken", encoding="utf-8")
+        expected = pytest.raises(PipelineError, match="stage 'load'")
+    elif outcome == "score":
+
+        def fail(*args, **kwargs):
+            raise ValueError("no score")
+
+        monkeypatch.setattr(pipeline, "score_cell", fail)
+        expected = pytest.raises(PipelineError, match="stage 'score'")
+    elif outcome == "interrupt":
+        monkeypatch.setattr(pipeline, "make_backend", lambda cfg: InterruptingBackend(3, "raise"))
+        expected = pytest.raises(KeyboardInterrupt)
+    cfg = load_config(write_config(tmp_path, dataset, demo_vectors_path), env={})
+    try:
+        (gc.enable if enabled else gc.disable)()
+        with expected:
+            run_pipeline(cfg)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+class CollectorWatchingBackend(MockBackend):
+    """Records, on each call, whether the cyclic collector is on."""
+
+    def __init__(self) -> None:
+        super().__init__(seed=0)
+        self.seen: list[bool] = []
+
+    def complete(self, request):
+        self.seen.append(gc.isenabled())
+        return super().complete(request)
+
+
+def test_collector_is_on_during_every_call(
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch
+):
+    # an exception kept across a call's retries holds a reference cycle
+    # through its traceback, which only the collector frees
+    backend = CollectorWatchingBackend()
+    monkeypatch.setattr(pipeline, "make_backend", lambda cfg: backend)
+    cfg = load_config(
+        write_config(tmp_path, mini_squad_path, demo_vectors_path, sample_size=4), env={}
+    )
+    run_pipeline(cfg)
+    assert backend.seen == [True] * 16
+
+
+def test_no_collection_from_load_until_the_dataset_is_dropped(
+    tmp_path, monkeypatch, collections
+):
+    # 2,000 contexts make a collection due as soon as the parse returns
+    doc = make_squad_doc(build_synth_articles(2000))
+    dataset = tmp_path / "squad.json"
+    dataset.write_text(json.dumps(doc), encoding="utf-8")
+    vectors = write_vector_file(tmp_path / "vectors.txt", corpus_vocab(doc))
+    marks = {}
+    real_load_squad = pipeline.load_squad
+
+    def load_squad(path):
+        # start from empty generations, as the run's own allocations do
+        gc.collect()
+        marks["entered"] = len(collections)
+        loaded = real_load_squad(path)
+        # called as the run drops the dataset, its last reference
+        weakref.finalize(loaded, lambda: marks.setdefault("dropped", len(collections)))
+        return loaded
+
+    monkeypatch.setattr(pipeline, "load_squad", load_squad)
+    run_pipeline(load_config(write_config(tmp_path, dataset, vectors), env={}))
+    assert marks["dropped"] == marks["entered"]
+    # and the collector ran again after
+    assert len(collections) > marks["dropped"]
+    assert gc.isenabled()
 
 
 @pytest.mark.parametrize("in_flight", [1, 2, 32])

@@ -5,6 +5,8 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import random
+import re
 import socket
 import ssl
 import subprocess
@@ -33,6 +35,7 @@ from qgen.promptgen import (
     HttpBackend,
     MockBackend,
     OpenAICompletionsBackend,
+    _normalize,
     generate,
     parse_questions,
     render_prompt,
@@ -634,6 +637,30 @@ def test_parse_truncates_to_expected():
 def test_parse_collapses_repeated_terminal_punctuation():
     parsed = parse_questions("1. What???\n2. Where...", expected=2)
     assert parsed == ["What?", "Where."]
+
+
+def regex_normalize(text: str) -> str:
+    """The regex form of _normalize, kept as the reference it must equal."""
+    text = text.strip()
+    match = re.search(r"[.?!]+$", text)
+    if match:
+        text = text[: match.start()] + match.group(0)[-1]
+    return text
+
+
+def test_normalize_matches_the_regex_form():
+    rng = random.Random(32)
+    # terminal marks, other punctuation, interior marks, "…" and non-ASCII
+    alphabet = [*".?!", *"abc xyz", *",;:-'\"", *"…éß。？", "\u00a0", "\t", "\n"]
+    cases = ["", "?", "?!.", "...", "a", "a.", "a?!.", "a.b", "a?b!", "a…", "…?", "¿qué?!"]
+    cases += ["".join(rng.choices(alphabet, k=rng.randint(1, 12))) for _ in range(5000)]
+    # runs of marks alone, and with whitespace after them
+    for _ in range(200):
+        run = "".join(rng.choices(".?!", k=rng.randint(1, 6)))
+        cases += [run + tail for tail in ("", " ", "\n")]
+    for text in cases:
+        assert _normalize(text) == regex_normalize(text), repr(text)
+        assert _normalize(text.strip()) == regex_normalize(text.strip()), repr(text)
 
 
 def test_parse_drops_empty_items():

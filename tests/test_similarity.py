@@ -853,6 +853,69 @@ def loop_mean_pool(tokens: list[str], table: EmbeddingTable) -> tuple[bytes, int
     return acc.tobytes(), covered, len(tokens)
 
 
+def pool_bits(sv) -> tuple[bytes, int, int]:
+    return sv.values.tobytes(), sv.covered, sv.total
+
+
+@pytest.mark.parametrize("dim", [1, 2, 50])
+def test_text_pools_as_its_token_list_bit_for_bit(dim):
+    rng = random.Random(dim)
+    words = ["don't", "stop-gap", "naïve", "straße", "東京", "ǆemal", "o'neil", "x-ray"]
+    words += [f"w{i}" for i in range(60)]
+    # the two tables share most tokens, at other rows and with other values
+    first = table_of(**vectors_of(words[:50], dim, rng))
+    second = table_of(**vectors_of(words[::-1][:50], dim, rng))
+    assert first.pieces == second.pieces == {}
+    marks = ["", "", "", *"'\"()?!…¿«»—-", "...", "?!"]
+    spaces = [" ", " ", "  ", "\t", "\n", "\u3000"]
+
+    def piece():
+        word = rng.choice([*words, "oov", "Oov-Two", "DON'T", "Straße"])
+        return rng.choice(marks) + word + rng.choice(marks)
+
+    def random_text():
+        parts = [rng.choice([piece(), piece(), "?!", "…"]) for _ in range(rng.randint(1, 15))]
+        return "".join(part + rng.choice(spaces) for part in parts)
+
+    texts = ["", "?", "?! …", "don't stop-gap", "«naïve»\t東京?\n"]
+    texts += [random_text() for _ in range(1500)]
+    for text in texts:
+        tokens = tokenize(text)
+        for table in (first, second):
+            pooled = sentence_vector(text, table)
+            assert pool_bits(pooled) == pool_bits(sentence_vector(tokens, table))
+            rows = [table.index[t] for t in tokens if t in table.index]
+            if rows:
+                mean = table.matrix[rows].sum(axis=0) / len(rows)
+                assert pooled.values.tobytes() == mean.tobytes()
+    # each table resolved the pieces it met, against its own index only
+    for table in (first, second):
+        assert table.pieces
+        for piece_, code in table.pieces.items():
+            (token,) = tokenize(piece_) or [None]
+            if token is None:
+                assert code == similarity.NOT_A_TOKEN
+            else:
+                assert code == table.index.get(token, similarity.NOT_IN_TABLE)
+    # a second pass only looks its pieces up, to the same bits
+    known = dict(first.pieces)
+    assert [pool_bits(sentence_vector(t, first)) for t in texts] == [
+        pool_bits(sentence_vector(tokenize(t), first)) for t in texts
+    ]
+    assert first.pieces == known
+    # a selected table starts a memo of its own
+    assert first.select(words).pieces == {}
+
+
+def vectors_of(words: list[str], dim: int, rng: random.Random) -> dict[str, tuple[float, ...]]:
+    """A vector per word, with magnitudes over six decades, so that any
+    change in the order of the additions shows in the last bits."""
+    return {
+        w: tuple(rng.gauss(0.0, 1.0) * 10.0 ** rng.uniform(-3, 3) for _ in range(dim))
+        for w in words
+    }
+
+
 @pytest.mark.parametrize("dim", [2, 50])
 def test_gathered_mean_pool_matches_loop_bit_for_bit(dim):
     rng = np.random.default_rng(29)
