@@ -172,7 +172,10 @@ class collector_paused:
     """Pause the process-wide cyclic garbage collector for the with block
     and restore the state it found, however the block ends. For work that
     builds or scans many objects and no reference cycle; the pause holds
-    for every thread of the process. A class, not a generator: a
+    for every thread of the process, so work another thread does in the
+    meantime runs without the collector too: what a caller says of when
+    the collector is on holds for one such caller per process at a time.
+    A class, not a generator: a
     generator's exit allocates once the collector is back on, which would
     start the collection made due inside the block."""
 

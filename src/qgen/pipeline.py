@@ -304,7 +304,9 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
     "score" through the report. Each restores the state it found, however
     it ends. It is on while the calls run: an exception kept across a
     call's retries holds a cycle through its traceback, which only the
-    collector frees.
+    collector frees. The pause is process-wide, so this holds for one run
+    per process at a time; a run in another thread may make its calls
+    while this one has the collector paused.
 
     The previous manifest.json is removed before any input is read, and
     the new one is written once, after every other file: by then

@@ -1,10 +1,10 @@
 """Similarity scoring of generated questions against baselines.
 
 A (context, prompt) cell is scored by one function, :func:`score_cell`,
-from the map :func:`context_cosines` makes for the whole context: it
+from the cosines :func:`context_cosines` takes for the whole context: it
 pools each distinct sentence of the context once, however many prompts
-it has, compares every one with every baseline question in one stacked
-product, and builds each sentence's record values once. The maximum of a question's cosine similarities is the
+it has, and compares every one with every baseline question in one
+stacked product. The maximum of a question's cosine similarities is the
 question's score (``question_max``), and ``prompt_max`` is the maximum
 over the cell's questions. A question "matches" when its question_max
 strictly exceeds the threshold, and per-prompt distributions of
@@ -124,29 +124,27 @@ class EvalRun:
 
 def context_cosines(
     baselines, question_lists: Sequence[Sequence[str]], table: EmbeddingTable
-) -> dict[str, tuple[tuple[tuple[str, float], ...], float, bool]]:
-    """Map each distinct text of a context to its ``per_baseline`` pairs,
-    its ``question_max`` and its zero vector flag: the values of its
-    ScoreRecord in any cell of the context.
+) -> dict[str, tuple[list[float], bool]]:
+    """Map each distinct text of a context to its cosines and its zero
+    vector flag.
 
     ``baselines`` is the context's BaselineQuestion sequence, and the
     texts are their questions and those of ``question_lists``. Each text
     is pooled once in ``table``, the baselines' first, and one
     :func:`cosine_similarity` call takes the cosines of every text against
-    every baseline. A text's pairs are ``(baseline id, cosine)`` in
-    baseline order, built once and shared by every record of the text,
-    and its question_max is the largest cosine. The flag is set when the
-    text's vector or any baseline's had no in-vocabulary tokens; those
-    comparisons are 0.0.
+    every baseline, in baseline order. The flag is set when the text's
+    vector or any baseline's had no in-vocabulary tokens; those
+    comparisons are 0.0. A context without baselines raises EmptyRecords.
     """
+    if not baselines:
+        raise EmptyRecords("a context with no baseline questions has no cosines")
     texts = dict.fromkeys(chain((b.question for b in baselines), *question_lists))
     vectors = {text: sentence_vector(text, table) for text in texts}
     bvecs = [vectors[b.question] for b in baselines]
     any_zero_baseline = any(bvec.is_zero for bvec in bvecs)
     rows = cosine_similarity(list(vectors.values()), bvecs)
-    ids = [b.id for b in baselines]
     return {
-        text: (tuple(zip(ids, row)), max(row), vec.is_zero or any_zero_baseline)
+        text: (row, vec.is_zero or any_zero_baseline)
         for (text, vec), row in zip(vectors.items(), rows)
     }
 
@@ -157,33 +155,34 @@ def score_cell(
     questions: list[str],
     baselines,
     table: EmbeddingTable,
-    cosines: dict[str, tuple[tuple[tuple[str, float], ...], float, bool]] | None = None,
+    cosines: dict[str, tuple[list[float], bool]] | None = None,
 ) -> PromptContextResult:
     """Score a cell's question texts against its context's baselines.
 
     ``baselines`` is the context's BaselineQuestion sequence. ``cosines``
     is :func:`context_cosines`' map for the context, over lists that hold
     ``questions``: one map serves all the cells of a context, which pools
-    each distinct sentence and builds its values once. None means the map
-    of this cell alone. A question's record takes its ``per_baseline``
-    (its cosines in baseline order), ``question_max`` (their maximum) and
-    zero vector flag from the map.
+    each distinct sentence once. None means the map of this cell alone.
+    A question's ``per_baseline`` holds its cosines in baseline order, its
+    ``question_max`` is their maximum, and its zero vector flag is the
+    map's.
     """
     if not baselines:
         raise EmptyRecords(f"context {context_id} has no baseline questions")
     if cosines is None:
         cosines = context_cosines(baselines, [questions], table)
+    ids = [b.id for b in baselines]
     records = []
     for i, text in enumerate(questions):
-        per_baseline, question_max, zero = cosines[text]
+        sims, zero = cosines[text]
         records.append(
             ScoreRecord(
                 context_id=context_id,
                 prompt_id=prompt_id,
                 index=i,
                 question=text,
-                per_baseline=per_baseline,
-                question_max=question_max,
+                per_baseline=tuple(zip(ids, sims)),
+                question_max=max(sims),
                 zero_vector_flag=zero,
             )
         )

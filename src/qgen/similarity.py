@@ -74,14 +74,14 @@ _token_hash = hash
 @dataclass(frozen=True, eq=False)
 class EmbeddingTable:
     """Row ``index[token]`` of the read-only ``matrix`` is the token's
-    vector; ``matrix[rows]`` is a copy. ``pieces`` is :func:`sentence_vector`'s
-    memo of the lowered whitespace pieces it has met, each mapped to its
-    token's row, :data:`NOT_IN_TABLE` or :data:`NOT_A_TOKEN`."""
+    vector; ``matrix[rows]`` is a copy. ``_pieces`` is the private memo
+    of :func:`sentence_vector`: each lowered whitespace piece it has met,
+    mapped to its token's row, ``_NOT_IN_TABLE`` or ``_NOT_A_TOKEN``."""
 
     dim: int
     index: Mapping[str, int]
     matrix: np.ndarray = field(repr=False)
-    pieces: dict[str, int] = field(default_factory=dict, init=False, repr=False)
+    _pieces: dict[str, int] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.matrix.flags.writeable = False
@@ -419,8 +419,8 @@ def vocabulary(texts: Iterable[str]) -> set[str]:
 
 
 # what a piece of text that gives no row of a table resolves to in its memo
-NOT_IN_TABLE = -1  # a token the table does not hold: counted in total
-NOT_A_TOKEN = -2  # only punctuation, which tokenize drops: not counted
+_NOT_IN_TABLE = -1  # a token the table does not hold: counted in total
+_NOT_A_TOKEN = -2  # only punctuation, which tokenize drops: not counted
 
 
 def sentence_vector(sentence: str | list[str], table: EmbeddingTable) -> SentenceVector:
@@ -429,10 +429,11 @@ def sentence_vector(sentence: str | list[str], table: EmbeddingTable) -> Sentenc
     Accepts raw text, whose tokens are those of :func:`tokenize`, or a
     pre-split token list. Text is lowered and split at whitespace as
     tokenize does, and each piece is resolved once per table, into the
-    table's ``pieces`` memo, to its token's row, to NOT_IN_TABLE or to
-    NOT_A_TOKEN; later texts of the table only look their pieces up. The
-    memo lives as long as the table. The known tokens' rows are gathered
-    with ``take`` and summed by ``np.add.reduce`` along axis 0, which
+    table's private ``_pieces`` memo, to its token's row, to
+    ``_NOT_IN_TABLE`` or to ``_NOT_A_TOKEN``; later texts of the table
+    only look their pieces up. The memo lives as long as the table. The
+    known tokens' rows are gathered with ``take`` and summed by
+    ``np.add.reduce`` along axis 0, which
     starts from +0.0 and adds whole rows in token order, the same
     arithmetic as a left-to-right loop (numpy sums a one-column table
     pairwise instead), and the sum is divided in place, once: the bits of
@@ -442,7 +443,7 @@ def sentence_vector(sentence: str | list[str], table: EmbeddingTable) -> Sentenc
     if isinstance(sentence, str):
         codes = _piece_codes(sentence.lower().split(), table)
         rows = [code for code in codes if code >= 0]
-        total = len(codes) - codes.count(NOT_A_TOKEN)
+        total = len(codes) - codes.count(_NOT_A_TOKEN)
     else:
         rows = [row for row in map(table.index.get, sentence) if row is not None]
         total = len(sentence)
@@ -456,16 +457,16 @@ def sentence_vector(sentence: str | list[str], table: EmbeddingTable) -> Sentenc
 
 
 def _piece_codes(pieces: list[str], table: EmbeddingTable) -> list[int]:
-    """Each lowered whitespace-free piece's row in table, NOT_IN_TABLE or
-    NOT_A_TOKEN, resolving the pieces the table's memo lacks into it."""
-    memo = table.pieces
+    """Each lowered whitespace-free piece's row in table, ``_NOT_IN_TABLE``
+    or ``_NOT_A_TOKEN``, resolving the pieces the table's memo lacks into it."""
+    memo = table._pieces
     try:
         return list(map(memo.__getitem__, pieces))
     except KeyError:
         for piece in pieces:
             if piece not in memo:
                 tokens = _piece_tokens([piece])
-                memo[piece] = table.index.get(tokens[0], NOT_IN_TABLE) if tokens else NOT_A_TOKEN
+                memo[piece] = table.index.get(tokens[0], _NOT_IN_TABLE) if tokens else _NOT_A_TOKEN
         return list(map(memo.__getitem__, pieces))
 
 

@@ -162,6 +162,11 @@ def test_score_cell_empty_baselines():
         score_cell(0, "A", ["what is"], [], TABLE)
 
 
+def test_context_cosines_empty_baselines():
+    with pytest.raises(EmptyRecords):
+        context_cosines([], [["q"]], TABLE)
+
+
 def test_score_cell_builds_each_distinct_sentence_vector_once(monkeypatch):
     sentences = []
 
@@ -221,10 +226,7 @@ def test_shared_vectors_score_as_fresh_ones():
 
 def cosine_bits(cosines: dict) -> dict:
     """A context_cosines map with every float as its bits."""
-    return {
-        text: ([(bid, v.hex()) for bid, v in pairs], question_max.hex(), zero)
-        for text, (pairs, question_max, zero) in cosines.items()
-    }
+    return {text: ([v.hex() for v in row], zero) for text, (row, zero) in cosines.items()}
 
 
 def test_vectors_left_from_another_context_score_the_same():
@@ -244,21 +246,6 @@ def test_vectors_left_from_another_context_score_the_same():
     assert set(left) == {b.question for b in first} | set(questions)
     assert set(after) == {b.question for b in second} | set(questions)
     assert [rec.per_baseline[0][0] for rec in scored.records] == ["c0"] * 3
-
-
-def test_records_of_one_text_in_a_context_share_its_pairs():
-    baselines = [baseline("b0", "what is the capital"), baseline("b1", "the long river")]
-    questions = ["the long river", "who built the city", "the long river"]
-    cosines = context_cosines(baselines, [questions, questions[:2]], TABLE)
-    a = score_cell(3, "A", questions, baselines, TABLE, cosines)
-    b = score_cell(3, "B", questions[:2], baselines, TABLE, cosines)
-    first, second, third = a.records
-    assert first.per_baseline is third.per_baseline is b.records[0].per_baseline
-    assert second.per_baseline is b.records[1].per_baseline
-    assert [bid for bid, _ in first.per_baseline] == ["b0", "b1"]
-    assert first.question_max == max(v for _, v in first.per_baseline)
-    # a map taken per cell builds its own pairs, equal to the shared ones
-    assert score_cell(3, "B", questions[:2], baselines, TABLE).records == b.records
 
 
 def test_cell_without_questions_has_no_records():

@@ -865,7 +865,7 @@ def test_text_pools_as_its_token_list_bit_for_bit(dim):
     # the two tables share most tokens, at other rows and with other values
     first = table_of(**vectors_of(words[:50], dim, rng))
     second = table_of(**vectors_of(words[::-1][:50], dim, rng))
-    assert first.pieces == second.pieces == {}
+    assert first._pieces == second._pieces == {}
     marks = ["", "", "", *"'\"()?!…¿«»—-", "...", "?!"]
     spaces = [" ", " ", "  ", "\t", "\n", "\u3000"]
 
@@ -890,21 +890,21 @@ def test_text_pools_as_its_token_list_bit_for_bit(dim):
                 assert pooled.values.tobytes() == mean.tobytes()
     # each table resolved the pieces it met, against its own index only
     for table in (first, second):
-        assert table.pieces
-        for piece_, code in table.pieces.items():
+        assert table._pieces
+        for piece_, code in table._pieces.items():
             (token,) = tokenize(piece_) or [None]
             if token is None:
-                assert code == similarity.NOT_A_TOKEN
+                assert code == similarity._NOT_A_TOKEN
             else:
-                assert code == table.index.get(token, similarity.NOT_IN_TABLE)
+                assert code == table.index.get(token, similarity._NOT_IN_TABLE)
     # a second pass only looks its pieces up, to the same bits
-    known = dict(first.pieces)
+    known = dict(first._pieces)
     assert [pool_bits(sentence_vector(t, first)) for t in texts] == [
         pool_bits(sentence_vector(tokenize(t), first)) for t in texts
     ]
-    assert first.pieces == known
+    assert first._pieces == known
     # a selected table starts a memo of its own
-    assert first.select(words).pieces == {}
+    assert first.select(words)._pieces == {}
 
 
 def vectors_of(words: list[str], dim: int, rng: random.Random) -> dict[str, tuple[float, ...]]:
