@@ -55,7 +55,9 @@ class EmptyInput(QgenError):
 
 
 class EmptyRecords(QgenError):
-    """prompt_max needs at least one score record."""
+    """prompt_max needs at least one score record; context_cosines,
+    score_cell and run_pipeline raise it for a context with no baseline
+    questions."""
 
 
 class MissingCell(QgenError):

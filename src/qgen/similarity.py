@@ -47,7 +47,6 @@ import weakref
 from array import array
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import filterfalse, groupby, islice
 from operator import itemgetter
 from typing import IO, Collection, Iterable, Mapping, Sequence
@@ -74,14 +73,11 @@ _token_hash = hash
 @dataclass(frozen=True, eq=False)
 class EmbeddingTable:
     """Row ``index[token]`` of the read-only ``matrix`` is the token's
-    vector; ``matrix[rows]`` is a copy. ``_pieces`` is the private memo
-    of :func:`sentence_vector`: each lowered whitespace piece it has met,
-    mapped to its token's row, ``_NOT_IN_TABLE`` or ``_NOT_A_TOKEN``."""
+    vector; ``matrix[rows]`` is a copy."""
 
     dim: int
     index: Mapping[str, int]
     matrix: np.ndarray = field(repr=False)
-    _pieces: dict[str, int] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.matrix.flags.writeable = False
@@ -161,11 +157,6 @@ class SentenceVector:
     @property
     def is_zero(self) -> bool:
         return self.covered == 0
-
-    @cached_property
-    def norm(self) -> float:
-        """The Euclidean norm of values, computed on first use."""
-        return float(np.linalg.norm(self.values))
 
 
 def _parse_header(line: str) -> bool:
@@ -379,14 +370,19 @@ def load_vectors_path(path) -> VectorIndex:
         return VectorIndex(dim or 0, hashes, rows, starts, offsets, row_spool, token_spool)
 
 
+# the ASCII characters of a P* category: one str.strip takes them off an ASCII piece
+_ASCII_PUNCTUATION = "".join(
+    c for c in map(chr, range(128)) if unicodedata.category(c).startswith("P")
+)
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip edge punctuation.
 
     Punctuation is any Unicode P* category character; only leading and
     trailing marks are stripped, so interior apostrophes and hyphens
     survive ("don't", "stop-gap"). Tokens that strip to nothing are
-    dropped. A piece that begins and ends with an alphanumeric character
-    is kept as it is: no alphanumeric code point is in a P* category.
+    dropped.
     """
     return _piece_tokens(text.lower().split())
 
@@ -395,17 +391,18 @@ def _piece_tokens(pieces: Iterable[str]) -> list[str]:
     """The tokens of lowered whitespace-free pieces, as tokenize makes them."""
     out: list[str] = []
     for piece in pieces:
-        if piece[0].isalnum() and piece[-1].isalnum():
+        if piece.isascii():
+            piece = piece.strip(_ASCII_PUNCTUATION)
+        else:
+            start = 0
+            end = len(piece)
+            while start < end and unicodedata.category(piece[start]).startswith("P"):
+                start += 1
+            while end > start and unicodedata.category(piece[end - 1]).startswith("P"):
+                end -= 1
+            piece = piece[start:end]
+        if piece:
             out.append(piece)
-            continue
-        start = 0
-        end = len(piece)
-        while start < end and unicodedata.category(piece[start]).startswith("P"):
-            start += 1
-        while end > start and unicodedata.category(piece[end - 1]).startswith("P"):
-            end -= 1
-        if end > start:
-            out.append(piece[start:end])
     return out
 
 
@@ -418,56 +415,27 @@ def vocabulary(texts: Iterable[str]) -> set[str]:
     return set(_piece_tokens(pieces))
 
 
-# what a piece of text that gives no row of a table resolves to in its memo
-_NOT_IN_TABLE = -1  # a token the table does not hold: counted in total
-_NOT_A_TOKEN = -2  # only punctuation, which tokenize drops: not counted
-
-
 def sentence_vector(sentence: str | list[str], table: EmbeddingTable) -> SentenceVector:
     """Mean-pool the vectors of the sentence's in-vocabulary tokens.
 
-    Accepts raw text, whose tokens are those of :func:`tokenize`, or a
-    pre-split token list. Text is lowered and split at whitespace as
-    tokenize does, and each piece is resolved once per table, into the
-    table's private ``_pieces`` memo, to its token's row, to
-    ``_NOT_IN_TABLE`` or to ``_NOT_A_TOKEN``; later texts of the table
-    only look their pieces up. The memo lives as long as the table. The
-    known tokens' rows are gathered with ``take`` and summed by
-    ``np.add.reduce`` along axis 0, which
-    starts from +0.0 and adds whole rows in token order, the same
-    arithmetic as a left-to-right loop (numpy sums a one-column table
-    pairwise instead), and the sum is divided in place, once: the bits of
+    Accepts raw text, which pools exactly as its :func:`tokenize` list,
+    or a pre-split token list. The known tokens' rows are gathered with
+    ``take`` and summed by ``np.add.reduce`` along axis 0, which starts
+    from +0.0 and adds whole rows in token order, the same arithmetic as
+    a left-to-right loop (numpy sums a one-column table pairwise
+    instead), and the sum is divided in place, once: the bits of
     ``table.matrix[rows].sum(axis=0) / len(rows)``. A sentence with zero
     known tokens yields the zero vector.
     """
-    if isinstance(sentence, str):
-        codes = _piece_codes(sentence.lower().split(), table)
-        rows = [code for code in codes if code >= 0]
-        total = len(codes) - codes.count(_NOT_A_TOKEN)
-    else:
-        rows = [row for row in map(table.index.get, sentence) if row is not None]
-        total = len(sentence)
+    tokens = tokenize(sentence) if isinstance(sentence, str) else sentence
+    rows = [row for row in map(table.index.get, tokens) if row is not None]
     if rows:
         acc = np.add.reduce(table.matrix.take(rows, axis=0), axis=0)
         acc /= len(rows)
     else:
         acc = np.zeros(table.dim, dtype=np.float64)
     acc.flags.writeable = False
-    return SentenceVector(values=acc, covered=len(rows), total=total)
-
-
-def _piece_codes(pieces: list[str], table: EmbeddingTable) -> list[int]:
-    """Each lowered whitespace-free piece's row in table, ``_NOT_IN_TABLE``
-    or ``_NOT_A_TOKEN``, resolving the pieces the table's memo lacks into it."""
-    memo = table._pieces
-    try:
-        return list(map(memo.__getitem__, pieces))
-    except KeyError:
-        for piece in pieces:
-            if piece not in memo:
-                tokens = _piece_tokens([piece])
-                memo[piece] = table.index.get(tokens[0], _NOT_IN_TABLE) if tokens else _NOT_A_TOKEN
-        return list(map(memo.__getitem__, pieces))
+    return SentenceVector(values=acc, covered=len(rows), total=len(tokens))
 
 
 def cosine_similarity(
@@ -510,5 +478,5 @@ def _stack(vectors: Sequence[SentenceVector]) -> np.ndarray:
 
 
 def _row_norms(stack: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row, with SentenceVector.norm's bits."""
+    """The Euclidean norm of each row, with the bits of ``np.linalg.norm``."""
     return np.sqrt(np.matmul(stack[:, None, :], stack[:, :, None])[:, 0, 0])

@@ -284,7 +284,9 @@ def test_stacked_cosines_match_the_per_pair_formula_bit_for_bit(dim):
     got = cosine_similarity(vectors, some)
     assert [[v.hex() for v in row] for row in got] == [row[7:12] for row in expected]
     norms = similarity._row_norms(np.stack([v.values for v in vectors]))
-    assert [v.hex() for v in norms.tolist()] == [v.norm.hex() for v in vectors]
+    assert [v.hex() for v in norms.tolist()] == [
+        float(np.linalg.norm(v.values)).hex() for v in vectors
+    ]
     # and through a context: per_baseline is the formula's, flag and all
     baselines = [baseline(f"b{i}", " ".join(tokens)) for i, tokens in enumerate(sentences[:6])]
     questions = [" ".join(tokens) for tokens in sentences[6:]]
