@@ -152,7 +152,8 @@ class HttpBackend:
     host itself: no proxy is read from the environment. Transport errors
     and 5xx are retried with exponential backoff, except a certificate
     that fails verification, which raises BackendUnavailable at once; any
-    other non-2xx answer, a 3xx included, raises BackendRejected at once.
+    other non-2xx answer, a 3xx included, raises BackendRejected at once,
+    as does a completion that does not encode as UTF-8 (a lone surrogate).
     Subclasses adapt the wire format through ``_payload`` and ``_extract``.
     """
 
@@ -243,7 +244,13 @@ class HttpBackend:
                 continue
             if status >= 300:
                 raise BackendRejected(f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}")
-            return self._extract(body)
+            text = self._extract(body)
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                # a JSON escape of a lone surrogate: no artifact could hold it
+                raise BackendRejected(f"completion is not valid Unicode: {exc.reason}") from exc
+            return text
         if isinstance(last_exc, TimeoutError):
             raise BackendTimeout(
                 f"no answer from {self.url} within {self.timeout_s}s "

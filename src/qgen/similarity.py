@@ -22,11 +22,13 @@ name the line. A byte that does not decode ends the pass: the lines
 before it are its last block, and BadEncoding follows if they load.
 So a file loads to the rows, and fails with the error class, message
 and line number, of :func:`load_vectors`, the per-line parser, over
-the whole file. The pass keeps a :class:`VectorIndex` of each row's
-token hash, and copies each block's rows and tokens to a private spool,
-two unlinked temporary files in ``tempfile.gettempdir()`` (rows x dim x 8
-bytes and the tokens, about 166 MB at 400k x 50d), from which ``select``
-reads the rows of the tokens a caller will score. Nothing after the load
+the whole file. The pass copies each block's rows and tokens to a
+private spool, two unlinked temporary files in ``tempfile.gettempdir()``
+(rows x dim x 8 bytes and the tokens, one a line, about 166 MB at 400k x
+50d), and returns a :class:`VectorIndex` of the spool alone: ``select``
+finds the tokens a caller will score by reading the spooled tokens in
+row order, and reads their rows. The token hashes serve only the load's
+duplicate check, and are dropped when it returns. Nothing after the load
 reads the text file: an edit, a truncation or a removal of it after the
 load changes no selected row, and an edit during the load goes
 undetected. A ``nan`` or ``inf`` is a :class:`BadFloat`:
@@ -47,8 +49,7 @@ import weakref
 from array import array
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from itertools import filterfalse, groupby, islice
-from operator import itemgetter
+from itertools import filterfalse, islice
 from typing import IO, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -56,8 +57,9 @@ import numpy as np
 from .errors import BadEncoding, BadFloat, DimensionMismatch, DuplicateToken, QgenError
 
 # lines per block of a regular file, whose text and parsed rows (about 1 MB
-# at 50d) are all a load holds of the file at once; the load keeps the
-# index, 16 bytes a row (6.4 MB at 400k rows), and spools the rest
+# at 50d) are all a load holds of the file at once, with a token hash a
+# row (3.2 MB at 400k rows, twice that as they are sorted) for the
+# duplicate check; it spools the rest
 BLOCK_LINES = 1024
 
 # a component's magnitude is below this, so the row sum of a sentence of
@@ -96,18 +98,13 @@ class EmbeddingTable:
 @dataclass(frozen=True, eq=False)
 class VectorIndex:
     """What :func:`load_vectors_path` keeps of a file in memory, no token
-    and no vector. Row r is the r-th line after the header that is not
-    blank; row ``rows[i]`` holds the token whose hash is ``hashes[i]``,
-    in ascending order. The rows are in two unlinked files, closed when
+    and no vector: ``rows`` rows, row r the r-th line after the header
+    that is not blank. The rows are in two unlinked files, closed when
     the index is collected: row r's components from byte ``r * dim * 8``
-    of ``row_spool``, and from byte ``offsets[b]`` of ``token_spool`` the
-    tokens, one a line, of the block of rows from ``starts[b]`` on."""
+    of ``row_spool``, and row r's token on line r of ``token_spool``."""
 
     dim: int
-    hashes: np.ndarray = field(repr=False)
-    rows: np.ndarray = field(repr=False)
-    starts: list[int] = field(repr=False)
-    offsets: list[int] = field(repr=False)
+    rows: int
     row_spool: IO[bytes] = field(repr=False)
     token_spool: IO[bytes] = field(repr=False)
 
@@ -116,36 +113,27 @@ class VectorIndex:
             weakref.finalize(self, spool.close)
 
     def __len__(self) -> int:
-        return len(self.hashes)
+        return self.rows
 
     def select(self, tokens: Iterable[str]) -> EmbeddingTable:
-        """As EmbeddingTable.select, reading the rows from the spool. A
-        token whose hash only meets that of another token is absent. Not
-        for two threads at once: they would share the spool's position."""
-        wanted = set(tokens)
-        keys = _hashes(wanted)
-        # every position of each wanted hash: two file tokens may share one
-        first = np.searchsorted(self.hashes, keys)
-        count = np.searchsorted(self.hashes, keys, "right") - first
-        at = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
-        rows = np.unique(self.rows[at]).tolist()
-        named = [(row, token) for row, token in zip(rows, self._tokens(rows)) if token in wanted]
+        """As EmbeddingTable.select, finding the tokens by reading the
+        token spool in row order and their rows from the row spool. Not
+        for two threads at once: they would share the spools' positions."""
+        # a token with a lone surrogate gets bytes no decoded file token has
+        wanted = {token.encode("utf-8", "surrogatepass") for token in tokens}
+        named: list[tuple[int, str]] = []
+        row, tail = 0, b""
+        self.token_spool.seek(0)
+        for chunk in iter(lambda: self.token_spool.read(1 << 16), b""):
+            *lines, tail = (tail + chunk).split(b"\n")
+            if not wanted.isdisjoint(lines):
+                named += [(row + i, t.decode()) for i, t in enumerate(lines) if t in wanted]
+            row += len(lines)
         matrix = np.empty((len(named), self.dim))
         for out, (row, _) in zip(matrix, named):
             self.row_spool.seek(row * self.dim * 8)
             self.row_spool.readinto(out)
         return EmbeddingTable(self.dim, {token: i for i, (_, token) in enumerate(named)}, matrix)
-
-    def _tokens(self, rows: list[int]) -> list[str]:
-        """The spooled tokens of the ascending rows, read a block at a time."""
-        tokens: list[str] = []
-        blocks = np.searchsorted(self.starts, rows, "right") - 1
-        for block, picks in groupby(zip(blocks.tolist(), rows), key=itemgetter(0)):
-            start, end = self.offsets[block : block + 2]
-            self.token_spool.seek(start)
-            lines = self.token_spool.read(end - start).decode().split("\n")
-            tokens += [lines[row - self.starts[block]] for _, row in picks]
-        return tokens
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,7 +329,7 @@ def load_vectors_path(path) -> VectorIndex:
         if not (header := _parse_header(next(lines, ""))):
             fh.seek(0)
         dim, lineno = None, 1 + header
-        hashes, starts, offsets = [np.empty(0, np.int64)], [0], [0]
+        hashes = [np.empty(0, np.int64)]
         for block in iter(lambda: list(islice(lines, BLOCK_LINES)), []):
             index: dict[str, int] = {}
             try:
@@ -357,17 +345,15 @@ def load_vectors_path(path) -> VectorIndex:
             dim = vectors.shape[1] or dim
             hashes.append(_hashes(tokens))
             row_spool.write(np.ascontiguousarray(vectors))
-            starts.append(starts[-1] + len(tokens))
-            offsets.append(offsets[-1] + token_spool.write(("\n".join(tokens) + "\n").encode()))
+            # a block of blank lines writes no line
+            token_spool.write("\n".join([*tokens, ""]).encode())
             lineno += len(block)
             del tokens, vectors  # not held through the next block, or the sort
-        hashes = np.concatenate(hashes)
-        rows = np.argsort(hashes)
-        hashes = hashes[rows]
+        hashes = np.sort(np.concatenate(hashes))
         if repeated := _repeats(hashes):
             # a token in two blocks, or two tokens with one hash, in the lines read
             _repeated_tokens(fh, header, repeated, lineno - 1)
-        return VectorIndex(dim or 0, hashes, rows, starts, offsets, row_spool, token_spool)
+        return VectorIndex(dim or 0, len(hashes), row_spool, token_spool)
 
 
 # the ASCII characters of a P* category: one str.strip takes them off an ASCII piece

@@ -71,7 +71,7 @@ def test_golden_run_reproduces_byte_for_byte(tmp_path):
 
 @pytest.mark.parametrize("salt", ["1", "2"])
 def test_golden_run_does_not_depend_on_the_hash_salt(tmp_path, salt):
-    # the vector index holds str hashes, which are salted per process
+    # the vector load's duplicate check uses str hashes, salted per process
     out = tmp_path / "full_run"
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -527,6 +527,19 @@ def test_partial_failure_persists_completed_cells(tmp_path, mini_squad_path, dem
     assert "BackendRejected" in manifest["error"]
 
 
+def test_completion_with_a_lone_surrogate_fails_the_run_at_generate(
+    tmp_path, mini_squad_path, demo_vectors_path
+):
+    reply = {"text": "1. What is \ud800 here?"}
+    with scripted_server([], reply=reply) as (url, state):
+        path = http_config(tmp_path, mini_squad_path, demo_vectors_path, url)
+        assert main(["run", "--config", str(path)]) == 3
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert (manifest["status"], manifest["stage"]) == ("failed", "generate")
+    assert manifest["error"].startswith("BackendRejected: completion is not valid Unicode")
+    assert len(state["captured"]) == manifest["backend_calls"]
+
+
 def test_total_backend_failure_no_cells(tmp_path, mini_squad_path, demo_vectors_path):
     with scripted_server([400] * 8) as (url, _):
         path = http_config(tmp_path, mini_squad_path, demo_vectors_path, url)

@@ -506,6 +506,22 @@ def test_body_nested_too_deep_rejected(backend_cls):
             backend_cls(url, sleep=lambda s: None).complete(REQ)
 
 
+@pytest.mark.parametrize("backend_cls", [HttpBackend, OpenAICompletionsBackend])
+def test_completion_with_a_lone_surrogate_rejected_without_retry(backend_cls):
+    def reply(text):
+        return {"text": text} if backend_cls is HttpBackend else {"choices": [{"text": text}]}
+
+    # json.dumps writes each surrogate as a \uXXXX escape: valid JSON
+    sleeps: list[float] = []
+    with scripted_server(["ok"], reply=reply("1. What is \ud800 here?")) as (url, state):
+        with pytest.raises(BackendRejected, match="not valid Unicode"):
+            backend_cls(url, sleep=sleeps.append).complete(REQ)
+    assert len(state["captured"]) == 1 and sleeps == []
+    # an escaped surrogate pair decodes to one character and passes
+    with scripted_server(["ok"], reply=reply("1. What is \ud83d\ude00 here?")) as (url, _):
+        assert backend_cls(url, sleep=sleeps.append).complete(REQ) == "1. What is \U0001f600 here?"
+
+
 def test_http_identity_and_call_log():
     with scripted_server([503, "ok"]) as (url, _):
         backend = HttpBackend(url, sleep=lambda s: None)
