@@ -11,7 +11,10 @@ builds 50 records, and no error waits until a read.
 
 Offsets count Unicode scalar values, which is what Python string indexing
 does and what the official v1.1 files are consistent under. v2-style
-unanswerable entries (empty ``answers``) are rejected at parse time.
+unanswerable entries (empty ``answers``) are rejected at parse time. Every
+title, context, id, question and answer text must be valid Unicode: a
+JSON escape of a lone surrogate (``\\ud800``) decodes to a str that no
+artifact could hold, and is a SchemaError at parse time.
 """
 
 from __future__ import annotations
@@ -156,7 +159,21 @@ def _require(obj, key: str, kind, path: str):
             f"{path}.{key}",
             f"expected {kind.__name__}, got {type(value).__name__}",
         )
+    if kind is str and not (value.isascii() or _encodes(value)):
+        # a JSON escape of a lone surrogate, such as \ud800: no artifact
+        # could hold the string
+        raise SchemaError(f"{path}.{key}", "not valid Unicode (a lone surrogate)")
     return value
+
+
+def _encodes(value: str) -> bool:
+    """Whether value encodes as UTF-8, which a str holding a lone surrogate
+    does not; str.isascii() is O(1), so a caller tries it first."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def loads_json(text: str):
@@ -228,50 +245,88 @@ def _parse_squad(source: str | bytes | IO) -> SquadDataset:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedJson(f"invalid JSON: {exc}") from exc
 
-    data = _require(doc, "data", list, "$")
+    # Each check is inline on the decoded value (a JSON value's type is
+    # exactly dict, list, str, int, float, bool or NoneType); only an
+    # element that fails one builds its JSON path and runs its checks
+    # again through _require, which raises the error with that path.
+    data = doc.get("data") if type(doc) is dict else None
+    if type(data) is not list:
+        _require(doc, "data", list, "$")
     validated: list[tuple[str, dict]] = []
     for ai, article in enumerate(data):
-        apath = f"$.data[{ai}]"
-        title = _require(article, "title", str, apath)
-        paragraphs = _require(article, "paragraphs", list, apath)
+        title = article.get("title") if type(article) is dict else None
+        if (
+            type(title) is not str
+            or not (title.isascii() or _encodes(title))
+            or type(paragraphs := article.get("paragraphs")) is not list
+        ):
+            apath = f"$.data[{ai}]"
+            title = _require(article, "title", str, apath)
+            paragraphs = _require(article, "paragraphs", list, apath)
         for pi, para in enumerate(paragraphs):
-            ppath = f"{apath}.paragraphs[{pi}]"
-            context = _require(para, "context", str, ppath)
-            if not context:
-                raise SchemaError(f"{ppath}.context", "context text is empty")
-            qas = _require(para, "qas", list, ppath)
+            context = para.get("context") if type(para) is dict else None
+            if (
+                type(context) is not str
+                or not context
+                or not (context.isascii() or _encodes(context))
+                or type(qas := para.get("qas")) is not list
+            ):
+                ppath = f"$.data[{ai}].paragraphs[{pi}]"
+                context = _require(para, "context", str, ppath)
+                if not context:
+                    raise SchemaError(f"{ppath}.context", "context text is empty")
+                qas = _require(para, "qas", list, ppath)
             for qi, qa in enumerate(qas):
-                qpath = f"{ppath}.qas[{qi}]"
-                qid = _require(qa, "id", str, qpath)
-                question = _require(qa, "question", str, qpath)
-                if not question.strip():
-                    raise SchemaError(f"{qpath}.question", "question is blank")
-                answers_raw = _require(qa, "answers", list, qpath)
-                if not answers_raw:
-                    raise SchemaError(
-                        f"{qpath}.answers",
-                        "empty answers list (v2-style unanswerable entries "
-                        "are not supported)",
-                    )
-                for xi, ans in enumerate(answers_raw):
-                    xpath = f"{qpath}.answers[{xi}]"
-                    text = _require(ans, "text", str, xpath)
-                    start = _require(ans, "answer_start", int, xpath)
-                    if not text:
-                        raise SchemaError(f"{xpath}.text", "answer text is empty")
-                    if start < 0 or start + len(text) > len(context):
-                        raise SpanError(
-                            qid,
-                            f"offsets [{start}, {start + len(text)}) fall "
-                            f"outside the {len(context)}-char context",
+                qid = qa.get("id") if type(qa) is dict else None
+                if (
+                    type(qid) is not str
+                    or not (qid.isascii() or _encodes(qid))
+                    or type(question := qa.get("question")) is not str
+                    or not (question.isascii() or _encodes(question))
+                    or not question.strip()
+                    or type(answers := qa.get("answers")) is not list
+                    or not answers
+                ):
+                    qpath = f"$.data[{ai}].paragraphs[{pi}].qas[{qi}]"
+                    qid = _require(qa, "id", str, qpath)
+                    question = _require(qa, "question", str, qpath)
+                    if not question.strip():
+                        raise SchemaError(f"{qpath}.question", "question is blank")
+                    answers = _require(qa, "answers", list, qpath)
+                    if not answers:
+                        raise SchemaError(
+                            f"{qpath}.answers",
+                            "empty answers list (v2-style unanswerable entries "
+                            "are not supported)",
                         )
-                    if context[start : start + len(text)] != text:
-                        raise SpanError(
-                            qid,
-                            f"context slice at {start} is "
-                            f"{context[start:start + len(text)]!r}, "
-                            f"expected {text!r}",
-                        )
+                for xi, ans in enumerate(answers):
+                    text = ans.get("text") if type(ans) is dict else None
+                    # a non-empty text equal to a slice of the context lies
+                    # inside it, and is valid Unicode as the context is
+                    if (
+                        type(text) is not str
+                        or type(start := ans.get("answer_start")) is not int
+                        or not text
+                        or not (start >= 0 and context[start : start + len(text)] == text)
+                    ):
+                        xpath = f"$.data[{ai}].paragraphs[{pi}].qas[{qi}].answers[{xi}]"
+                        text = _require(ans, "text", str, xpath)
+                        start = _require(ans, "answer_start", int, xpath)
+                        if not text:
+                            raise SchemaError(f"{xpath}.text", "answer text is empty")
+                        if start < 0 or start + len(text) > len(context):
+                            raise SpanError(
+                                qid,
+                                f"offsets [{start}, {start + len(text)}) fall "
+                                f"outside the {len(context)}-char context",
+                            )
+                        if context[start : start + len(text)] != text:
+                            raise SpanError(
+                                qid,
+                                f"context slice at {start} is "
+                                f"{context[start:start + len(text)]!r}, "
+                                f"expected {text!r}",
+                            )
             validated.append((title, para))
     return SquadDataset(records=ContextRecords(validated))
 

@@ -6,16 +6,15 @@ back into individual questions. Backends implement a single
 ``complete(request)`` call; the HTTP flavors retry transport failures and
 5xx with exponential backoff, and the mock flavor fabricates deterministic
 questions from the context so whole pipeline runs are reproducible
-offline.
+offline. The HTTP flavors import ``http.client`` and ``ssl`` when one is
+built, so importing qgen, or a mock run, loads no HTTP stack.
 """
 
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import re
-import ssl
 import threading
 import time
 import urllib.parse
@@ -188,6 +187,9 @@ class HttpBackend:
         self.backoff_base_s = backoff_base_s
         self.sleep = sleep
         self._local = threading.local()
+        # the HTTP stack loads with the first HTTP backend, not with qgen
+        import http.client
+
         https = parts.scheme == "https"
         self._conn_class = http.client.HTTPSConnection if https else http.client.HTTPConnection
         self._address = (parts.hostname, port)
@@ -218,6 +220,9 @@ class HttpBackend:
         used so far are recorded per thread for ``last_retries``. Exhausted
         retries raise BackendTimeout for timeouts and BackendUnavailable otherwise.
         """
+        import http.client
+        import ssl
+
         data = json.dumps(self._payload(request), allow_nan=False).encode("utf-8")
         last_exc: Exception | None = None
         for attempt in range(self.attempts):

@@ -349,7 +349,8 @@ def load_vectors_path(path) -> VectorIndex:
             token_spool.write("\n".join([*tokens, ""]).encode())
             lineno += len(block)
             del tokens, vectors  # not held through the next block, or the sort
-        hashes = np.sort(np.concatenate(hashes))
+        hashes = np.concatenate(hashes)
+        hashes.sort()  # in place: no second copy at the load's peak
         if repeated := _repeats(hashes):
             # a token in two blocks, or two tokens with one hash, in the lines read
             _repeated_tokens(fh, header, repeated, lineno - 1)

@@ -6,10 +6,14 @@ import gc
 import io
 import json
 import random
+from collections import Counter
 
 import pytest
 
+from qgen import corpus
 from qgen.corpus import (
+    ContextRecords,
+    SquadDataset,
     chunk_context,
     load_squad,
     parse_squad,
@@ -267,6 +271,270 @@ def test_parse_span_error_out_of_bounds():
     doc["data"][0]["paragraphs"][0]["qas"][0]["answers"][0]["answer_start"] = 100
     with pytest.raises(SpanError):
         parse_squad(doc_bytes(doc))
+
+
+@pytest.mark.parametrize(
+    "field, path",
+    [
+        (lambda d: d["data"][0], "$.data[0].title"),
+        (lambda d: d["data"][0]["paragraphs"][0], "$.data[0].paragraphs[0].context"),
+        (lambda d: d["data"][0]["paragraphs"][0]["qas"][0], "$.data[0].paragraphs[0].qas[0].id"),
+        (
+            lambda d: d["data"][0]["paragraphs"][0]["qas"][0],
+            "$.data[0].paragraphs[0].qas[0].question",
+        ),
+        (
+            lambda d: d["data"][0]["paragraphs"][0]["qas"][0]["answers"][0],
+            "$.data[0].paragraphs[0].qas[0].answers[0].text",
+        ),
+    ],
+    ids=["title", "context", "id", "question", "answer-text"],
+)
+@pytest.mark.parametrize("surrogate", ["\ud800", "\udfff", "\ude00\ud83d"])
+def test_parse_rejects_a_lone_surrogate_by_json_path(field, path, surrogate):
+    # the JSON text holds the escape, which decodes to a str UTF-8 cannot encode
+    doc = make_squad_doc([("T", [("Alpha beta.", [("What?", "Alpha")])])])
+    key = path.rsplit(".", 1)[1]
+    # an answer text is checked before its span
+    field(doc)[key] += surrogate
+    text = json.dumps(doc)
+    assert "\\ud" in text
+    with pytest.raises(SchemaError) as err:
+        parse_squad(text)
+    assert err.value.path == path
+    assert str(err.value) == f"{path}: not valid Unicode (a lone surrogate)"
+
+
+# -- the walk against its reference --------------------------------------------
+
+def reference_require(obj, key: str, kind, path: str):
+    """The parser's field check as one call a field: the reference of the
+    inline checks."""
+    if not isinstance(obj, dict):
+        raise SchemaError(path, f"expected an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise SchemaError(f"{path}.{key}", "missing required field")
+    value = obj[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is int):
+        raise SchemaError(
+            f"{path}.{key}",
+            f"expected {kind.__name__}, got {type(value).__name__}",
+        )
+    if kind is str:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaError(f"{path}.{key}", "not valid Unicode (a lone surrogate)") from None
+    return value
+
+
+def reference_walk(doc) -> ContextRecords:
+    """The parser's walk as it was with one reference_require call a field
+    and a JSON path string built for every element."""
+    data = reference_require(doc, "data", list, "$")
+    validated = []
+    for ai, article in enumerate(data):
+        apath = f"$.data[{ai}]"
+        title = reference_require(article, "title", str, apath)
+        paragraphs = reference_require(article, "paragraphs", list, apath)
+        for pi, para in enumerate(paragraphs):
+            ppath = f"{apath}.paragraphs[{pi}]"
+            context = reference_require(para, "context", str, ppath)
+            if not context:
+                raise SchemaError(f"{ppath}.context", "context text is empty")
+            qas = reference_require(para, "qas", list, ppath)
+            for qi, qa in enumerate(qas):
+                qpath = f"{ppath}.qas[{qi}]"
+                qid = reference_require(qa, "id", str, qpath)
+                question = reference_require(qa, "question", str, qpath)
+                if not question.strip():
+                    raise SchemaError(f"{qpath}.question", "question is blank")
+                answers_raw = reference_require(qa, "answers", list, qpath)
+                if not answers_raw:
+                    raise SchemaError(
+                        f"{qpath}.answers",
+                        "empty answers list (v2-style unanswerable entries "
+                        "are not supported)",
+                    )
+                for xi, ans in enumerate(answers_raw):
+                    xpath = f"{qpath}.answers[{xi}]"
+                    text = reference_require(ans, "text", str, xpath)
+                    start = reference_require(ans, "answer_start", int, xpath)
+                    if not text:
+                        raise SchemaError(f"{xpath}.text", "answer text is empty")
+                    if start < 0 or start + len(text) > len(context):
+                        raise SpanError(
+                            qid,
+                            f"offsets [{start}, {start + len(text)}) fall "
+                            f"outside the {len(context)}-char context",
+                        )
+                    if context[start : start + len(text)] != text:
+                        raise SpanError(
+                            qid,
+                            f"context slice at {start} is "
+                            f"{context[start:start + len(text)]!r}, "
+                            f"expected {text!r}",
+                        )
+            validated.append((title, para))
+    return ContextRecords(validated)
+
+
+# the keys each level of the tree requires, and the string ones among them
+LEVEL_KEYS = (
+    ("title", "paragraphs"), ("context", "qas"), ("id", "question", "answers"),
+    ("text", "answer_start"),
+)
+WRONG_VALUES = (None, True, False, 0, -3, 1.5, "", "x", [], [1], {}, {"text": "x"})
+
+
+def tree_nodes(doc) -> tuple[list[list[dict]], list[tuple[object, dict]]]:
+    """The objects of the tree at the article, paragraph, question and
+    answer levels, reached through whatever is still well formed, and each
+    answer object with its paragraph's context."""
+
+    def objects(value) -> list[dict]:
+        return [v for v in value if isinstance(v, dict)] if isinstance(value, list) else []
+
+    levels: list[list[dict]] = [objects(doc.get("data") if isinstance(doc, dict) else None)]
+    levels += [[], [], []]
+    answers = []
+    for article in levels[0]:
+        for para in objects(article.get("paragraphs")):
+            levels[1].append(para)
+            for qa in objects(para.get("qas")):
+                levels[2].append(qa)
+                for ans in objects(qa.get("answers")):
+                    levels[3].append(ans)
+                    answers.append((para.get("context"), ans))
+    return levels, answers
+
+
+def mutate_tree(doc, rng: random.Random) -> str:
+    """One mutation of doc in place, and what it was."""
+    levels, answers = tree_nodes(doc)
+    depth = rng.choice([d for d in range(4) if levels[d]] or [None])
+    if depth is None:
+        doc["data"] = rng.choice(WRONG_VALUES)
+        return "replace data"
+    node = rng.choice(levels[depth])
+    key = rng.choice(LEVEL_KEYS[depth])
+    op = rng.choice(
+        ("missing", "wrong-type", "null", "bool-for-int", "blank", "empty", "span",
+         "surrogate", "pair", "non-object")
+    )
+    if op == "missing":
+        node.pop(key, None)
+    elif op == "wrong-type":
+        node[key] = rng.choice(WRONG_VALUES)
+    elif op == "null":
+        node[key] = None
+    elif op == "bool-for-int" and answers:
+        context, ans = rng.choice(answers)
+        ans["answer_start"] = flag = rng.choice((True, False))
+        if isinstance(context, str) and rng.random() < 0.5:
+            # the span the int of equal value would slice
+            ans["text"] = context[flag : flag + rng.randint(1, 5)]
+    elif op == "blank":
+        rng.choice(levels[2] or [node])["question"] = rng.choice(("", " ", "\t\n "))
+    elif op == "empty":
+        node[key] = [] if key in ("paragraphs", "qas", "answers") else ""
+    elif op == "span" and answers:
+        context, ans = rng.choice(answers)
+        start = ans.get("answer_start")
+        n = len(context) if isinstance(context, str) else 0
+        if type(start) is int:
+            # start - n slices the same text from the context's end
+            ans["answer_start"] = start + rng.choice((-n, -n - 1, -start - 1, -1, 1, n, 1000))
+        else:
+            ans["answer_start"] = rng.randint(-5, 5)
+    elif op in ("surrogate", "pair"):
+        value = node.get(key)
+        extra = "\U0001F600" if op == "pair" else rng.choice(("\ud800", "\udbff", "\udc00", "\udfff"))
+        if isinstance(value, str):
+            at = rng.randint(0, len(value))
+            node[key] = value[:at] + extra + value[at:]
+        else:
+            node[key] = extra
+    elif op == "non-object":
+        container = rng.choice([doc, *levels[0], *levels[1], *levels[2]])
+        lists = [v for v in container.values() if isinstance(v, list) and v]
+        if lists:
+            chosen = rng.choice(lists)
+            chosen[rng.randrange(len(chosen))] = rng.choice(WRONG_VALUES)
+    return f"{op} {key} at depth {depth}"
+
+
+def parse_outcome(parse, text: str):
+    try:
+        return ("records", parse(text))
+    except (SchemaError, SpanError) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "path", None),
+                getattr(exc, "qas_id", None))
+
+
+def test_parse_walk_matches_the_reference_walk_on_mutations(mini_squad_path):
+    def parse(text):
+        return parse_squad(text).records
+
+    def reference(text):
+        return reference_walk(json.loads(text))
+
+    sources = {
+        "mini": json.loads(mini_squad_path.read_text(encoding="utf-8")),
+        "synthetic": make_squad_doc(build_synth_articles(30)),
+    }
+    kinds: Counter = Counter()
+    for name, source in sources.items():
+        for seed in range(400):
+            rng = random.Random(seed)
+            doc = json.loads(json.dumps(source))
+            what = [mutate_tree(doc, rng) for _ in range(rng.randint(1, 3))]
+            # escaped, so a lone surrogate reaches the parser as JSON text
+            text = json.dumps(doc)
+            got, want = parse_outcome(parse, text), parse_outcome(reference, text)
+            assert got == want, (name, seed, what)
+            kinds[got[0] if got[0] != "SchemaError" else got[1].split(": ", 1)[1]] += 1
+    # the mutations reach every error the walk raises, and records too
+    assert kinds["records"] > 0 and kinds["SpanError"] > 0
+    for message in (
+        "missing required field", "expected int, got bool", "expected str, got NoneType",
+        "question is blank", "context text is empty", "answer text is empty",
+        "not valid Unicode (a lone surrogate)",
+    ):
+        assert kinds[message] > 0, message
+    assert any(m.startswith("expected an object") for m in kinds)
+    assert any(m.startswith("empty answers list") for m in kinds)
+
+
+def test_valid_parse_makes_no_require_call(mini_squad_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:])
+        return require(*args)
+
+    require = corpus._require
+    monkeypatch.setattr(corpus, "_require", counted)
+    # non-ASCII text, and an escaped surrogate pair, which is one character
+    context = "Smile \U0001F600 and Beyoncé, 1981."
+    unicode_doc = make_squad_doc([("T é", [(context, [("Why \U0001F600?", "\U0001F600")])])])
+    unicode_doc["data"][0]["paragraphs"][0]["qas"][0]["id"] += "\U0001F600"
+    assert "\\ud83d\\ude00" in json.dumps(unicode_doc)
+    for text in (
+        mini_squad_path.read_text(encoding="utf-8"),
+        json.dumps(make_squad_doc(build_synth_articles(200))),
+        json.dumps(unicode_doc),
+        json.dumps(unicode_doc, ensure_ascii=False),
+    ):
+        assert parse_squad(text) == SquadDataset(reference_walk(json.loads(text)))
+    assert calls == []
+    rec = parse_squad(json.dumps(unicode_doc)).records[0]
+    assert rec.baselines[0].id == "fx-00000\U0001F600"
+    assert rec.baselines[0].answers[0].text == "\U0001F600"
+    # the count sees a call: a failed check runs through _require
+    with pytest.raises(SchemaError):
+        parse_squad('{"data": [{"title": "T", "paragraphs": {}}]}')
+    assert calls == [("title", str, "$.data[0]"), ("paragraphs", list, "$.data[0]")]
 
 
 # -- reversal -------------------------------------------------------------------

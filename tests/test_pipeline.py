@@ -540,6 +540,38 @@ def test_completion_with_a_lone_surrogate_fails_the_run_at_generate(
     assert len(state["captured"]) == manifest["backend_calls"]
 
 
+def test_dataset_string_with_a_lone_surrogate_fails_the_run_at_load(
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, capsys
+):
+    # a complete run first: the failed run must leave none of its files
+    config = write_config(tmp_path, mini_squad_path, demo_vectors_path)
+    assert main(["run", "--config", str(config)]) == 0
+    doc = json.loads(mini_squad_path.read_text(encoding="utf-8"))
+    for article in doc["data"]:
+        for para in article["paragraphs"]:
+            for qa in para["qas"]:
+                qa["id"] += "\ud800"
+    dataset = tmp_path / "squad.json"
+    # json.dumps escapes the surrogate, so the file is valid UTF-8 JSON
+    dataset.write_text(json.dumps(doc), encoding="utf-8")
+    backend = FailFirstBackend("none")
+    monkeypatch.setattr(pipeline, "make_backend", lambda cfg: backend)
+    capsys.readouterr()
+    config = write_config(tmp_path, dataset, demo_vectors_path)
+    assert main(["run", "--config", str(config)]) == 2
+    path = "$.data[0].paragraphs[0].qas[0].id"
+    assert capsys.readouterr().err == (
+        f"error: stage 'load': {path}: not valid Unicode (a lone surrogate)\n"
+    )
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert (manifest["status"], manifest["stage"]) == ("failed", "load")
+    assert manifest["error"] == f"SchemaError: {path}: not valid Unicode (a lone surrogate)"
+    assert (manifest["backend_calls"], manifest["cells"]) == (0, 0)
+    assert backend.calls == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json", "scores.jsonl"]
+    assert (tmp_path / "out" / "scores.jsonl").read_bytes() == b""
+
+
 def test_total_backend_failure_no_cells(tmp_path, mini_squad_path, demo_vectors_path):
     with scripted_server([400] * 8) as (url, _):
         path = http_config(tmp_path, mini_squad_path, demo_vectors_path, url)

@@ -450,21 +450,28 @@ def test_http_ignores_proxy_environment():
     assert backend["captured"][0]["path"] == "/complete"
 
 
-def test_import_loads_no_url_opener():
+def test_import_loads_no_url_opener(tmp_path, mini_squad_path, demo_vectors_path):
+    # nor the HTTP stack, which only an HTTP backend loads: not on import,
+    # and not in a mock run
     probe = (
         "import sys, qgen\n"
-        "print('urllib.request' in sys.modules, 'urllib.error' in sys.modules)\n"
+        "from qgen.pipeline import RunConfig, run_pipeline\n"
+        "names = ('urllib.request', 'urllib.error', 'http.client', 'ssl', 'socket')\n"
+        "print(*[name in sys.modules for name in names])\n"
+        "run_pipeline(RunConfig(*sys.argv[1:], sample_size=2))\n"
+        "print(*[name in sys.modules for name in names])\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", probe, str(mini_squad_path), str(demo_vectors_path), str(tmp_path)],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "False"]
+    assert done.stdout.split() == ["False"] * 10
+    assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "complete"
 
 
 def test_import_loads_no_third_party_package_but_numpy():
