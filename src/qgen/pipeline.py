@@ -19,8 +19,9 @@ before it reads any input and writes its own after every other file, so
 a directory with a manifest holds only that manifest's run, and an
 interrupted run leaves no manifest. A failed run leaves only
 ``scores.jsonl``, holding every cell whose completion came back, and a
-manifest with status "failed"; it removes the other artifacts an earlier
-run left in the directory.
+manifest with status "failed", naming the failed call's job if a call
+failed; it removes the other artifacts an earlier run left in the
+directory.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from string import Template
 from typing import Iterable, Iterator, get_args, get_type_hints
 
 from .corpus import (
-    ContextRecord,
     SquadDataset,
     collector_paused,
     load_squad,
@@ -281,42 +281,56 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
     then the failure in the first slot that holds one is raised. A Ctrl-C
     while the calls run stops them the same way: the calls in flight
     finish, no thread is left running, and the KeyboardInterrupt passes
-    through. A sampled context without baseline questions fails at stage
-    "sample", before any call. The vector file is parsed and checked in
-    full at stage "load", before any call, and its rows and tokens are
-    copied to a private spool of unlinked temporary files (rows x dim x 8
-    bytes plus the tokens, in ``tempfile.gettempdir()``; a spool that
-    cannot be written fails the run there). Once the calls are done, at
-    stage "score", the rows of the tokens of the sampled baselines and
+    through.
+
+    The set-up runs cheapest first. The dataset is parsed (stage "load"),
+    the sample drawn and every sampled context checked for baseline
+    questions (stage "sample"), and the dataset dropped, all before the
+    vector file is opened: a bad dataset, a sample larger than it
+    (SampleTooLarge) or a sampled context without baseline questions
+    (EmptyRecords) fails the run without the vector parse, and the
+    dataset's memory is free for it. The vector file is then parsed and
+    checked in full at stage "load", before any call, and its rows and
+    tokens are copied to a private spool of unlinked temporary files (rows
+    x dim x 8 bytes plus the tokens, in ``tempfile.gettempdir()``; a spool
+    that cannot be written fails the run there). Once the calls are done,
+    at stage "score", the rows of the tokens of the sampled baselines and
     the returned questions are read from the spool, never from the file
     again: a file edited, truncated or removed after the load changes no
-    artifact. The recorded digest is that of a read of the file just
-    after the load, so an edit during the load itself goes undetected.
-    Each context whose calls returned any question list gets one
-    context_cosines map, over those lists, which scores all its cells.
-    The jobs, and so every output, are in (context_id, prompt_id) order,
-    and every artifact is written line by line, never held whole in
-    memory.
+    artifact. The recorded digest is that of a read of the file just after
+    the load, so an edit during the load itself goes undetected. Each
+    context whose calls returned any question list gets one
+    context_cosines map, over those lists, which scores all its cells. The
+    jobs, and so every output, are in (context_id, prompt_id) order, and
+    every artifact is written line by line, never held whole in memory.
 
     The cyclic garbage collector is paused (corpus.collector_paused) over
-    two stretches of the main thread that build no reference cycle: from
-    the dataset's parse until it is dropped after sampling, and from stage
-    "score" through the report. Each restores the state it found, however
-    it ends. It is on while the calls run: an exception kept across a
-    call's retries holds a cycle through its traceback, which only the
-    collector frees. The pause is process-wide, so this holds for one run
-    per process at a time; a run in another thread may make its calls
-    while this one has the collector paused.
+    two stretches of the main thread that build no reference cycle: the
+    whole set-up, from the dataset's parse through the vector digest, and
+    from stage "score" through the report. Each restores the state it
+    found, however it ends. It is on while the calls run: an exception
+    kept across a call's retries holds a cycle through its traceback,
+    which only the collector frees. The pause is process-wide, so this
+    holds for one run per process at a time; a run in another thread may
+    make its calls while this one has the collector paused.
 
     The previous manifest.json is removed before any input is read, and
     the new one is written once, after every other file: by then
     scores.jsonl holds the scored cells, and the manifest's status is
-    "complete", or "failed" with the stage and cause. A failure is then
-    re-raised wrapped in PipelineError. A run interrupted by a
-    BaseException that is not an Exception leaves no manifest. An
-    invalid config or backend URL raises ConfigError before any input is
-    read or file touched, and so does a directory at the name of an
-    artifact, before the previous manifest is removed.
+    "complete", or "failed" with the stage and cause. A failed call also
+    puts its job in the failed manifest, as "failed_job": the context_id
+    and prompt_id, the attempts sent (0 if the prompt failed to render),
+    and, if a completion came back with no question in it, its first 200
+    characters as "completion". Before a failed manifest is written, the
+    other artifacts of an earlier run and any temporary file a failed
+    write left (``.<name>.tmp``) are removed. A failure is then re-raised
+    wrapped in PipelineError. A run interrupted by a BaseException that is
+    not an Exception leaves no manifest. An invalid config or backend URL
+    raises ConfigError before any input is read or file touched, and so
+    does a directory at the name of an artifact, before the previous
+    manifest is removed. A previous manifest, or an earlier run's
+    artifact that a failed run must remove, that cannot be removed
+    raises ConfigError naming it, and no manifest is written.
     """
     cfg.validate()
     backend = make_backend(cfg)
@@ -326,11 +340,13 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
     for name in ("manifest.json", "scores.jsonl", *_COMPLETE_RUN_ONLY):
         if (out_dir / name).is_dir():
             raise ConfigError(f"cannot write {out_dir / name}: Is a directory")
-    (out_dir / "manifest.json").unlink(missing_ok=True)
+    _remove(out_dir / "manifest.json")
     started = _utcnow()
     cells: list[PromptContextResult] = []
     call_log: list[CallRecord] = []
     error: Exception | None = None
+    # the job whose failure the run raises, for the manifest
+    failed_job: dict | None = None
 
     stage = "load"
     try:
@@ -338,16 +354,17 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
         # reference cycle, once more after the parse, and find nothing
         with collector_paused():
             dataset = load_squad(cfg.dataset)
-            table = load_vectors_path(cfg.vectors)
-            vector_digest = _sha256_file(cfg.vectors)
             stage = "sample"
             sampled = sample_contexts(dataset, cfg.sample_size, cfg.seed)
             # only the sampled records are read from here on; holding the rest
-            # through generation, scoring and persistence would raise the peak
+            # through the vector parse, or any later stage, would raise the peak
             del dataset
-        for record in sampled:
-            if not record.baselines:
-                raise EmptyRecords(f"context {record.context_id} has no baseline questions")
+            for record in sampled:
+                if not record.baselines:
+                    raise EmptyRecords(f"context {record.context_id} has no baseline questions")
+            stage = "load"
+            table = load_vectors_path(cfg.vectors)
+            vector_digest = _sha256_file(cfg.vectors)
 
         stage = "generate"
         info = RunInfo(
@@ -362,8 +379,10 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
         # prompt_id) order, the order of every artifact
         jobs = [(record, pid) for record in sampled for pid in sorted(cfg.prompts)]
         # slots[i] is job i's question list, or the exception its call
-        # raised, or None if it was never called
+        # raised, or None if it was never called; failures[i] names a
+        # failed job i
         slots: list = [None] * len(jobs)
+        failures: dict[int, dict] = {}
         pending = iter(range(len(jobs)))
         taking = threading.Lock()
         # set by the first failed call, or by an interrupt of the main
@@ -371,14 +390,24 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
         # after, however soon the worker takes its next job
         stop = threading.Event()
 
-        def call(record: ContextRecord, pid: str) -> list[str]:
-            request = BackendRequest(
-                prompt=render_prompt(pid, record.text),
-                temperature=cfg.temperature,
-                max_tokens=cfg.max_output_tokens,
-            )
-            raw = generate(backend, request, call_log)
-            return parse_questions(raw, cfg.questions_per_prompt)
+        def call(i: int) -> None:
+            record, pid = jobs[i]
+            sent: list[CallRecord] = []
+            raw = None
+            try:
+                request = BackendRequest(
+                    prompt=render_prompt(pid, record.text),
+                    temperature=cfg.temperature,
+                    max_tokens=cfg.max_output_tokens,
+                )
+                raw = generate(backend, request, sent)
+                slots[i] = parse_questions(raw, cfg.questions_per_prompt)
+            except BaseException as exc:
+                stop.set()
+                slots[i] = exc
+                failures[i] = _failed_job(record.context_id, pid, sent, raw)
+            finally:
+                call_log.extend(sent)
 
         def work(done: threading.Event) -> None:
             try:
@@ -387,11 +416,7 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
                         i = next(pending, None)
                     if i is None:
                         return
-                    try:
-                        slots[i] = call(*jobs[i])
-                    except BaseException as exc:
-                        stop.set()
-                        slots[i] = exc
+                    call(i)
             finally:
                 done.set()
 
@@ -442,8 +467,9 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
                         )
                     )
             stage = "generate"
-            for slot in slots:
+            for i, slot in enumerate(slots):
                 if isinstance(slot, BaseException):
+                    failed_job = failures[i]
                     raise slot
             stage = "aggregate"
             run = assemble_run(info, cells, cfg.questions_per_prompt)
@@ -461,10 +487,14 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
             "shortfall_count": len(run.shortfalls),
         }
     except Exception as exc:
+        # a temporary file too: _write_files may have failed to remove it
         for name in _COMPLETE_RUN_ONLY:
-            (out_dir / name).unlink(missing_ok=True)
+            _remove(out_dir / name)
+            _remove(out_dir / f".{name}.tmp")
         error = exc
         outcome = {"status": "failed", "stage": stage, "error": f"{type(exc).__name__}: {exc}"}
+        if failed_job is not None:
+            outcome["failed_job"] = failed_job
     _write_files(out_dir, {"scores.jsonl": scores_to_jsonl(cells)})
     manifest = {
         "config": _public_config(cfg),
@@ -482,6 +512,25 @@ def run_pipeline(cfg: RunConfig) -> EvalRun:
     if error is not None:
         raise PipelineError(stage, error, cells_done=len(cells)) from error
     return run
+
+
+# the characters of a completion no question was parsed from that a
+# failed manifest keeps
+_COMPLETION_SHOWN = 200
+
+
+def _failed_job(context_id: int, prompt_id: str, sent: list[CallRecord], raw) -> dict:
+    """A failed job for the manifest: its context and prompt, the attempts
+    its call made (none if it failed before it was sent), and the start of
+    the completion, if one came back."""
+    job = {
+        "context_id": context_id,
+        "prompt_id": prompt_id,
+        "attempts": sum(record.retries + 1 for record in sent),
+    }
+    if raw is not None:
+        job["completion"] = raw[:_COMPLETION_SHOWN]
+    return job
 
 
 # -- persistence ---------------------------------------------------------------
@@ -784,6 +833,14 @@ def _write_files(out: str | Path, files: dict[str, Iterable[str]]) -> list[Path]
 
 # a new file, never one that is there already nor the target of a symlink
 _CREATE_NEW = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW
+
+
+def _remove(path: Path) -> None:
+    """Remove path if it is there; ConfigError naming it if it cannot be."""
+    try:
+        path.unlink(missing_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot remove {path}: {exc.strerror}") from exc
 
 
 def _cannot_write(target: Path, exc: OSError) -> ConfigError:

@@ -27,11 +27,12 @@ private spool, two unlinked temporary files in ``tempfile.gettempdir()``
 (rows x dim x 8 bytes and the tokens, one a line, about 166 MB at 400k x
 50d), and returns a :class:`VectorIndex` of the spool alone: ``select``
 finds the tokens a caller will score by reading the spooled tokens in
-row order, and reads their rows. The token hashes serve only the load's
-duplicate check, and are dropped when it returns. Nothing after the load
-reads the text file: an edit, a truncation or a removal of it after the
-load changes no selected row, and an edit during the load goes
-undetected. A ``nan`` or ``inf`` is a :class:`BadFloat`:
+row order, and reads their rows. The token hashes, 8 bytes a row in one
+buffer that grows as the blocks are read and is sorted in place, serve
+only the load's duplicate check, and are dropped when it returns.
+Nothing after the load reads the text file: an edit, a truncation or a
+removal of it after the load changes no selected row, and an edit
+during the load goes undetected. A ``nan`` or ``inf`` is a :class:`BadFloat`:
 its cosine would be clamped to 1.0 and score as a match. So is a
 component of magnitude :data:`COMPONENT_BOUND` or more, whose dot
 products could overflow and score as a match whatever their direction.
@@ -58,8 +59,8 @@ from .errors import BadEncoding, BadFloat, DimensionMismatch, DuplicateToken, Qg
 
 # lines per block of a regular file, whose text and parsed rows (about 1 MB
 # at 50d) are all a load holds of the file at once, with a token hash a
-# row (3.2 MB at 400k rows, twice that as they are sorted) for the
-# duplicate check; it spools the rest
+# row (3.2 MB at 400k rows, sorted where they are) for the duplicate
+# check; it spools the rest
 BLOCK_LINES = 1024
 
 # a component's magnitude is below this, so the row sum of a sentence of
@@ -258,8 +259,9 @@ def _parse_block(lines: list[str], dim: int) -> np.ndarray:
     )
 
 
-def _hashes(tokens: Collection[str]) -> np.ndarray:
-    return np.fromiter(map(_token_hash, tokens), np.int64, len(tokens))
+def _hashes(tokens: Collection[str]) -> bytes:
+    """The tokens' hashes as the bytes of int64s, for an array("q")."""
+    return np.fromiter(map(_token_hash, tokens), np.int64, len(tokens)).tobytes()
 
 
 def _parse_rows(lines: list[str], lineno: int, dim: int | None, index: dict[str, int]):
@@ -287,6 +289,13 @@ def _parse_rows(lines: list[str], lineno: int, dim: int | None, index: dict[str,
                 return tokens, vectors
     values, dim = _parse_lines(lines, lineno, index, dim)
     return list(index), np.frombuffer(values).reshape(len(index), dim or 0)
+
+
+def _sorted(hashes: array) -> np.ndarray:
+    """hashes sorted in place, as a view: no second copy at the load's peak."""
+    view = np.frombuffer(hashes, np.int64)
+    view.sort()
+    return view
 
 
 def _repeats(hashes: np.ndarray) -> set[int]:
@@ -329,7 +338,9 @@ def load_vectors_path(path) -> VectorIndex:
         if not (header := _parse_header(next(lines, ""))):
             fh.seek(0)
         dim, lineno = None, 1 + header
-        hashes = [np.empty(0, np.int64)]
+        # every row's token hash, in one buffer that grows in place, so
+        # that the sort needs no second copy of them
+        hashes = array("q")
         for block in iter(lambda: list(islice(lines, BLOCK_LINES)), []):
             index: dict[str, int] = {}
             try:
@@ -337,21 +348,19 @@ def load_vectors_path(path) -> VectorIndex:
             except QgenError:
                 # earlier tokens are known only by hash: unless one repeats up to
                 # the error, it stands; else parse again knowing those tokens
-                seen = np.sort(np.concatenate([*hashes, _hashes(index)]))
-                if repeated := _repeats(seen):
+                hashes.frombytes(_hashes(index))
+                if repeated := _repeats(_sorted(hashes)):
                     seed = _repeated_tokens(fh, header, repeated, lineno - 1)
                     _parse_lines(block, lineno, seed, dim)
                 raise
             dim = vectors.shape[1] or dim
-            hashes.append(_hashes(tokens))
+            hashes.frombytes(_hashes(tokens))
             row_spool.write(np.ascontiguousarray(vectors))
             # a block of blank lines writes no line
             token_spool.write("\n".join([*tokens, ""]).encode())
             lineno += len(block)
             del tokens, vectors  # not held through the next block, or the sort
-        hashes = np.concatenate(hashes)
-        hashes.sort()  # in place: no second copy at the load's peak
-        if repeated := _repeats(hashes):
+        if repeated := _repeats(_sorted(hashes)):
             # a token in two blocks, or two tokens with one hash, in the lines read
             _repeated_tokens(fh, header, repeated, lineno - 1)
         return VectorIndex(dim or 0, len(hashes), row_spool, token_spool)

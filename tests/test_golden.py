@@ -138,11 +138,11 @@ def test_run_parses_the_vector_file_once(tmp_path, monkeypatch):
 
 
 def test_run_opens_the_vector_file_only_at_load(tmp_path, monkeypatch):
-    # once to parse it and once to digest it, both before the sample is
-    # drawn: no stage after "load" reads the file
+    # once to parse it and once to digest it, both after the sample is
+    # drawn and before any call: no stage after "load" reads the file
     config = golden_config(tmp_path / "full_run")
     events = []
-    real_open, sample = open, pipeline.sample_contexts
+    real_open, sample, generate = open, pipeline.sample_contexts, pipeline.generate
 
     def recording_open(file, *args, **kwargs):
         if isinstance(file, (str, os.PathLike)) and os.fspath(file) == config.vectors:
@@ -153,11 +153,16 @@ def test_run_opens_the_vector_file_only_at_load(tmp_path, monkeypatch):
         events.append("sample")
         return sample(*args, **kwargs)
 
+    def calling(*args, **kwargs):
+        events.append("generate")
+        return generate(*args, **kwargs)
+
     monkeypatch.setattr(builtins, "open", recording_open)
     monkeypatch.setattr(io, "open", recording_open)
     monkeypatch.setattr(pipeline, "sample_contexts", sampling)
+    monkeypatch.setattr(pipeline, "generate", calling)
     run_pipeline(config)
-    assert events == ["load_vectors_path", "_sha256_file", "sample"]
+    assert events == ["sample", "load_vectors_path", "_sha256_file"] + ["generate"] * 16
 
 
 def test_scores_line_keys_are_score_record_fields():

@@ -24,7 +24,14 @@ import pytest
 
 from qgen import pipeline
 from qgen.cli import build_parser, main
-from qgen.errors import BackendRejected, ConfigError, PipelineError, SchemaError
+from qgen.errors import (
+    BackendRejected,
+    BackendTimeout,
+    BackendUnavailable,
+    ConfigError,
+    PipelineError,
+    SchemaError,
+)
 from qgen.promptgen import HttpBackend, MockBackend
 from qgen.rng import ALGORITHM
 from qgen.pipeline import (
@@ -462,24 +469,57 @@ def test_figure_shapes(config_path):
 
 def test_dataset_released_before_scoring(config_path, monkeypatch):
     # only the sampled contexts are read after sampling, so the parsed
-    # dataset must not be held through scoring
+    # dataset must not be held through the vector parse or scoring
     loaded = []
-    alive_at_score = []
+    alive_at_load, alive_at_score = [], []
     load_squad, score_cell = pipeline.load_squad, pipeline.score_cell
+    load_vectors_path = pipeline.load_vectors_path
 
     def keep_weakref(path):
         dataset = load_squad(path)
         loaded.append(weakref.ref(dataset))
         return dataset
 
+    def record_alive_at_load(path):
+        alive_at_load.append(loaded[0]() is not None)
+        return load_vectors_path(path)
+
     def record_alive(*args):
         alive_at_score.append(loaded[0]() is not None)
         return score_cell(*args)
 
     monkeypatch.setattr(pipeline, "load_squad", keep_weakref)
+    monkeypatch.setattr(pipeline, "load_vectors_path", record_alive_at_load)
     monkeypatch.setattr(pipeline, "score_cell", record_alive)
     run_pipeline(load_config(config_path, env={}))
+    assert alive_at_load == [False]
     assert alive_at_score == [False] * 8
+
+
+@pytest.mark.parametrize("failure", ["sample-too-large", "no-baselines"])
+def test_sample_failure_comes_before_the_vector_parse(
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, failure
+):
+    # the dataset and the sample are checked before the vector file, the
+    # longest part of the set-up, is parsed at all
+    dataset, sample_size = mini_squad_path, 7
+    if failure == "no-baselines":
+        doc = json.loads(mini_squad_path.read_text(encoding="utf-8"))
+        doc["data"][0]["paragraphs"][0]["qas"] = []
+        dataset = tmp_path / "no_baselines.json"
+        dataset.write_text(json.dumps(doc), encoding="utf-8")
+        sample_size = 6
+    loads = []
+    monkeypatch.setattr(pipeline, "load_vectors_path", loads.append)
+    path = write_config(tmp_path, dataset, demo_vectors_path, sample_size=sample_size)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(load_config(path, env={}))
+    assert err.value.stage == "sample"
+    assert type(err.value.cause).__name__ == {
+        "sample-too-large": "SampleTooLarge",
+        "no-baselines": "EmptyRecords",
+    }[failure]
+    assert loads == []
 
 
 # -- HTTP-backed runs and failure handling ------------------------------------------
@@ -694,21 +734,30 @@ def test_completion_in_flight_beside_failed_call_is_scored(
 
 
 class FailAtCallBackend(MockBackend):
-    """Its call number ``at``, counting from 1, raises BackendRejected."""
+    """Its call number ``at``, counting from 1, fails after ``retries``
+    retries: it raises ``failure``, BackendRejected if None, or returns it
+    as the completion if it is a string. ``last_retries`` is shared by
+    the threads, so only one call at a time may have retries."""
 
-    def __init__(self, at: int) -> None:
+    def __init__(self, at: int, failure=None, retries: int = 0) -> None:
         super().__init__(seed=0)
         self.at = at
+        self.failure = BackendRejected("rejected") if failure is None else failure
+        self.retries = retries
         self.calls = 0
+        self.last_retries = 0
         self.lock = threading.Lock()
 
     def complete(self, request):
         with self.lock:
             self.calls += 1
             failing = self.calls == self.at
-        if failing:
-            raise BackendRejected("rejected")
-        return super().complete(request)
+        self.last_retries = self.retries if failing else 0
+        if not failing:
+            return super().complete(request)
+        if isinstance(self.failure, str):
+            return self.failure
+        raise self.failure
 
 
 @pytest.mark.parametrize(
@@ -793,6 +842,140 @@ def test_failed_rerun_leaves_only_its_own_files(
     assert manifest["cells"] == cells
     # the rejected call counts too
     assert manifest["backend_calls"] + manifest["backend_retries"] == sent
+
+
+UNPARSEABLE = "I cannot think of any question about this text. " * 5
+
+
+@pytest.mark.parametrize(
+    "failure, retries",
+    [
+        (BackendUnavailable("HTTP 503"), 2),
+        (BackendRejected("HTTP 400: bad request"), 0),
+        (BackendTimeout("no answer within 30.0s after 3 attempts"), 2),
+        (UNPARSEABLE, 0),
+    ],
+    ids=["unavailable", "rejected", "timeout", "no-questions"],
+)
+def test_failed_manifest_names_the_failed_job(
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, failure, retries
+):
+    # all 6 contexts, one call at a time in job order: call 6 is the job
+    # (context 1, prompt B)
+    backend = FailAtCallBackend(6, failure, retries)
+    monkeypatch.setattr(pipeline, "make_backend", lambda cfg: backend)
+    path = write_config(
+        tmp_path, mini_squad_path, demo_vectors_path, sample_size=6, max_in_flight=1
+    )
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(load_config(path, env={}))
+    assert (err.value.stage, err.value.cells_done) == ("generate", 5)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    job = {"context_id": 1, "prompt_id": "B", "attempts": retries + 1}
+    if isinstance(failure, str):
+        assert len(failure) > 200
+        job["completion"] = failure[:200]
+        assert manifest["error"] == "NoQuestionsFound: response contained no parseable questions"
+    else:
+        assert manifest["error"] == f"{type(failure).__name__}: {failure}"
+    assert manifest["failed_job"] == job
+    assert manifest["backend_calls"] == 6
+
+
+def test_manifest_names_no_job_for_a_failure_outside_the_calls(
+    tmp_path, mini_squad_path, demo_vectors_path
+):
+    path = write_config(tmp_path, mini_squad_path, demo_vectors_path, sample_size=7)
+    with pytest.raises(PipelineError):
+        run_pipeline(load_config(path, env={}))
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert (manifest["status"], manifest["stage"]) == ("failed", "sample")
+    assert "failed_job" not in manifest
+
+
+def failing_unlink(monkeypatch, path: Path, refuse=lambda n: True):
+    """Make Path.unlink raise EACCES for path only, on the calls whose
+    number n, counting from 1, refuse(n) is true; the list of the numbers
+    of the calls for path, each negated if it was refused."""
+    calls = []
+    unlink = Path.unlink
+
+    def faulty(self, missing_ok=False):
+        if self == path:
+            n = len(calls) + 1
+            calls.append(-n if refuse(n) else n)
+            if refuse(n):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+        return unlink(self, missing_ok=missing_ok)
+
+    monkeypatch.setattr(Path, "unlink", faulty)
+    return calls
+
+
+def directory_bytes(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def test_manifest_that_cannot_be_removed_is_a_config_error(
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, capsys
+):
+    # the previous run's directory is left as it was, and no input is read
+    path = write_config(tmp_path, mini_squad_path, demo_vectors_path)
+    assert main(["run", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    before = directory_bytes(out)
+    calls = failing_unlink(monkeypatch, out / "manifest.json")
+    monkeypatch.setattr(pipeline, "load_squad", lambda path: pytest.fail("input was read"))
+    capsys.readouterr()
+    assert main(["run", "--config", str(path), "--seed", "3"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot remove {out / 'manifest.json'}: Permission denied\n"
+    )
+    assert calls == [-1]
+    assert directory_bytes(out) == before
+
+
+def test_stale_artifact_that_cannot_be_removed_leaves_no_manifest(
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch
+):
+    # a failed run whose cleanup cannot remove the previous table2.csv
+    # writes no manifest beside it, and raises an error naming it
+    path = write_config(tmp_path, mini_squad_path, demo_vectors_path, max_in_flight=1)
+    run_pipeline(load_config(path, env={}))
+    out = tmp_path / "out"
+    monkeypatch.setattr(pipeline, "make_backend", lambda cfg: FailAtCallBackend(2, UNPARSEABLE))
+    failing_unlink(monkeypatch, out / "table2.csv")
+    with pytest.raises(ConfigError, match=re.escape(f"cannot remove {out / 'table2.csv'}: ")):
+        run_pipeline(load_config(path, env={}))
+    assert not (out / "manifest.json").exists()
+    assert (out / "table2.csv").exists()
+
+
+def test_failed_run_removes_a_temporary_file_its_write_left(
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch
+):
+    # the table2.csv write fails, and so does the removal of its temporary
+    # file; the failure cleanup removes it, so the failed manifest sits
+    # beside scores.jsonl alone
+    path = write_config(tmp_path, mini_squad_path, demo_vectors_path)
+    run_pipeline(load_config(path, env={}))
+    out = tmp_path / "out"
+
+    def full_disk(cells):
+        yield "context_id,prompt,question,question_max,prompt_max\n"
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(pipeline, "table2_csv", full_disk)
+    # the write removes a stale temporary file first, and the one it made
+    # after the failure: that second removal is refused
+    calls = failing_unlink(monkeypatch, out / ".table2.csv.tmp", lambda n: n == 2)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(load_config(path, env={}))
+    assert err.value.stage == "persist"
+    assert calls == [1, -2, 3]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "scores.jsonl"]
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert (manifest["status"], manifest["stage"]) == ("failed", "persist")
 
 
 def test_interrupted_rerun_leaves_no_manifest(
@@ -1019,7 +1202,8 @@ def test_dispatcher_starts_one_thread_per_call_in_flight(
 def test_dispatcher_sends_each_job_once_under_contention(tmp_path, synth_corpus, monkeypatch):
     # more workers than cores, switching threads as often as the
     # interpreter allows: two workers taking one job index would render
-    # its prompt twice and leave another job unsent
+    # its prompt twice and leave another job unsent, and a call record
+    # lost between the workers would show in the manifest's call count
     dataset, vectors = synth_corpus
     renders = []
     real_render = pipeline.render_prompt
@@ -1039,6 +1223,8 @@ def test_dispatcher_sends_each_job_once_under_contention(tmp_path, synth_corpus,
     finally:
         sys.setswitchinterval(interval)
     assert len(renders) == len(set(renders)) == len(run.results) == 60 * 4
+    manifest = json.loads((Path(cfg.out) / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["backend_calls"] == 60 * 4
 
 
 @pytest.mark.parametrize("outcome", ["complete", "generate", "load"])

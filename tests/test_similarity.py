@@ -114,6 +114,24 @@ def test_path_load_keeps_under_2_bytes_a_row(tmp_path):
     assert kept < 2 * rows, kept / rows
 
 
+def test_path_load_peaks_under_12_bytes_a_row(tmp_path):
+    # a good load holds the rows' token hashes, 8 bytes a row, and then
+    # sorts them where they are; a list of per-block hash arrays, copied
+    # whole to be sorted, peaked at about 16.4 bytes a row here
+    rows = 200_000
+    path = tmp_path / "vectors.txt"
+    path.write_text("".join(f"w{i} {i % 7}.5 -1\n" for i in range(rows)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = load_vectors_path(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert isinstance(table, VectorIndex) and len(table) == rows
+    assert peak < 12 * rows, peak / rows
+
+
 @pytest.mark.parametrize(
     "last, end, error",
     [
