@@ -5,9 +5,13 @@ into validated records, reverses question/answer roles for generation
 inputs, draws reproducible context samples, and splits long contexts into
 overlapping token chunks.
 
-Every check runs at parse time; a record is then built from its validated
-paragraph only when it is read, so a run that samples 50 of 2,067 contexts
-builds 50 records, and no error waits until a read.
+The file is read a piece at a time and decoded one article at a time;
+each paragraph is checked as it is decoded and kept as plain tuples of its
+strings and ints, not as the decoded JSON objects, so the whole text and
+the whole JSON tree are never held at once. Every check runs at parse
+time; a record is then built from its paragraph's tuples only when it is
+read, so a run that samples 50 of 2,067 contexts builds 50 records, and no
+error waits until a read.
 
 Offsets count Unicode scalar values, which is what Python string indexing
 does and what the official v1.1 files are consistent under. v2-style
@@ -19,10 +23,12 @@ artifact could hold, and is a SchemaError at parse time.
 
 from __future__ import annotations
 
+import codecs
 import gc
+import io
 import json
 import re
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import IO
 
@@ -67,13 +73,14 @@ class ContextRecords(Sequence):
     A read builds a new object, so ``records[i] is records[i]`` may be
     false, but the two are equal. A slice gives a tuple. Two sequences are
     equal, and hash alike, when their records are. A record holds only
-    strings and ints of the JSON tree, never the tree or the sequence.
+    strings and ints of the paragraph, never the paragraph or the sequence.
     """
 
     __slots__ = ("_paragraphs",)
 
-    def __init__(self, paragraphs: list[tuple[str, dict]]):
-        # (article title, paragraph object) in file order, all validated
+    def __init__(self, paragraphs: list[tuple]):
+        # (title, context, ((id, question, ((text, answer_start), ...)),
+        # ...)) of each paragraph in file order, all validated
         self._paragraphs = paragraphs
 
     def __len__(self) -> int:
@@ -97,21 +104,20 @@ class ContextRecords(Sequence):
         return hash(tuple(self))
 
     def _build(self, context_id: int) -> ContextRecord:
-        title, para = self._paragraphs[context_id]
+        title, context, baselines = self._paragraphs[context_id]
         return ContextRecord(
             context_id=context_id,
             title=title,
-            text=para["context"],
+            text=context,
             baselines=tuple(
                 BaselineQuestion(
-                    id=qa["id"],
-                    question=qa["question"],
+                    id=qid,
+                    question=question,
                     answers=tuple(
-                        Answer(text=ans["text"], answer_start=ans["answer_start"])
-                        for ans in qa["answers"]
+                        Answer(text=text, answer_start=start) for text, start in answers
                     ),
                 )
-                for qa in para["qas"]
+                for qid, question, answers in baselines
             ),
         )
 
@@ -120,17 +126,21 @@ class ContextRecords(Sequence):
 class SquadDataset:
     """A parsed dataset. ``records`` is a :class:`ContextRecords`, built on
     access; ``len(records)``, ``example_count``, ``questions()`` and
-    :func:`reverse_dataset` read the validated paragraphs and build no
-    record. Two datasets are equal when their records are."""
+    :func:`reverse_dataset` read the validated paragraph tuples and build
+    no record. Two datasets are equal when their records are."""
 
     records: ContextRecords
 
     @property
     def example_count(self) -> int:
-        return sum(len(para["qas"]) for _, para in self.records._paragraphs)
+        return sum(len(baselines) for _, _, baselines in self.records._paragraphs)
 
     def questions(self) -> list[str]:
-        return [qa["question"] for _, para in self.records._paragraphs for qa in para["qas"]]
+        return [
+            question
+            for _, _, baselines in self.records._paragraphs
+            for _, question, _ in baselines
+        ]
 
 
 @dataclass(frozen=True)
@@ -215,28 +225,88 @@ def parse_squad(source: str | bytes | IO) -> SquadDataset:
     (with the qas id) when an answer's offsets do not slice the context to
     its text.
 
-    Every paragraph is validated here, so every error is raised here. The
-    dataset keeps each validated paragraph of the decoded JSON and its
-    article's title; ``records`` is a read-only :class:`ContextRecords`
-    that builds a record only when it is read, not a tuple. The tree is
-    freed with the dataset.
+    The text is read :data:`READ_CHARS` at a time, and the top-level
+    object key by key. Each element of ``data`` is decoded once it is
+    whole in the buffer, checked at once, and kept as the tuples of its
+    paragraphs, ``(title, context, ((id, question, ((text, answer_start),
+    ...)), ...))``; its decoded objects are dropped before the next element
+    is read. So the whole text and the whole JSON tree are never held at
+    once. A stream that cannot seek is decoded and walked whole.
+
+    Every error is raised as if the whole text had been decoded by
+    :func:`loads_json` and then walked. The first element that fails a
+    check is not walked past, and its error is held until the rest of the
+    text has decoded. Any text the reader does not take as a plain object
+    with one ``data`` list (a syntax error anywhere, a BOM, a byte that
+    does not decode, nesting too deep, a second ``data`` key, text after
+    the object, or a number cut by a read) sends the parse back to the
+    start of the source, which is then read, decoded and walked whole:
+    that raises the class, message and path of the first error, a syntax
+    error before any schema error, and parses a text the reader was only
+    stricter about than ``json.loads``. One exception: an article's value
+    nested to within a few levels of the interpreter's recursion limit
+    may decode here where the whole text would not; where that limit
+    falls depends on the caller's stack depth, for ``json.loads`` too.
+
+    Every paragraph is validated here, so every error is raised here;
+    ``records`` is a read-only :class:`ContextRecords` that builds a record
+    only when it is read, not a tuple.
 
     The process-wide cyclic garbage collector is paused while it runs, by
     :func:`collector_paused`, and restored as it was on return or raise.
-    The JSON tree holds no reference cycles, so refcounting frees it as
-    before; but a collection triggered by the growing tree would rescan
-    it and find nothing, which cost over a third of the parse of a
-    10,000-context file. ``run_pipeline`` keeps the collector paused on
-    past the return, until the dataset is dropped, so the tree is not
-    scanned after the parse either.
+    The decoded objects and the tuples hold no reference cycles, so
+    refcounting frees them as before; but a collection triggered by the
+    growing data would rescan it and find nothing, which cost over a
+    third of the parse of a 10,000-context file. ``run_pipeline`` keeps the
+    collector paused on past the return, until the dataset is dropped, so
+    the tuples are not scanned after the parse either.
     """
     # the collection the parse has made due starts at the caller's next
     # allocation once the collector is on again, not inside the parse
     with collector_paused():
-        return _parse_squad(source)
+        return SquadDataset(records=ContextRecords(_parse_squad(source)))
 
 
-def _parse_squad(source: str | bytes | IO) -> SquadDataset:
+# the characters of text, or bytes of a binary source, read at a time
+READ_CHARS = 1 << 20
+
+# JSON's insignificant whitespace, as json.decoder skips it
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+_DECODER = json.JSONDecoder()
+
+
+def _parse_squad(source: str | bytes | IO) -> list[tuple]:
+    start = None
+    if hasattr(source, "read"):
+        if not source.seekable():
+            return _parse_whole(source)
+        start = source.tell()
+    paragraphs: list[tuple] = []
+    # the first element that fails a check; the rest of the text is still
+    # decoded, since a syntax error anywhere is raised before it
+    error = None
+    try:
+        for ai, article in enumerate(_data_elements(_text_pieces(source))):
+            if error is None:
+                try:
+                    _walk_article(ai, article, paragraphs)
+                except (SchemaError, SpanError) as exc:
+                    error = exc
+    except (ValueError, RecursionError):
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        pass
+    else:
+        if error is not None:
+            raise error
+        return paragraphs
+    del paragraphs, error
+    if start is not None:
+        source.seek(start)
+    return _parse_whole(source)
+
+
+def _parse_whole(source: str | bytes | IO) -> list[tuple]:
+    """The paragraphs of the whole text of source, decoded at once."""
     try:
         raw = source.read() if hasattr(source, "read") else source
         if isinstance(raw, bytes):
@@ -244,96 +314,205 @@ def _parse_squad(source: str | bytes | IO) -> SquadDataset:
         doc = loads_json(raw)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedJson(f"invalid JSON: {exc}") from exc
+    del raw
+    data = doc.get("data") if type(doc) is dict else None
+    if type(data) is not list:
+        _require(doc, "data", list, "$")
+    paragraphs: list[tuple] = []
+    for ai, article in enumerate(data):
+        _walk_article(ai, article, paragraphs)
+    return paragraphs
 
+
+def _text_pieces(source: str | bytes | IO) -> Iterator[str]:
+    """The text of source in pieces of at most READ_CHARS characters; a
+    piece may be empty. A byte that does not decode as UTF-8 raises
+    UnicodeDecodeError."""
+    if isinstance(source, str):
+        for at in range(0, len(source), READ_CHARS):
+            yield source[at : at + READ_CHARS]
+        return
+    stream = io.BytesIO(source) if isinstance(source, bytes) else source
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    while piece := stream.read(READ_CHARS):
+        yield decoder.decode(piece) if isinstance(piece, bytes) else piece
+    # a sequence cut short by the end of the bytes raises here
+    yield decoder.decode(b"", final=True)
+
+
+def _data_elements(pieces: Iterator[str]) -> Iterator:
+    """The elements of the ``data`` list of the JSON object whose text
+    comes in pieces, each decoded once it is whole in the buffer.
+    ValueError if the text is not such an object with exactly one
+    ``data`` key, whose value is a list, and nothing after it; a JSON
+    syntax error in a value raises JSONDecodeError, and nesting too deep
+    RecursionError."""
+    buf, pos = "", 0
+
+    def fill(need: int) -> bool:
+        """Append at least need characters to the unread text, or all that
+        is left; False if none was left."""
+        nonlocal buf, pos
+        got, n = [buf[pos:]], 0
+        for piece in pieces:
+            got.append(piece)
+            n += len(piece)
+            if n >= need:
+                break
+        buf, pos = "".join(got), 0
+        return n > 0
+
+    def peek() -> str:
+        """The next character that is not whitespace, '' at the end."""
+        nonlocal pos
+        while (pos := _WHITESPACE.match(buf, pos).end()) == len(buf):
+            if not fill(READ_CHARS):
+                return ""
+        return buf[pos]
+
+    def take(expected: str) -> None:
+        nonlocal pos
+        if peek() != expected:
+            raise ValueError(f"expected {expected!r}")
+        pos += 1
+
+    def value():
+        """The JSON value at the next character that is not whitespace."""
+        nonlocal pos
+        peek()
+        while True:
+            try:
+                obj, pos = _DECODER.raw_decode(buf, pos)
+                return obj
+            except json.JSONDecodeError:
+                # the value may go on past the buffer: read at least as
+                # much again, so that the attempts at a long value cost
+                # about twice its decode, not its length over READ_CHARS
+                if not fill(max(READ_CHARS, len(buf) - pos)):
+                    raise
+
+    take("{")
+    seen = False
+    while True:
+        if peek() != '"':
+            raise ValueError("expected a key")
+        key = value()
+        take(":")
+        if key != "data":
+            value()
+        elif seen:
+            raise ValueError("a second data key")
+        else:
+            seen = True
+            take("[")
+            if peek() == "]":
+                pos += 1
+            else:
+                while True:
+                    yield value()
+                    if peek() == "]":
+                        pos += 1
+                        break
+                    take(",")
+        if peek() == "}":
+            pos += 1
+            break
+        take(",")
+    if not seen or peek():
+        raise ValueError("no data key, or text after the object")
+
+
+def _walk_article(ai: int, article, out: list[tuple]) -> None:
+    """Check article, element ai of ``data``, and append its paragraphs to
+    out as tuples."""
     # Each check is inline on the decoded value (a JSON value's type is
     # exactly dict, list, str, int, float, bool or NoneType); only an
     # element that fails one builds its JSON path and runs its checks
     # again through _require, which raises the error with that path.
-    data = doc.get("data") if type(doc) is dict else None
-    if type(data) is not list:
-        _require(doc, "data", list, "$")
-    validated: list[tuple[str, dict]] = []
-    for ai, article in enumerate(data):
-        title = article.get("title") if type(article) is dict else None
+    title = article.get("title") if type(article) is dict else None
+    if (
+        type(title) is not str
+        or not (title.isascii() or _encodes(title))
+        or type(paragraphs := article.get("paragraphs")) is not list
+    ):
+        apath = f"$.data[{ai}]"
+        title = _require(article, "title", str, apath)
+        paragraphs = _require(article, "paragraphs", list, apath)
+    for pi, para in enumerate(paragraphs):
+        context = para.get("context") if type(para) is dict else None
         if (
-            type(title) is not str
-            or not (title.isascii() or _encodes(title))
-            or type(paragraphs := article.get("paragraphs")) is not list
+            type(context) is not str
+            or not context
+            or not (context.isascii() or _encodes(context))
+            or type(qas := para.get("qas")) is not list
         ):
-            apath = f"$.data[{ai}]"
-            title = _require(article, "title", str, apath)
-            paragraphs = _require(article, "paragraphs", list, apath)
-        for pi, para in enumerate(paragraphs):
-            context = para.get("context") if type(para) is dict else None
+            ppath = f"$.data[{ai}].paragraphs[{pi}]"
+            context = _require(para, "context", str, ppath)
+            if not context:
+                raise SchemaError(f"{ppath}.context", "context text is empty")
+            qas = _require(para, "qas", list, ppath)
+        baselines = []
+        for qi, qa in enumerate(qas):
+            qid = qa.get("id") if type(qa) is dict else None
             if (
-                type(context) is not str
-                or not context
-                or not (context.isascii() or _encodes(context))
-                or type(qas := para.get("qas")) is not list
+                type(qid) is not str
+                or not (qid.isascii() or _encodes(qid))
+                or type(question := qa.get("question")) is not str
+                or not (question.isascii() or _encodes(question))
+                or not question.strip()
+                or type(answers := qa.get("answers")) is not list
+                or not answers
             ):
-                ppath = f"$.data[{ai}].paragraphs[{pi}]"
-                context = _require(para, "context", str, ppath)
-                if not context:
-                    raise SchemaError(f"{ppath}.context", "context text is empty")
-                qas = _require(para, "qas", list, ppath)
-            for qi, qa in enumerate(qas):
-                qid = qa.get("id") if type(qa) is dict else None
+                qpath = f"$.data[{ai}].paragraphs[{pi}].qas[{qi}]"
+                qid = _require(qa, "id", str, qpath)
+                question = _require(qa, "question", str, qpath)
+                if not question.strip():
+                    raise SchemaError(f"{qpath}.question", "question is blank")
+                answers = _require(qa, "answers", list, qpath)
+                if not answers:
+                    raise SchemaError(
+                        f"{qpath}.answers",
+                        "empty answers list (v2-style unanswerable entries "
+                        "are not supported)",
+                    )
+            spans = []
+            for xi, ans in enumerate(answers):
+                text = ans.get("text") if type(ans) is dict else None
+                # a non-empty text equal to a slice of the context lies
+                # inside it, and is valid Unicode as the context is
                 if (
-                    type(qid) is not str
-                    or not (qid.isascii() or _encodes(qid))
-                    or type(question := qa.get("question")) is not str
-                    or not (question.isascii() or _encodes(question))
-                    or not question.strip()
-                    or type(answers := qa.get("answers")) is not list
-                    or not answers
+                    type(text) is not str
+                    or type(start := ans.get("answer_start")) is not int
+                    or not text
+                    or not (start >= 0 and context[start : start + len(text)] == text)
                 ):
-                    qpath = f"$.data[{ai}].paragraphs[{pi}].qas[{qi}]"
-                    qid = _require(qa, "id", str, qpath)
-                    question = _require(qa, "question", str, qpath)
-                    if not question.strip():
-                        raise SchemaError(f"{qpath}.question", "question is blank")
-                    answers = _require(qa, "answers", list, qpath)
-                    if not answers:
-                        raise SchemaError(
-                            f"{qpath}.answers",
-                            "empty answers list (v2-style unanswerable entries "
-                            "are not supported)",
+                    xpath = f"$.data[{ai}].paragraphs[{pi}].qas[{qi}].answers[{xi}]"
+                    text = _require(ans, "text", str, xpath)
+                    start = _require(ans, "answer_start", int, xpath)
+                    if not text:
+                        raise SchemaError(f"{xpath}.text", "answer text is empty")
+                    if start < 0 or start + len(text) > len(context):
+                        raise SpanError(
+                            qid,
+                            f"offsets [{start}, {start + len(text)}) fall "
+                            f"outside the {len(context)}-char context",
                         )
-                for xi, ans in enumerate(answers):
-                    text = ans.get("text") if type(ans) is dict else None
-                    # a non-empty text equal to a slice of the context lies
-                    # inside it, and is valid Unicode as the context is
-                    if (
-                        type(text) is not str
-                        or type(start := ans.get("answer_start")) is not int
-                        or not text
-                        or not (start >= 0 and context[start : start + len(text)] == text)
-                    ):
-                        xpath = f"$.data[{ai}].paragraphs[{pi}].qas[{qi}].answers[{xi}]"
-                        text = _require(ans, "text", str, xpath)
-                        start = _require(ans, "answer_start", int, xpath)
-                        if not text:
-                            raise SchemaError(f"{xpath}.text", "answer text is empty")
-                        if start < 0 or start + len(text) > len(context):
-                            raise SpanError(
-                                qid,
-                                f"offsets [{start}, {start + len(text)}) fall "
-                                f"outside the {len(context)}-char context",
-                            )
-                        if context[start : start + len(text)] != text:
-                            raise SpanError(
-                                qid,
-                                f"context slice at {start} is "
-                                f"{context[start:start + len(text)]!r}, "
-                                f"expected {text!r}",
-                            )
-            validated.append((title, para))
-    return SquadDataset(records=ContextRecords(validated))
+                    if context[start : start + len(text)] != text:
+                        raise SpanError(
+                            qid,
+                            f"context slice at {start} is "
+                            f"{context[start:start + len(text)]!r}, "
+                            f"expected {text!r}",
+                        )
+                spans.append((text, start))
+            baselines.append((qid, question, tuple(spans)))
+        out.append((title, context, tuple(baselines)))
 
 
 def load_squad(path) -> SquadDataset:
-    """:func:`parse_squad` of the file at path: every check runs here, and
-    ``records`` is a read-only sequence built on access, not a tuple."""
+    """:func:`parse_squad` of the file at path, read :data:`READ_CHARS`
+    bytes at a time: every check runs here, and ``records`` is a read-only
+    sequence built on access, not a tuple."""
     with open(path, "rb") as fh:
         return parse_squad(fh)
 
@@ -346,12 +525,12 @@ def reverse_dataset(ds: SquadDataset) -> list[ReversedExample]:
     """
     return [
         ReversedExample(
-            context=para["context"],
-            input_answer=qa["answers"][0]["text"],
-            target_question=qa["question"],
+            context=context,
+            input_answer=answers[0][0],
+            target_question=question,
         )
-        for _, para in ds.records._paragraphs
-        for qa in para["qas"]
+        for _, context, baselines in ds.records._paragraphs
+        for _, question, answers in baselines
     ]
 
 

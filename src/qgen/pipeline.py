@@ -31,7 +31,7 @@ import json
 import math
 import os
 import threading
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from importlib import resources
@@ -799,16 +799,22 @@ def _write_files(out: str | Path, files: dict[str, Iterable[str]]) -> list[Path]
     cannot be removed, created, written or closed, or a target that
     cannot be replaced, a directory say, raises ConfigError naming the
     target; an exception raised by the chunks passes through as it is.
+    When a write fails, the temporary file it created is removed; if that
+    removal fails too, ConfigError names the file left behind, with the
+    write's error as its cause. An interrupt passes through as it is.
     """
     out_dir = Path(out)
     written = []
     for name, chunks in files.items():
         target = out_dir / name
         tmp = out_dir / f".{name}.tmp"
+        created = False
         try:
             with _writing(target):
                 tmp.unlink(missing_ok=True)
-                fh = open(os.open(tmp, _CREATE_NEW, 0o666), "w", encoding="utf-8")
+                fd = os.open(tmp, _CREATE_NEW, 0o666)
+                created = True
+                fh = open(fd, "w", encoding="utf-8")
             try:
                 for chunk in chunks:
                     # not _writing: a context manager per line cost six
@@ -822,10 +828,14 @@ def _write_files(out: str | Path, files: dict[str, Iterable[str]]) -> list[Path]
                     fh.close()
             with _writing(target):
                 os.replace(tmp, target)
-        except BaseException:
-            # tmp may be what could not be opened, a directory say
-            with suppress(OSError):
+        except BaseException as exc:
+            try:
                 tmp.unlink(missing_ok=True)
+            except OSError as err:
+                # an entry this call did not create, a directory say, is
+                # what could not be opened, and the error names the target
+                if created and isinstance(exc, Exception):
+                    raise ConfigError(f"cannot remove {tmp}: {err.strerror}") from exc
             raise
         written.append(target)
     return written

@@ -6,14 +6,16 @@ import gc
 import io
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from qgen import corpus
 from qgen.corpus import (
-    ContextRecords,
-    SquadDataset,
+    Answer,
+    BaselineQuestion,
+    ContextRecord,
     chunk_context,
     load_squad,
     parse_squad,
@@ -328,16 +330,18 @@ def reference_require(obj, key: str, kind, path: str):
     return value
 
 
-def reference_walk(doc) -> ContextRecords:
-    """The parser's walk as it was with one reference_require call a field
-    and a JSON path string built for every element."""
+def reference_walk(doc) -> tuple[ContextRecord, ...]:
+    """The records of doc, by the parser's walk as it was with one
+    reference_require call a field and a JSON path string built for every
+    element, each record built at once from the decoded JSON."""
     data = reference_require(doc, "data", list, "$")
-    validated = []
+    records = []
     for ai, article in enumerate(data):
         apath = f"$.data[{ai}]"
         title = reference_require(article, "title", str, apath)
         paragraphs = reference_require(article, "paragraphs", list, apath)
         for pi, para in enumerate(paragraphs):
+            baselines = []
             ppath = f"{apath}.paragraphs[{pi}]"
             context = reference_require(para, "context", str, ppath)
             if not context:
@@ -375,8 +379,10 @@ def reference_walk(doc) -> ContextRecords:
                             f"{context[start:start + len(text)]!r}, "
                             f"expected {text!r}",
                         )
-            validated.append((title, para))
-    return ContextRecords(validated)
+                answers = tuple(Answer(a["text"], a["answer_start"]) for a in answers_raw)
+                baselines.append(BaselineQuestion(qid, question, answers))
+            records.append(ContextRecord(len(records), title, context, tuple(baselines)))
+    return tuple(records)
 
 
 # the keys each level of the tree requires, and the string ones among them
@@ -468,13 +474,17 @@ def parse_outcome(parse, text: str):
     try:
         return ("records", parse(text))
     except (SchemaError, SpanError) as exc:
-        return (type(exc).__name__, str(exc), getattr(exc, "path", None),
-                getattr(exc, "qas_id", None))
+        return error_outcome(exc)
+
+
+def error_outcome(exc: Exception) -> tuple:
+    return (type(exc).__name__, str(exc), getattr(exc, "path", None),
+            getattr(exc, "qas_id", None))
 
 
 def test_parse_walk_matches_the_reference_walk_on_mutations(mini_squad_path):
     def parse(text):
-        return parse_squad(text).records
+        return tuple(parse_squad(text).records)
 
     def reference(text):
         return reference_walk(json.loads(text))
@@ -526,7 +536,7 @@ def test_valid_parse_makes_no_require_call(mini_squad_path, monkeypatch):
         json.dumps(unicode_doc),
         json.dumps(unicode_doc, ensure_ascii=False),
     ):
-        assert parse_squad(text) == SquadDataset(reference_walk(json.loads(text)))
+        assert tuple(parse_squad(text).records) == reference_walk(json.loads(text))
     assert calls == []
     rec = parse_squad(json.dumps(unicode_doc)).records[0]
     assert rec.baselines[0].id == "fx-00000\U0001F600"
@@ -535,6 +545,196 @@ def test_valid_parse_makes_no_require_call(mini_squad_path, monkeypatch):
     with pytest.raises(SchemaError):
         parse_squad('{"data": [{"title": "T", "paragraphs": {}}]}')
     assert calls == [("title", str, "$.data[0]"), ("paragraphs", list, "$.data[0]")]
+
+
+# -- the reader against the whole-text decode --------------------------------------
+
+READ_SIZES = (1, 7, 64, corpus.READ_CHARS)
+# the outcomes of reader_cases
+KINDS = {"records": 101, "MalformedJson": 219, "SchemaError": 60, "SpanError": 46}
+STRAY = (
+    b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xef\xbb\xbf", b"\x00", b"{", b"}", b"[", b"]",
+    b",", b":", b'"', b"\\", b" ", b"\t", b"\r\n", b"0", b"-", b"e", b"n", b"1.5e3",
+)
+
+
+def whole_text_outcome(raw: bytes):
+    """The records of raw, or its error's class, message, path and qas id,
+    by decoding the whole text with loads_json and walking the tree."""
+    try:
+        try:
+            doc = corpus.loads_json(raw.decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise MalformedJson(f"invalid JSON: {exc}") from exc
+        return ("records", reference_walk(doc))
+    except (MalformedJson, SchemaError, SpanError) as exc:
+        return error_outcome(exc)
+
+
+def dataset_outcome(parse) -> tuple:
+    """The records of the dataset parse() returns, or its error's class,
+    message, path and qas id."""
+    try:
+        return ("records", tuple(parse().records))
+    except (MalformedJson, SchemaError, SpanError) as exc:
+        return error_outcome(exc)
+
+
+def load_outcome(path, raw: bytes) -> tuple:
+    """What load_squad makes of raw, written to path."""
+    path.write_bytes(raw)
+    return dataset_outcome(lambda: load_squad(path))
+
+
+def unicode_doc_bytes() -> bytes:
+    """A dataset with 2-, 3- and 4-byte UTF-8 sequences in every field."""
+    context = "Beyoncé sang in Zürich — €5 a seat — and 😀 twice: 😀😀."
+    doc = make_squad_doc([
+        ("Ünïcode ☃ 😀", [
+            (context, [("Where did Beyoncé sing?", "Zürich"), ("What price?", "€5")]),
+            ("Ωmega 𝄞 clef.", [("Which clef 𝄞?", "𝄞 clef")]),
+        ]),
+        ("Plain", [("Only ASCII here.", [("What is here?", "ASCII")])]),
+    ])
+    doc["data"][0]["paragraphs"][0]["qas"][0]["id"] += "é😀"
+    return json.dumps(doc, ensure_ascii=False).encode("utf-8")
+
+
+def reader_cases(mini: bytes) -> list[tuple[str, bytes]]:
+    """Seeded mutations of whole dataset texts, each with what it is."""
+    unicode_text = unicode_doc_bytes()
+    doc = json.loads(mini)
+    data = json.dumps(doc["data"]).encode()
+    deep = b"[" * 100_000 + b"]" * 100_000
+    cases = [
+        ("mini", mini),
+        ("unicode", unicode_text),
+        ("compact", json.dumps(doc, separators=(",", ":")).encode()),
+        ("indented", json.dumps(doc, indent="\t").encode().replace(b"\n", b"\r\n")),
+        ("bom", b"\xef\xbb\xbf" + mini),
+        ("duplicate data, first kept", b'{"data": ' + data + b', "data": []}'),
+        ("duplicate data, last kept", b'{"data": [], "data": ' + data + b"}"),
+        ("data after other keys", b'{"a": {"data": [1]}, "version": 1.1, "data": ' + data + b"}"),
+        ("no data", b'{"version": "1.1"}'),
+        ("data not a list", b'{"data": {"title": "T"}}'),
+        ("top level not an object", b"[" + data + b"]"),
+        ("keys in a list", b"[" + mini.lstrip()[1:]),
+        ("empty object", b"{}"),
+        ("trailing text", mini + b" {}"),
+        ("trailing comma", mini.rstrip()[:-1] + b",}"),
+        ("trailing whitespace", mini + b" \n\t\r\n"),
+        ("split number", b'{"version": 123456789012345678901234567890, "data": ' + data + b"}"),
+        ("split literal", b'{"v": [true, false, null, NaN, -Infinity], "data": ' + data + b"}"),
+        ("deep, whole text", b"[" * 100_000),
+        ("deep, skipped key", b'{"x": ' + deep + b', "data": ' + data + b"}"),
+        ("deep, in an article", mini.replace(b'"title"', b'"x": ' + deep + b', "title"', 1)),
+        ("nested, in an article", mini.replace(b'"title"', b'"x": [[[[[[]]]]]], "title"', 1)),
+        ("not UTF-8 in a string", unicode_text.replace("é".encode(), b"\xe9", 1)),
+        ("cut UTF-8 at the end", unicode_text + "😀".encode()[:3]),
+        ("lone surrogate escape", mini.replace(b'"Clockmaking"', b'"Clock\\ud800"', 1)),
+        ("schema error, then syntax error", mini.replace(b'"title"', b'"titel"', 1) + b"x"),
+    ]
+    rng = random.Random(3)
+    for source, text in (("mini", mini), ("unicode", unicode_text)):
+        for _ in range(150):
+            at = rng.randrange(len(text) + 1)
+            stray = rng.choice(STRAY)
+            cases.append((f"{stray!r} put in {source} at {at}", text[:at] + stray + text[at:]))
+        for _ in range(50):
+            at = rng.randrange(len(text))
+            cases.append((f"byte dropped from {source} at {at}", text[:at] + text[at + 1 :]))
+    return cases
+
+
+@pytest.mark.parametrize("read_chars", READ_SIZES)
+def test_reader_matches_the_whole_text_decode(
+    mini_squad_path, tmp_path, monkeypatch, read_chars
+):
+    monkeypatch.setattr(corpus, "READ_CHARS", read_chars)
+    mini = mini_squad_path.read_bytes()
+    path = tmp_path / "squad.json"
+    kinds: Counter = Counter()
+    for what, raw in reader_cases(mini):
+        got, want = load_outcome(path, raw), whole_text_outcome(raw)
+        assert got == want, what
+        kinds[got[0]] += 1
+    # the counts pin the mutations, so no outcome can go vacuous
+    assert kinds == KINDS
+
+
+@pytest.mark.parametrize("read_chars", READ_SIZES)
+def test_reader_matches_the_whole_text_decode_when_cut_short(
+    mini_squad_path, monkeypatch, read_chars
+):
+    # every cut of mini_squad.json; at a size of 1 or 7, each of which
+    # costs a read a byte or so, a seeded sixteenth or fourth of them
+    monkeypatch.setattr(corpus, "READ_CHARS", read_chars)
+    mini = mini_squad_path.read_bytes()
+    step = {1: 16, 7: 4}.get(read_chars, 1)
+    cuts = range(random.Random(read_chars).randrange(step), len(mini) + 1, step)
+    for cut in cuts:
+        # the stream load_squad reads, without a file for each cut
+        got = dataset_outcome(lambda: parse_squad(io.BytesIO(mini[:cut])))
+        assert got == whole_text_outcome(mini[:cut]), cut
+        # only a cut in the trailing whitespace leaves the records whole
+        assert (got[0] == "records") == (cut >= len(mini.rstrip())), cut
+
+
+class Unseekable(io.RawIOBase):
+    """Bytes that can be read once, from the start: a pipe, say."""
+
+    def __init__(self, raw: bytes) -> None:
+        self.stream = io.BytesIO(raw)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        return self.stream.readinto(buffer)
+
+
+def test_every_source_kind_matches_the_whole_text_decode(mini_squad_path, monkeypatch):
+    # str, bytes, a text stream, a stream that cannot seek, and one that
+    # starts after a prefix, which the parse goes back to, not to 0
+    monkeypatch.setattr(corpus, "READ_CHARS", 7)
+    mini = mini_squad_path.read_bytes()
+    cases = [raw for _, raw in reader_cases(mini)[:25]]
+    for raw in cases:
+        want = whole_text_outcome(raw)
+        sources = [raw, io.BufferedReader(Unseekable(raw))]
+        prefixed = io.BytesIO(b"prefix" + raw)
+        prefixed.seek(len(b"prefix"))
+        sources.append(prefixed)
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            pass
+        else:
+            sources += [text, io.StringIO(text)]
+        for source in sources:
+            got = dataset_outcome(lambda: parse_squad(source))
+            assert got == want, (raw[:40], type(source).__name__)
+
+
+@pytest.mark.parametrize("read_chars", [corpus.READ_CHARS, 1 << 16])
+def test_parse_peak_is_the_kept_tuples_and_a_few_reads(tmp_path, monkeypatch, read_chars):
+    # a 2,000-context file of 1.35 MB: the records' tuples keep 2.2 bytes a
+    # byte of it, the decoded JSON tree 3.8, and the whole text is never held
+    monkeypatch.setattr(corpus, "READ_CHARS", read_chars)
+    path = tmp_path / "squad.json"
+    path.write_bytes(doc_bytes(make_squad_doc(build_synth_articles(2000))))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        ds = load_squad(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ds.records) == 2000
+    assert kept < 2.5 * size
+    # beyond them, about three reads at once: the bytes, their text and
+    # the buffer they join; and the element being decoded
+    assert peak - kept < 3 * min(read_chars, size) + size / 10
 
 
 # -- reversal -------------------------------------------------------------------

@@ -28,8 +28,13 @@ JSON. `parse_questions` given numbered, bulleted and inline items and
 blank lines, joined by every line break, must return 1 to n non-empty
 strings or raise NoQuestionsFound. `qgen run` on a mutated copy of
 demos/data/vectors_50d.txt must exit 0 with a complete run, or 2 with a
-failed manifest at stage "load" and no backend call. The seeds are fixed,
-so the suite stays deterministic.
+failed manifest at stage "load" and no backend call. So must `qgen run`
+on a mutated copy of demos/data/mini_squad.json (1 to 3 value
+mutations as above, or 1 to 3 byte mutations: bytes put in or dropped,
+or the text cut short, or both), read in pieces of the default size and
+of 7 characters, as `parse_squad` accepts the file or not, and `qgen
+stats` on it must exit 0 or 2 with it. The seeds are fixed, so the suite
+stays deterministic.
 """
 
 from __future__ import annotations
@@ -40,7 +45,9 @@ import shutil
 from collections import Counter
 from pathlib import Path
 
-from qgen import similarity
+import pytest
+
+from qgen import corpus, similarity
 from qgen.cli import main
 from qgen.corpus import Answer, BaselineQuestion, ContextRecord, parse_squad, reverse_dataset
 from qgen.errors import BadEncoding, NoQuestionsFound, QgenError
@@ -533,3 +540,82 @@ def test_run_on_mutated_vector_file_exits_0_or_2(tmp_path, capsys):
     assert escapes == []
     # the counts pin the mutations, so neither outcome can go vacuous
     assert (codes.count(0), codes.count(2)) == (56, 144)
+
+
+# -- qgen run and qgen stats on mutated dataset files --------------------------------
+
+DATASET_SEEDS = range(200)
+# what a syntax mutation puts in: bytes UTF-8 does not decode, a BOM, and
+# JSON punctuation and literals
+SYNTAX_BYTES = (
+    b"\xff", b"\xc3", b"\xef\xbb\xbf", b"{", b"}", b"[", b"]", b",", b":", b'"', b"\\",
+    b"0", b"n", b' "data": []', b', "data": []',
+)
+
+
+def mutate_dataset(text: str, rng: random.Random) -> bytes:
+    """The bytes of text after 1 to 3 schema mutations (see mutate_doc),
+    or 1 to 3 syntax mutations (bytes put in, dropped, or the text cut
+    short), or both."""
+    kind = rng.choice(("schema", "syntax", "both"))
+    if kind != "syntax":
+        top = [json.loads(text)]
+        for _ in range(rng.randint(1, 3)):
+            mutate_doc(top, SQUAD_KEYS, rng)
+        text = json.dumps(top[0], ensure_ascii=False, indent=rng.choice((None, 2)))
+    raw = text.encode("utf-8")
+    if kind != "schema":
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(raw) + 1)
+            op = rng.choice(("put", "drop", "cut"))
+            if op == "put":
+                raw = raw[:at] + rng.choice(SYNTAX_BYTES) + raw[at:]
+            elif op == "drop":
+                raw = raw[:at] + raw[at + 1 :]
+            else:
+                raw = raw[:at]
+    return raw
+
+
+@pytest.mark.parametrize("read_chars", [corpus.READ_CHARS, 7])
+def test_run_and_stats_on_mutated_dataset_exit_0_or_2(
+    tmp_path, capsys, monkeypatch, read_chars
+):
+    monkeypatch.setattr(corpus, "READ_CHARS", read_chars)
+    text = (DATA / "mini_squad.json").read_text(encoding="utf-8")
+    dataset = tmp_path / "squad.json"
+    config = tmp_path / "config.json"
+    doc = {
+        "dataset": str(dataset),
+        "vectors": str(DATA / "vectors_50d.txt"),
+        "out": "out",
+        "sample_size": 1,
+    }
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    manifest = tmp_path / "out" / "manifest.json"
+    wrong, outcomes = [], Counter()
+    for seed in DATASET_SEEDS:
+        dataset.write_bytes(mutate_dataset(text, random.Random(seed)))
+        try:
+            parse_squad(dataset.read_bytes())
+            parsed = True
+        except QgenError:
+            parsed = False
+        codes = []
+        for argv in (
+            ["run", "--config", str(config)],
+            ["stats", "--dataset", str(dataset), "--out", str(tmp_path / "stats")],
+        ):
+            try:
+                codes.append(main(argv))
+            except Exception as exc:
+                codes.append(f"{type(exc).__name__}: {exc}")
+        capsys.readouterr()
+        run = json.loads(manifest.read_text(encoding="utf-8"))
+        outcome = (codes[0], run["status"], run.get("stage"), run["backend_calls"], codes[1])
+        if outcome != ((0, "complete", None, 4, 0) if parsed else (2, "failed", "load", 0, 2)):
+            wrong.append((seed, outcome))
+        outcomes[run.get("error", "complete").split(":")[0]] += 1
+    assert wrong == []
+    # the counts pin the mutations, so no outcome can go vacuous
+    assert outcomes == {"complete": 20, "MalformedJson": 103, "SchemaError": 72, "SpanError": 5}

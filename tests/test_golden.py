@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import builtins
+import errno
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
+import types
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -17,7 +20,7 @@ import pytest
 from qgen import pipeline, similarity
 from qgen.cli import main
 from qgen.corpus import ContextRecord, load_squad
-from qgen.errors import SchemaError
+from qgen.errors import ConfigError, PipelineError, SchemaError
 from qgen.pipeline import RunConfig, load_run, run_pipeline
 from qgen.scoring import ScoreRecord
 from qgen.similarity import VectorIndex, load_vectors, tokenize
@@ -397,3 +400,153 @@ def test_report_ignores_stored_shortfalls(tmp_path):
     (run_dir / "report.md").unlink()
     assert main(["report", "--run", str(run_dir)]) == 0
     assert (run_dir / "report.md").read_bytes() == (GOLDEN / "report.md").read_bytes()
+
+
+# -- every filesystem fault of a run -------------------------------------------------
+
+class FileFaults:
+    """Number the filesystem operations a run makes through the names
+    pipeline calls, from 1: each call of os.open, os.replace, open,
+    load_squad and load_vectors_path, each write and close of a file open
+    returned, and each Path.unlink of a path in the output directory. The
+    operation numbered n raises at[n], if there is one."""
+
+    def __init__(self, monkeypatch, out: Path, at: dict) -> None:
+        self.count = 0
+        self.at = at
+        os_names = types.ModuleType("os")
+        os_names.__dict__.update(vars(os))
+        os_names.open = self.faulty(os.open)
+        os_names.replace = self.faulty(os.replace)
+        monkeypatch.setattr(pipeline, "os", os_names)
+        for name in ("load_squad", "load_vectors_path"):
+            monkeypatch.setattr(pipeline, name, self.faulty(getattr(pipeline, name)))
+        monkeypatch.setattr(pipeline, "open", self.faulty(self.opened), raising=False)
+        unlink = Path.unlink
+
+        def faulty_unlink(path, missing_ok=False):
+            if path.parent == out:
+                self.hit()
+            return unlink(path, missing_ok=missing_ok)
+
+        monkeypatch.setattr(Path, "unlink", faulty_unlink)
+
+    def hit(self) -> None:
+        self.count += 1
+        if self.count in self.at:
+            raise self.at[self.count]
+
+    def faulty(self, call):
+        def wrapped(*args, **kwargs):
+            self.hit()
+            return call(*args, **kwargs)
+
+        return wrapped
+
+    def opened(self, *args, **kwargs):
+        faults = self
+
+        class File:
+            """The file open returns, whose write and close count."""
+
+            def __init__(self) -> None:
+                self.fh = builtins.open(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info) -> None:
+                self.close()
+
+            def write(self, chunk):
+                faults.hit()
+                return self.fh.write(chunk)
+
+            def close(self) -> None:
+                # the file is closed whether or not the fault is raised
+                self.fh.close()
+                faults.hit()
+
+        return File()
+
+
+def eacces() -> OSError:
+    return PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+
+def faulted_run(monkeypatch, out: Path, at: dict) -> tuple[object, int]:
+    """Run the golden config over the golden run in out with the faults
+    at; what it raised, or None, and the operations it made."""
+    shutil.rmtree(out, ignore_errors=True)
+    shutil.copytree(GOLDEN, out)
+    with monkeypatch.context() as patch:
+        faults = FileFaults(patch, out, at)
+        try:
+            run_pipeline(golden_config(out))
+        # an interrupt too: the sweep interrupts each operation
+        except BaseException as exc:
+            return exc, faults.count
+    return None, faults.count
+
+
+def broken_invariant(out: Path, raised, interrupt: bool) -> str | None:
+    """What the directory and the outcome of a faulted run break of the
+    persistence contract, or None."""
+    if isinstance(raised, OSError):
+        return f"raw {type(raised).__name__}: {raised}"
+    if interrupt and not isinstance(raised, KeyboardInterrupt):
+        return f"the interrupt became {raised!r}"
+    if not interrupt and not isinstance(raised, (type(None), PipelineError, ConfigError)):
+        return f"raised {raised!r}"
+    names = sorted(p.name for p in out.iterdir())
+    if "manifest.json" not in names:
+        return None if raised is not None else "a run that returned wrote no manifest"
+    status = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["status"]
+    if status == "complete":
+        # the previous run's, if the run failed before it removed it
+        try:
+            assert_golden(out)
+        except AssertionError as exc:
+            return f"a complete manifest beside other bytes: {exc}"
+        return None
+    if not isinstance(raised, PipelineError):
+        return f"a {status} manifest, and the run raised {raised!r}"
+    if names != ["manifest.json", "scores.jsonl"]:
+        return f"a failed manifest beside {names}"
+    return None
+
+
+# the fault pairs the sweep runs, a seeded sample of all of them
+PAIR_FAULTS = 200
+
+
+def test_every_filesystem_fault_keeps_the_persistence_contract(tmp_path, monkeypatch):
+    out = tmp_path / "full_run"
+    raised, ops = faulted_run(monkeypatch, out, {})
+    assert raised is None
+    assert_golden(out)
+    broken = []
+
+    def check(at: dict, interrupt: bool = False) -> int:
+        raised, made = faulted_run(monkeypatch, out, at)
+        what = broken_invariant(out, raised, interrupt)
+        if what is not None:
+            broken.append((sorted(at), type(next(iter(at.values()))).__name__, what))
+        return made
+
+    # every single interrupt, and every single OSError; a run failed at
+    # operation n makes other operations after it, and a second fault is
+    # drawn from those
+    for n in range(1, ops + 1):
+        check({n: KeyboardInterrupt()}, interrupt=True)
+    pairs = [(n, m) for n in range(1, ops + 1) for m in range(n + 1, check({n: eacces()}) + 1)]
+    for n, m in random.Random(17).sample(pairs, PAIR_FAULTS):
+        check({n: eacces(), m: eacces()})
+    assert broken == [], "\n".join(map(str, broken))
+    # the counts pin the sweep: 257 operations, each interrupted alone and
+    # failed alone, and a sample of the pairs
+    assert (ops, len(pairs)) == (257, 17789)
+

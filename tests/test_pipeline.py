@@ -978,6 +978,57 @@ def test_failed_run_removes_a_temporary_file_its_write_left(
     assert (manifest["status"], manifest["stage"]) == ("failed", "persist")
 
 
+def test_report_names_a_temporary_file_it_cannot_remove(
+    tmp_path, mini_squad_path, demo_vectors_path, monkeypatch, capsys
+):
+    # the fig6_boxplot.csv write fails, and so does the removal of the
+    # temporary file it made: the file left beside the complete manifest
+    # is named, not passed over
+    path = write_config(tmp_path, mini_squad_path, demo_vectors_path)
+    assert main(["run", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    tmp = out / ".fig6_boxplot.csv.tmp"
+
+    def full_disk(run):
+        yield "prompt,mean,median,q1,q3,whisker_lo,whisker_hi,outliers\n"
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(pipeline, "fig6_csv", full_disk)
+    calls = failing_unlink(monkeypatch, tmp, lambda n: n == 2)
+    capsys.readouterr()
+    assert main(["report", "--run", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot remove {tmp}: Permission denied\n"
+    assert calls == [1, -2]
+    assert tmp.exists()
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["status"] == "complete"
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), KeyboardInterrupt()],
+    ids=["full-disk", "interrupt"],
+)
+def test_write_that_cannot_remove_its_temporary_file(tmp_path, monkeypatch, failure):
+    # the write's error is the cause of the ConfigError naming the file;
+    # an interrupt passes through as it is
+    def failing_chunks():
+        yield "new,row\n"
+        raise failure
+
+    tmp = tmp_path / ".table2.csv.tmp"
+    failing_unlink(monkeypatch, tmp, lambda n: n == 2)
+    if isinstance(failure, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            pipeline._write_files(tmp_path, {"table2.csv": failing_chunks()})
+    else:
+        with pytest.raises(ConfigError) as err:
+            pipeline._write_files(tmp_path, {"table2.csv": failing_chunks()})
+        assert str(err.value) == f"cannot remove {tmp}: Permission denied"
+        assert err.value.__cause__ is failure
+    assert [p.name for p in tmp_path.iterdir()] == [tmp.name]
+
+
 def test_interrupted_rerun_leaves_no_manifest(
     tmp_path, mini_squad_path, demo_vectors_path, monkeypatch
 ):
